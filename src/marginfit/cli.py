@@ -146,9 +146,6 @@ def _cmd_embed(args) -> int:
 
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    gallery_features = load_matrix(args.gallery_features)
-    if gallery_features.shape[0] == 0:
-        raise EmptyGallery(f"{args.gallery_features}: gallery has no rows")
     query = load_bundle(args.query_features, args.query_labels, SPLIT_QUERY)
     gallery = load_bundle(args.gallery_features, args.gallery_labels, SPLIT_GALLERY)
     split = EvalSplit(query, gallery)

@@ -20,7 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvariantViolation, LabelOutOfRange, NonFiniteData
+from .errors import (
+    EmptyGallery,
+    FormatError,
+    InvariantViolation,
+    LabelOutOfRange,
+    NonFiniteData,
+)
 from .tensor import as_matrix
 
 MAGIC_MATRIX = b"EMB1"
@@ -174,7 +180,10 @@ class EvalSplit:
 def load_bundle(
     features_path, labels_path, split_tag: str = SPLIT_TRAIN, class_ids_path=None
 ) -> FeatureBundle:
+    """Read a feature matrix and its labels; an empty gallery raises EmptyGallery."""
     features = load_matrix(features_path)
+    if split_tag == SPLIT_GALLERY and features.shape[0] == 0:
+        raise EmptyGallery(f"{features_path}: gallery has no rows")
     labels, num_classes = load_labels(labels_path)
     if class_ids_path is not None:
         class_ids = load_class_ids(class_ids_path)

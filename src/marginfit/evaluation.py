@@ -1,10 +1,20 @@
 """Recall@K retrieval evaluation on float and sign-binarized embeddings.
 
 Float mode ranks the gallery by descending cosine (embeddings are unit-norm,
-so the dot product is the cosine). Binary mode thresholds every dimension at
-zero (strictly positive -> 1, zero or negative -> 0), packs bits into 64-bit
-words, and ranks by ascending Hamming distance. Both modes break score ties
-by ascending gallery index, so reports are deterministic.
+so the dot product is the cosine), scored in float64. Binary mode maps every
+dimension to a sign code (strictly positive -> +1, zero or negative -> -1,
+see ``sign_codes``) and ranks by ascending Hamming distance, scored as the
+float32 product of the codes, ``D - 2 * Hamming``, which is exact for
+D < 2**24. Both modes break score ties by ascending gallery index, so
+reports are deterministic.
+
+Ranking is sort-free. Recall@K needs only the rank of each query's first
+same-class gallery item: the number of items that score strictly higher
+than its best same-class item, plus the items that tie that score at a
+lower gallery index. One kernel computes it for both modes, scoring
+``CHUNK_ROWS`` queries at a time against the whole gallery, so memory is
+O(CHUNK_ROWS * G) rather than O(Q * G), in the manner of the tiled
+brute-force k-NN of Johnson et al. (arXiv:1702.08734).
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import EvalSplit, FeatureBundle
-from .errors import ConfigError, DimMismatch, EmptyGallery, InvariantViolation
+from .errors import ConfigError, DimMismatch, EmptyGallery, InvariantViolation, NonFiniteData
 from .tensor import as_matrix
 from .trainer import Checkpoint, forward_head
 
@@ -24,25 +34,8 @@ REPORT_MODES = (MODE_FLOAT, MODE_BINARY)
 
 DEFAULT_KS = (1, 5, 10, 20, 30, 40, 50)
 
-
-@dataclass
-class BitMatrix:
-    """Sign bits packed row-major into uint64 words, LSB-first within a word."""
-
-    rows: int
-    cols: int  # bit dimension
-    words: np.ndarray  # (rows, ceil(cols / 64)) uint64
-
-    def __post_init__(self):
-        n_words = (self.cols + 63) // 64
-        if self.words.shape != (self.rows, n_words) or self.words.dtype != np.uint64:
-            raise InvariantViolation(
-                f"expected uint64 words of shape {(self.rows, n_words)}, "
-                f"got {self.words.dtype} {self.words.shape}"
-            )
-        pad = n_words * 64 - self.cols
-        if pad and np.any(self.words[:, -1] >> np.uint64(64 - pad)):
-            raise InvariantViolation("trailing pad bits must be zero")
+# Queries scored per block; a block holds CHUNK_ROWS x G scores.
+CHUNK_ROWS = 256
 
 
 @dataclass
@@ -57,31 +50,12 @@ class RetrievalReport:
             raise InvariantViolation("recall must be non-decreasing in K")
 
 
-def binarize(e: np.ndarray) -> BitMatrix:
-    """bit = 1 iff value > 0; exact zeros binarize to 0."""
-    e = as_matrix(e)
-    rows, cols = e.shape
-    n_words = (cols + 63) // 64
-    bits = np.zeros((rows, n_words * 64), dtype=np.uint64)
-    bits[:, :cols] = e > 0.0
-    shifts = np.arange(64, dtype=np.uint64)
-    words = np.bitwise_or.reduce(bits.reshape(rows, n_words, 64) << shifts, axis=2)
-    return BitMatrix(rows, cols, words)
-
-
-def unpack_bits(bm: BitMatrix) -> np.ndarray:
-    """Inverse of binarize's packing: (rows, cols) array of 0/1 uint8."""
-    shifts = np.arange(64, dtype=np.uint64)
-    bits = (bm.words[:, :, None] >> shifts) & np.uint64(1)
-    return bits.reshape(bm.rows, -1)[:, : bm.cols].astype(np.uint8)
-
-
-def hamming_distances(a: BitMatrix, b: BitMatrix) -> np.ndarray:
-    """Number of differing bits between all row pairs, via popcount on words."""
-    if a.cols != b.cols:
-        raise DimMismatch(f"bit dimensions differ: {a.cols} vs {b.cols}")
-    xor = a.words[:, None, :] ^ b.words[None, :, :]
-    return np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
+def sign_codes(e: np.ndarray) -> np.ndarray:
+    """+1 where a value is strictly positive, -1 elsewhere (zeros too), as float32."""
+    codes = (as_matrix(e) > 0.0).astype(np.float32)
+    codes *= 2.0
+    codes -= 1.0
+    return codes
 
 
 def embed_dataset(checkpoint: Checkpoint, bundle: FeatureBundle) -> np.ndarray:
@@ -89,13 +63,29 @@ def embed_dataset(checkpoint: Checkpoint, bundle: FeatureBundle) -> np.ndarray:
     return forward_head(checkpoint.head, bundle.features)
 
 
-def _first_hit_ranks(order: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarray) -> np.ndarray:
-    """Rank (0-based) of the first same-class gallery item per query."""
-    ranked = gallery_labels[order]
-    matches = ranked == query_labels[:, None]
-    any_hit = matches.any(axis=1)
+def _first_hit_ranks(
+    query: np.ndarray, gallery: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarray
+) -> np.ndarray:
+    """Rank (0-based) of the first same-class gallery item per query.
+
+    Scores are ``query @ gallery.T`` in the operands' dtype, higher first,
+    ties broken by ascending gallery index.
+    """
     # no-hit sentinel must exceed any K, including K > gallery size
-    return np.where(any_hit, matches.argmax(axis=1), np.iinfo(np.int64).max)
+    no_hit = np.iinfo(np.int64).max
+    ranks = np.empty(query.shape[0], dtype=np.int64)
+    cols = np.arange(gallery.shape[0])
+    for lo in range(0, query.shape[0], CHUNK_ROWS):
+        hi = lo + CHUNK_ROWS
+        scores = query[lo:hi] @ gallery.T
+        same = query_labels[lo:hi, None] == gallery_labels
+        best = np.max(scores, axis=1, where=same, initial=-np.inf, keepdims=True)
+        at_best = scores == best
+        first = np.argmax(at_best & same, axis=1)
+        rank = np.count_nonzero(scores > best, axis=1)
+        rank += np.count_nonzero(at_best & (cols < first[:, None]), axis=1)
+        ranks[lo:hi] = np.where(np.isfinite(best[:, 0]), rank, no_hit)
+    return ranks
 
 
 def recall_at_k(
@@ -123,6 +113,9 @@ def recall_at_k(
         )
     if qlab.shape != (query_e.shape[0],) or glab.shape != (gallery_e.shape[0],):
         raise DimMismatch("label lengths must match embedding rows")
+    for name, e in (("query", query_e), ("gallery", gallery_e)):
+        if not np.isfinite(e).all():
+            raise NonFiniteData(f"{name} embeddings contain NaN or Inf")
     ks = [int(k) for k in ks]
     if not ks or any(k < 1 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ConfigError(f"ks must be a non-empty ascending list of positives, got {ks}")
@@ -130,13 +123,10 @@ def recall_at_k(
         raise ConfigError(f"unknown mode {mode!r}, expected one of {REPORT_MODES}")
 
     if mode == MODE_FLOAT:
-        scores = query_e.astype(np.float64) @ gallery_e.astype(np.float64).T
-        order = np.argsort(-scores, axis=1, kind="stable")
+        query, gallery = query_e.astype(np.float64), gallery_e.astype(np.float64)
     else:
-        dists = hamming_distances(binarize(query_e), binarize(gallery_e))
-        order = np.argsort(dists, axis=1, kind="stable")
-
-    first = _first_hit_ranks(order, qlab, glab)
+        query, gallery = sign_codes(query_e), sign_codes(gallery_e)
+    first = _first_hit_ranks(query, gallery, qlab, glab)
     recall = [float(np.mean(first < k)) for k in ks]
     return RetrievalReport(ks, recall, mode, query_e.shape[0])
 

@@ -14,7 +14,7 @@ Training objective, per iteration, for every loss kind:
 The first term is the configured loss of ``losses.compute_loss``. The second
 is the proxy quantization term: it pulls each unit-norm proxy toward its
 own sign code, ``s(p) = +1`` where a coordinate is strictly positive and -1
-otherwise, the rule ``evaluation.binarize`` applies to embeddings. The code
+otherwise, the rule ``evaluation.sign_codes`` applies to embeddings. The code
 is held constant in the gradient (it is piecewise constant in ``p``), so the
 term adds ``(2 * QUANT_WEIGHT / C) * (p - s(p) / sqrt(D))`` to the proxy
 gradient before the momentum step. Embeddings gather around their class
@@ -209,7 +209,7 @@ def quantization_penalty(proxies: np.ndarray) -> tuple[float, np.ndarray]:
     """QUANT_WEIGHT * mean_c ||p_c - s(p_c)/sqrt(D)||^2 and its gradient in p.
 
     ``s`` maps strictly positive entries to +1 and the rest, zeros included,
-    to -1, as ``evaluation.binarize`` does. Float64 in, float64 out.
+    to -1, as ``evaluation.sign_codes`` does. Float64 in, float64 out.
     """
     num_classes, dim = proxies.shape
     unit = 1.0 / np.sqrt(dim)

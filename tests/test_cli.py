@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from marginfit import cli
+from marginfit import cli, data_io
 from marginfit.data_io import save_class_ids, save_labels, save_matrix
 from marginfit.margins import (
     METRIC_COSINE,
@@ -298,6 +298,21 @@ class TestEval:
         args[args.index("--gallery-labels") + 1] = str(dataset / "empty.lbl")
         code, _ = run_cli(args)
         assert code == 2
+
+    def test_reads_each_feature_file_once(self, dataset, monkeypatch):
+        ckpt = train_checkpoint(dataset)
+        reads = []
+        load_matrix = data_io.load_matrix
+
+        def counted(path):
+            reads.append(path)
+            return load_matrix(path)
+
+        monkeypatch.setattr(data_io, "load_matrix", counted)
+        monkeypatch.setattr(cli, "load_matrix", counted)
+        code, _ = run_cli(self.eval_args(dataset, ckpt))
+        assert code == 0
+        assert sorted(reads) == sorted([str(dataset / "q.emb"), str(dataset / "g.emb")])
 
     def test_shape_mismatch_exit_2(self, dataset):
         ckpt = train_checkpoint(dataset)

@@ -23,6 +23,7 @@ from marginfit.data_io import (
     validate_bundle,
 )
 from marginfit.errors import (
+    EmptyGallery,
     FormatError,
     InvariantViolation,
     LabelOutOfRange,
@@ -167,6 +168,14 @@ class TestBundle:
         save_labels(b.labels, 2, tmp_path / "l.lbl")
         loaded = load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl")
         assert loaded.class_ids == ["0", "1"]
+
+    def test_empty_gallery_file(self, tmp_path):
+        save_matrix(np.zeros((0, 3), np.float32), tmp_path / "f.emb")
+        save_labels([], 2, tmp_path / "l.lbl")
+        with pytest.raises(EmptyGallery):
+            load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl", SPLIT_GALLERY)
+        with pytest.raises(InvariantViolation):
+            load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl", SPLIT_QUERY)
 
     def test_clean_bundle_no_warnings(self):
         assert validate_bundle(make_bundle([6, 7]), k=5) == []

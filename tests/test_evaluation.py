@@ -1,26 +1,25 @@
 import numpy as np
 import pytest
 
+from marginfit import evaluation
 from marginfit.data_io import SPLIT_GALLERY, SPLIT_QUERY, EvalSplit, FeatureBundle
 from marginfit.errors import (
     ConfigError,
     DimMismatch,
     EmptyGallery,
     InvariantViolation,
+    NonFiniteData,
 )
 from marginfit.evaluation import (
     MODE_BINARY,
     MODE_FLOAT,
-    BitMatrix,
     RetrievalReport,
-    binarize,
     compare_float_binary,
     embed_dataset,
     format_report,
-    hamming_distances,
     machine_lines,
     recall_at_k,
-    unpack_bits,
+    sign_codes,
 )
 from marginfit.trainer import Checkpoint, init, TrainConfig
 
@@ -47,51 +46,41 @@ def brute_force_recall(query_e, query_labels, gallery_e, gallery_labels, ks, mod
 
 class TestBinarize:
     def test_threshold_rule_with_zero_tie(self):
-        bm = binarize(np.array([[0.2, -0.1, 0.0]], np.float32))
-        np.testing.assert_array_equal(unpack_bits(bm), [[1, 0, 0]])
+        codes = sign_codes(np.array([[0.2, -0.1, 0.0, -0.0]], np.float32))
+        np.testing.assert_array_equal(codes, [[1.0, -1.0, -1.0, -1.0]])
+        assert codes.dtype == np.float32
 
     def test_all_positive_row(self):
-        bm = binarize(np.ones((1, 7), np.float32))
-        np.testing.assert_array_equal(unpack_bits(bm), np.ones((1, 7), np.uint8))
+        np.testing.assert_array_equal(sign_codes(np.ones((1, 7), np.float32)), np.ones((1, 7)))
 
     def test_sign_pattern_reconstruction(self):
         rng = np.random.default_rng(0)
         signs = rng.choice([-1.0, 1.0], size=(5, 70)).astype(np.float32)
-        np.testing.assert_array_equal(unpack_bits(binarize(signs)), (signs > 0).astype(np.uint8))
+        np.testing.assert_array_equal(sign_codes(signs), signs)
 
-    def test_pad_bits_are_zero(self):
-        bm = binarize(np.ones((2, 70), np.float32))
-        assert bm.words.shape == (2, 2)
-        assert np.all(bm.words[:, 1] >> np.uint64(6) == 0)
 
-    def test_bit_matrix_rejects_dirty_padding(self):
-        words = np.full((1, 1), np.uint64(0xFFFFFFFFFFFFFFFF))
-        with pytest.raises(InvariantViolation):
-            BitMatrix(1, 10, words)
-
-    def test_word_packing_is_lsb_first(self):
-        e = np.zeros((1, 64), np.float32)
-        e[0, 0] = 1.0
-        e[0, 63] = 1.0
-        bm = binarize(e)
-        assert bm.words[0, 0] == np.uint64(1) | (np.uint64(1) << np.uint64(63))
+def all_ranks(gallery_size):
+    """Every K up to two past the gallery size, so a report pins each first-hit rank."""
+    return list(range(1, gallery_size + 3))
 
 
 class TestHamming:
     def test_matches_naive_count(self):
+        # every first-hit rank must match the oracle, which counts differing
+        # signs one by one
         rng = np.random.default_rng(1)
-        a = rng.standard_normal((6, 130)).astype(np.float32)
-        b = rng.standard_normal((4, 130)).astype(np.float32)
-        d = hamming_distances(binarize(a), binarize(b))
-        na, nb = a > 0, b > 0
-        naive = np.array([[int(np.sum(na[i] != nb[j])) for j in range(4)] for i in range(6)])
-        np.testing.assert_array_equal(d, naive)
+        q = rng.standard_normal((6, 130)).astype(np.float32)
+        g = rng.standard_normal((40, 130)).astype(np.float32)
+        qlab = rng.integers(0, 3, 6)
+        glab = rng.integers(0, 3, 40)
+        ks = all_ranks(40)
+        report = recall_at_k(q, qlab, g, glab, ks=ks, mode=MODE_BINARY)
+        assert report.recall == brute_force_recall(q, qlab, g, glab, ks, MODE_BINARY)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            hamming_distances(
-                binarize(np.ones((1, 4), np.float32)), binarize(np.ones((1, 5), np.float32))
-            )
+            recall_at_k(np.ones((1, 4), np.float32), [0],
+                        np.ones((1, 5), np.float32), [0], ks=[1], mode=MODE_BINARY)
 
 
 def one_hot_embeddings(labels, dim):
@@ -194,9 +183,61 @@ class TestRecallAtK:
             recall_at_k(np.ones((1, 3), np.float32), [0],
                         np.ones((2, 3), np.float32), [0, 1], ks=[5, 1])
 
+    @pytest.mark.parametrize("mode", [MODE_FLOAT, MODE_BINARY])
+    @pytest.mark.parametrize("side", ["query", "gallery"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embeddings_rejected(self, mode, side, bad):
+        e = {"query": np.ones((2, 3), np.float32), "gallery": np.ones((4, 3), np.float32)}
+        e[side][1, 2] = bad
+        with pytest.raises(NonFiniteData):
+            recall_at_k(e["query"], [0, 1], e["gallery"], [0, 1, 0, 1], ks=[1], mode=mode)
+
     def test_report_invariant_enforced(self):
         with pytest.raises(InvariantViolation):
             RetrievalReport([1, 5], [0.9, 0.5], MODE_FLOAT, 10)
+
+
+class TestChunkBoundaries:
+    """The chunked kernel against the full-sort oracle with 3-query chunks."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "CHUNK_ROWS", 3)
+
+    def check(self, q, qlab, g, glab):
+        ks = all_ranks(len(glab))
+        for mode in (MODE_FLOAT, MODE_BINARY):
+            report = recall_at_k(q, qlab, g, glab, ks=ks, mode=mode)
+            assert report.recall == brute_force_recall(q, qlab, g, glab, ks, mode), mode
+
+    @pytest.mark.parametrize("num_queries", [1, 3, 6, 11])
+    def test_whole_and_remainder_chunks(self, num_queries):
+        rng = np.random.default_rng(num_queries)
+        q = rng.standard_normal((num_queries, 5)).astype(np.float32)
+        g = rng.standard_normal((17, 5)).astype(np.float32)
+        self.check(q, rng.integers(0, 4, num_queries), g, rng.integers(0, 4, 17))
+
+    def test_duplicated_gallery_rows_tie(self):
+        rng = np.random.default_rng(10)
+        base = rng.standard_normal((4, 6)).astype(np.float32)
+        g = base[rng.integers(0, 4, 20)]
+        q = np.concatenate([base, rng.standard_normal((6, 6)).astype(np.float32)])
+        self.check(q, rng.integers(0, 3, 10), g, rng.integers(0, 3, 20))
+
+    def test_sign_vectors_tie(self):
+        rng = np.random.default_rng(11)
+        q = rng.choice([-1.0, 1.0], size=(10, 4)).astype(np.float32)
+        g = rng.choice([-1.0, 1.0], size=(25, 4)).astype(np.float32)
+        self.check(q, rng.integers(0, 3, 10), g, rng.integers(0, 3, 25))
+
+    def test_query_class_absent_from_gallery(self):
+        rng = np.random.default_rng(12)
+        q = rng.standard_normal((8, 5)).astype(np.float32)
+        g = rng.standard_normal((9, 5)).astype(np.float32)
+        qlab = np.array([0, 5, 1, 5, 2, 5, 5, 0])
+        self.check(q, qlab, g, rng.integers(0, 3, 9))
+        report = recall_at_k(q, np.full(8, 5), g, np.zeros(9, int), ks=[1, 100])
+        assert report.recall == [0.0, 0.0]
 
 
 def tiny_checkpoint(feature_dim=6, embed_dim=4, classes=3, seed=0):

@@ -12,7 +12,7 @@ from marginfit.errors import (
     FormatError,
     MarginShapeMismatch,
 )
-from marginfit.evaluation import binarize
+from marginfit.evaluation import sign_codes
 from marginfit.losses import (
     KIND_ADAPTIVE,
     KIND_NORM_SOFTMAX,
@@ -223,8 +223,7 @@ class TestQuantizationPenalty:
         p = np.array([[0.0, 0.5, -0.5, 0.0], [-0.0, -1e-30, 1e-30, 0.7]])
         _, grad = trainer.quantization_penalty(p)
         code = p - grad / (2.0 * trainer.QUANT_WEIGHT / p.shape[0])
-        np.testing.assert_array_equal(np.abs(code), 0.5)
-        assert binarize(code).words.tolist() == binarize(p).words.tolist()
+        np.testing.assert_array_equal(code, sign_codes(p) / np.sqrt(p.shape[1]))
 
     def test_training_pulls_proxies_toward_codes(self, monkeypatch):
         bundle, cfg = small_bundle(), small_config(total_iters=200)
