@@ -47,6 +47,7 @@ from .evaluation import (
     machine_lines,
     recall_at_k,
 )
+from .losses import KIND_ADAPTIVE
 from .margins import (
     METRIC_COSINE,
     METRIC_EUCLIDEAN,
@@ -119,7 +120,7 @@ def _cmd_train(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
 
     margin_matrix = None
-    if cfg.loss.kind == "adaptive":
+    if cfg.loss.kind == KIND_ADAPTIVE:
         if args.margins is None:
             raise ConfigError("loss_kind is adaptive: --margins is required")
         margin_matrix = align_margin_matrix(load_margin_matrix(args.margins), bundle.class_ids)
@@ -145,12 +146,15 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    try:
+        ks = [int(k) for k in args.ks.split(",")] if args.ks else list(DEFAULT_KS)
+    except ValueError:
+        raise ConfigError(f"--ks must be comma-separated integers, got {args.ks!r}") from None
     ckpt = load_checkpoint(args.ckpt)
     query = load_bundle(args.query_features, args.query_labels, SPLIT_QUERY)
     gallery = load_bundle(args.gallery_features, args.gallery_labels, SPLIT_GALLERY)
     split = EvalSplit(query, gallery)
 
-    ks = [int(k) for k in args.ks.split(",")] if args.ks else list(DEFAULT_KS)
     mode = MODE_BINARY if args.binary else MODE_FLOAT
     query_e = forward_head(ckpt.head, split.query.features)
     gallery_e = forward_head(ckpt.head, split.gallery.features)

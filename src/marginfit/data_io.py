@@ -153,10 +153,6 @@ class FeatureBundle:
             raise InvariantViolation(f"labels outside [0, {c})")
 
     @property
-    def num_samples(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def num_classes(self) -> int:
         return len(self.class_ids)
 

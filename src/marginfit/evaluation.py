@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import EvalSplit, FeatureBundle
+from .data_io import EvalSplit
 from .errors import ConfigError, DimMismatch, EmptyGallery, InvariantViolation, NonFiniteData
 from .tensor import as_matrix
 from .trainer import Checkpoint, forward_head
@@ -56,11 +56,6 @@ def sign_codes(e: np.ndarray) -> np.ndarray:
     codes *= 2.0
     codes -= 1.0
     return codes
-
-
-def embed_dataset(checkpoint: Checkpoint, bundle: FeatureBundle) -> np.ndarray:
-    """Unit-norm embeddings for every bundle row, in row order."""
-    return forward_head(checkpoint.head, bundle.features)
 
 
 def _first_hit_ranks(
@@ -135,8 +130,8 @@ def compare_float_binary(
     checkpoint: Checkpoint, split: EvalSplit, ks=DEFAULT_KS
 ) -> tuple[RetrievalReport, RetrievalReport]:
     """Float and binary reports over the same embeddings, side by side."""
-    query_e = embed_dataset(checkpoint, split.query)
-    gallery_e = embed_dataset(checkpoint, split.gallery)
+    query_e = forward_head(checkpoint.head, split.query.features)
+    gallery_e = forward_head(checkpoint.head, split.gallery.features)
     float_report = recall_at_k(
         query_e, split.query.labels, gallery_e, split.gallery.labels, ks, MODE_FLOAT
     )

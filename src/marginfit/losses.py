@@ -7,8 +7,11 @@ logit ``c`` is inflated toward 1 as ``c + (1 - c) * d`` using a per-class-pair
 margin ``d`` in [0, 1]. Setting ``d = 0`` everywhere recovers the
 constant-margin loss, and ``margin = 0`` on top recovers the plain softmax.
 
-Forward and backward run in float64 internally; public outputs are float32.
-Gradients are with respect to the mean loss over the batch.
+``compute_loss`` is the one entry point for all three kinds. One float64
+forward, ``_forward_f64``, serves both training (through the analytic
+backward pass) and the finite-difference gradient check, which evaluates
+stacks of perturbed parameters in a single broadcast call. Public outputs
+are float32. Gradients are with respect to the mean loss over the batch.
 """
 
 from __future__ import annotations
@@ -113,11 +116,6 @@ class LossOutput:
     grad_proxies: np.ndarray  # (C, D) float32, d(mean_loss)/dP
 
 
-def scaled_logit(cos: float, cfg: LossConfig) -> float:
-    """Apply the temperature to a single cosine value."""
-    return cos * cfg.tau
-
-
 def _margin_rows(dmat, labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Gather per-sample margin rows d[y_i, :] as a float64 (B, C) array.
 
@@ -134,28 +132,30 @@ def _margin_rows(dmat, labels: np.ndarray, num_classes: int) -> np.ndarray:
 def _forward_f64(x, p, labels, tau, margin, drows):
     """Per-sample losses plus the intermediates the backward pass reuses.
 
-    All arrays float64. ``drows`` is the (B, C) gather of per-label margin
-    rows, or None for the constant-margin / plain kinds. The positive entry
-    of each margin row is ignored (zero diagonal), so the adaptive transform
-    is applied to full rows and the positive logit overwritten afterwards.
+    All arrays float64. ``x`` is (..., B, D) and ``p`` is (..., C, D); the
+    leading dimensions broadcast, so one call evaluates a stack of perturbed
+    parameters. ``drows`` is the (B, C) gather of per-label margin rows, or
+    None for the constant-margin / plain kinds. The positive entry of each
+    margin row is ignored (zero diagonal), so the adaptive transform is
+    applied to full rows and the positive logit overwritten afterwards.
     """
-    rows = np.arange(x.shape[0])
-    cos = np.clip(x @ p.T, -1.0, 1.0)
+    rows = np.arange(labels.shape[0])
+    cos = np.clip(np.matmul(x, np.swapaxes(p, -1, -2)), -1.0, 1.0)
     if drows is None:
         logits = cos.copy()
     else:
         logits = cos + (1.0 - cos) * drows
-    logits[rows, labels] = cos[rows, labels] - margin
+    logits[..., rows, labels] = cos[..., rows, labels] - margin
     u = tau * logits
-    hi = u.max(axis=1)
-    e = np.exp(u - hi[:, None])
-    sumexp = e.sum(axis=1)
+    hi = u.max(axis=-1)
+    e = np.exp(u - hi[..., None])
+    sumexp = e.sum(axis=-1)
     # Stable -log softmax(target): exact even when the target dominates and
     # the competing terms are many orders of magnitude smaller.
-    ty = u[rows, labels] - hi
+    ty = u[..., rows, labels] - hi
     others = e.copy()
-    others[rows, labels] = 0.0
-    losses = -ty + np.log1p(np.expm1(ty) + others.sum(axis=1))
+    others[..., rows, labels] = 0.0
+    losses = -ty + np.log1p(np.expm1(ty) + others.sum(axis=-1))
     return cos, e, sumexp, losses
 
 
@@ -196,9 +196,23 @@ def _check_inputs(x: np.ndarray, bank: ProxyBank, labels) -> tuple[np.ndarray, n
     return x, lab.astype(np.int64)
 
 
-def _run(x: np.ndarray, lab: np.ndarray, bank: ProxyBank, tau: float, margin: float, drows) -> LossOutput:
+def compute_loss(
+    x: np.ndarray, bank: ProxyBank, labels, cfg: LossConfig, margins=None
+) -> LossOutput:
+    """Loss of kind ``cfg.kind`` and its gradients; the adaptive kind requires ``margins``.
+
+    ``margins`` is a C x C matrix of values in [0, 1] with zero diagonal
+    (a MarginMatrix or a raw array). For sample i with label y, each negative
+    cosine c against class z becomes c + (1 - c) * margins[y, z].
+    """
+    x, lab = _check_inputs(x, bank, labels)
+    drows = None
+    if cfg.kind == KIND_ADAPTIVE:
+        if margins is None:
+            raise ConfigError("adaptive loss requires a margin matrix")
+        drows = _margin_rows(margins, lab, bank.num_classes)
     losses, grad_x, grad_p = _forward_backward_f64(
-        x.astype(np.float64), bank.proxies.astype(np.float64), lab, tau, margin, drows
+        x.astype(np.float64), bank.proxies.astype(np.float64), lab, cfg.tau, cfg.effective_margin, drows
     )
     per_sample = losses.astype(np.float32)
     return LossOutput(
@@ -207,45 +221,6 @@ def _run(x: np.ndarray, lab: np.ndarray, bank: ProxyBank, tau: float, margin: fl
         grad_embeddings=grad_x.astype(np.float32),
         grad_proxies=grad_p.astype(np.float32),
     )
-
-
-def norm_softmax(x: np.ndarray, bank: ProxyBank, labels, cfg: LossConfig) -> LossOutput:
-    """Temperature-scaled softmax over cosine logits, no margins."""
-    x, lab = _check_inputs(x, bank, labels)
-    return _run(x, lab, bank, cfg.tau, 0.0, None)
-
-
-def lmcl(x: np.ndarray, bank: ProxyBank, labels, cfg: LossConfig) -> LossOutput:
-    """Constant additive margin on the positive cosine logit."""
-    x, lab = _check_inputs(x, bank, labels)
-    return _run(x, lab, bank, cfg.tau, cfg.margin, None)
-
-
-def adaptive_margin_loss(
-    x: np.ndarray, bank: ProxyBank, labels, cfg: LossConfig, margins
-) -> LossOutput:
-    """Per-pair adaptive margins on negative logits, constant margin on the positive.
-
-    ``margins`` is a C x C matrix of values in [0, 1] with zero diagonal
-    (a MarginMatrix or a raw array). For sample i with label y, each negative
-    cosine c against class z becomes c + (1 - c) * margins[y, z].
-    """
-    x, lab = _check_inputs(x, bank, labels)
-    drows = _margin_rows(margins, lab, bank.num_classes)
-    return _run(x, lab, bank, cfg.tau, cfg.margin, drows)
-
-
-def compute_loss(
-    x: np.ndarray, bank: ProxyBank, labels, cfg: LossConfig, margins=None
-) -> LossOutput:
-    """Dispatch on cfg.kind; adaptive kind requires a margin matrix."""
-    if cfg.kind == KIND_ADAPTIVE:
-        if margins is None:
-            raise ConfigError("adaptive loss requires a margin matrix")
-        return adaptive_margin_loss(x, bank, labels, cfg, margins)
-    if cfg.kind == KIND_LMCL:
-        return lmcl(x, bank, labels, cfg)
-    return norm_softmax(x, bank, labels, cfg)
 
 
 def _random_unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -264,30 +239,6 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Elementwise |a - n| / max(|a|, |n|, 1), maximized."""
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
     return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-def _mean_losses_batched(xs, ps, labels, tau, margin, drows):
-    """Mean per-sample loss for stacked parameter variants.
-
-    ``xs`` broadcasts as (..., B, D) against ``ps`` (..., C, D); returns the
-    (...,) batch means. Purely a forward evaluation, used by the
-    finite-difference side of the gradient check.
-    """
-    rows = np.arange(labels.shape[0])
-    cos = np.clip(np.matmul(xs, np.swapaxes(ps, -1, -2)), -1.0, 1.0)
-    if drows is None:
-        logits = cos.copy()
-    else:
-        logits = cos + (1.0 - cos) * drows
-    logits[..., rows, labels] = cos[..., rows, labels] - margin
-    u = tau * logits
-    hi = u.max(axis=-1)
-    e = np.exp(u - hi[..., None])
-    ty = u[..., rows, labels] - hi
-    others = e.copy()
-    others[..., rows, labels] = 0.0
-    losses = -ty + np.log1p(np.expm1(ty) + others.sum(axis=-1))
-    return losses.mean(axis=-1)
 
 
 def loss_backward_check(
@@ -325,13 +276,14 @@ def loss_backward_check(
         stack[np.arange(n), flat_i, flat_j] += sign * step
         return stack
 
+    def mean_loss(xs, ps):
+        return _forward_f64(xs, ps, labels, tau, margin, drows)[3].mean(-1)
+
     fd_x = (
-        _mean_losses_batched(perturbed(x, +1), p[None], labels, tau, margin, drows)
-        - _mean_losses_batched(perturbed(x, -1), p[None], labels, tau, margin, drows)
+        mean_loss(perturbed(x, +1), p[None]) - mean_loss(perturbed(x, -1), p[None])
     ).reshape(x.shape) / (2 * step)
     fd_p = (
-        _mean_losses_batched(x[None], perturbed(p, +1), labels, tau, margin, drows)
-        - _mean_losses_batched(x[None], perturbed(p, -1), labels, tau, margin, drows)
+        mean_loss(x[None], perturbed(p, +1)) - mean_loss(x[None], perturbed(p, -1))
     ).reshape(p.shape) / (2 * step)
 
     return max(max_relative_error(grad_x, fd_x), max_relative_error(grad_p, fd_p))

@@ -145,15 +145,6 @@ def build_margin_matrix(
     return MarginMatrix(d.astype(np.float32), list(cte.class_ids), metric, norm_mode)
 
 
-def lookup_row(m: MarginMatrix, class_id: str) -> np.ndarray:
-    """Margin row d[y, :] for the class with this id."""
-    try:
-        idx = m.class_ids.index(class_id)
-    except ValueError:
-        raise UnknownClass(f"class id {class_id!r} not in margin matrix") from None
-    return m.d[idx].copy()
-
-
 def align_margin_matrix(m: MarginMatrix, class_ids: list[str]) -> MarginMatrix:
     """Permute rows/cols so the matrix follows the given class-id order."""
     if list(class_ids) == m.class_ids:

@@ -6,10 +6,10 @@ class has at least k samples, with replacement otherwise, so small classes
 stay in the training distribution).
 
 Batch t is generated from a Philox stream keyed by (seed, t), so the whole
-batch sequence is a pure function of (seed, config, bundle): same seed and
-call index always give the same batch, and reseeding restarts the stream
-exactly. The specific generator is an implementation detail; only the
-determinism contract is stable.
+batch sequence is a pure function of (seed, config, bundle): two samplers
+built with the same seed give the same batch at the same call index. The
+specific generator is an implementation detail; only the determinism
+contract is stable.
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ class BalancedSampler:
             raise ConfigError("every class must have at least one sample")
         self.seed = config.seed
         self.counter = 0
-
-    def reseed(self, seed: int) -> "BalancedSampler":
-        self.seed = seed
-        self.counter = 0
-        return self
 
     def next_batch(self) -> Batch:
         rng = _stream(self.seed, self.counter)

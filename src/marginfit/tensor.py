@@ -1,8 +1,8 @@
-"""Dense float32 kernel ops: normalization, pairwise similarity, stable reductions.
+"""Dense float32 kernel ops: row normalization and pairwise similarity.
 
-Matrices are 2-D C-contiguous ``float32`` arrays, vectors 1-D ``float32``.
-Accumulation happens in float64 internally; results are stored as float32.
-All functions are pure and thread-safe.
+Matrices are 2-D C-contiguous ``float32`` arrays. Accumulation happens in
+float64 internally; results are stored as float32. All functions are pure
+and thread-safe.
 """
 
 from __future__ import annotations
@@ -22,29 +22,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    v = np.ascontiguousarray(a, dtype=np.float32)
-    if v.ndim != 1:
-        raise DimMismatch(f"{name} must be 1-D, got shape {v.shape}")
-    return v
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm.
-
-    Raises ZeroNorm when the norm falls below 1e-12 (degenerate embedding).
-    """
-    v = as_vector(v)
-    if v.size == 0:
-        raise DimMismatch("cannot normalize an empty vector")
-    norm = float(np.linalg.norm(v.astype(np.float64)))
-    if norm < ZERO_NORM_THRESHOLD:
-        raise ZeroNorm(f"vector norm {norm:.3e} below {ZERO_NORM_THRESHOLD:.0e}")
-    return (v.astype(np.float64) / norm).astype(np.float32)
-
-
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise l2_normalize; raises ZeroNorm if any row is degenerate."""
+    """Scale each row to unit Euclidean norm.
+
+    Raises ZeroNorm when a row's norm falls below 1e-12 (degenerate row).
+    """
     m = as_matrix(m)
     m64 = m.astype(np.float64)
     norms = np.linalg.norm(m64, axis=1)
@@ -52,28 +34,6 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
         bad = int(np.argmin(norms))
         raise ZeroNorm(f"row {bad} has norm {norms[bad]:.3e}")
     return (m64 / norms[:, None]).astype(np.float32)
-
-
-def layer_norm(v: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Parameterless layer norm: (v - mean) / sqrt(population variance + eps)."""
-    v = as_vector(v)
-    if v.size < 2:
-        raise DimMismatch("layer_norm needs at least 2 elements")
-    v64 = v.astype(np.float64)
-    mu = v64.mean()
-    var = np.mean((v64 - mu) ** 2)
-    return ((v64 - mu) / np.sqrt(var + eps)).astype(np.float32)
-
-
-def layer_norm_rows(m: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Row-wise parameterless layer norm."""
-    m = as_matrix(m)
-    if m.shape[1] < 2:
-        raise DimMismatch("layer_norm needs at least 2 columns")
-    m64 = m.astype(np.float64)
-    mu = m64.mean(axis=1, keepdims=True)
-    var = np.mean((m64 - mu) ** 2, axis=1, keepdims=True)
-    return ((m64 - mu) / np.sqrt(var + eps)).astype(np.float32)
 
 
 def pairwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -104,11 +64,3 @@ def pairwise_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diff = a.astype(np.float64)[:, None, :] - b.astype(np.float64)[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).astype(np.float32)
 
-
-def log_sum_exp(values: np.ndarray) -> float:
-    """max(v) + log(sum(exp(v - max(v)))), computed in float64."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise DimMismatch("log_sum_exp of empty input")
-    hi = v.max()
-    return float(hi + np.log(np.sum(np.exp(v - hi))))

@@ -53,14 +53,7 @@ from .errors import (
     MarginShapeMismatch,
     ZeroNorm,
 )
-from .losses import (
-    KIND_ADAPTIVE,
-    LOSS_KINDS,
-    TEMPERATURE_MODES,
-    LossConfig,
-    ProxyBank,
-    compute_loss,
-)
+from .losses import KIND_ADAPTIVE, LossConfig, ProxyBank, compute_loss
 from .sampler import BalancedSampler, SamplerConfig
 from .tensor import as_matrix, l2_normalize_rows
 
@@ -108,8 +101,8 @@ class TrainConfig:
             raise ConfigError("embed_dim must be at least 2 (layer norm needs it)")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.lr0 < 0:
-            raise ConfigError("lr0 must be non-negative")
+        if not (np.isfinite(self.lr0) and self.lr0 >= 0):
+            raise ConfigError(f"lr0 must be finite and non-negative, got {self.lr0}")
         if self.warmup_iters < 0 or self.total_iters < 0:
             raise ConfigError("iteration counts must be non-negative")
         if self.warmup_iters > self.total_iters:
@@ -347,28 +340,29 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(head, ProxyBank(proxies), iteration, [])
 
 
+# key -> (value type, config object, field); the dataclasses own the defaults
 _CONFIG_KEYS = {
-    "embed_dim": int,
-    "lr0": float,
-    "momentum": float,
-    "warmup_iters": int,
-    "decay_gamma": float,
-    "total_iters": int,
-    "loss_kind": str,
-    "sigma": float,
-    "margin": float,
-    "temperature_mode": str,
-    "batch_size": int,
-    "k": int,
-    "seed": int,
-    "proxy_init_seed": int,
-    "head_init_seed": int,
+    "embed_dim": (int, "train", "embed_dim"),
+    "lr0": (float, "train", "lr0"),
+    "momentum": (float, "train", "momentum"),
+    "warmup_iters": (int, "train", "warmup_iters"),
+    "decay_gamma": (float, "train", "decay_gamma"),
+    "total_iters": (int, "train", "total_iters"),
+    "loss_kind": (str, "loss", "kind"),
+    "sigma": (float, "loss", "sigma"),
+    "margin": (float, "loss", "margin"),
+    "temperature_mode": (str, "loss", "temperature_mode"),
+    "batch_size": (int, "sampler", "batch_size"),
+    "k": (int, "sampler", "k"),
+    "seed": (int, "sampler", "seed"),
+    "proxy_init_seed": (int, "train", "proxy_init_seed"),
+    "head_init_seed": (int, "train", "head_init_seed"),
 }
 
 
 def parse_train_config(text: str) -> TrainConfig:
     """Parse flat ``key = value`` lines into a TrainConfig."""
-    values: dict[str, object] = {}
+    values: dict[str, dict[str, object]] = {"train": {}, "loss": {}, "sampler": {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -379,44 +373,20 @@ def parse_train_config(text: str) -> TrainConfig:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        if key in values:
+        kind, target, name = _CONFIG_KEYS[key]
+        if name in values[target]:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](val)
+            values[target][name] = kind(val)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value {val!r} for {key!r}") from None
 
-    if "embed_dim" not in values:
+    if "embed_dim" not in values["train"]:
         raise ConfigError("config must set embed_dim")
-    kind = values.get("loss_kind", KIND_ADAPTIVE)
-    if kind not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss_kind {kind!r}, expected one of {LOSS_KINDS}")
-    mode = values.get("temperature_mode", "multiply")
-    if mode not in TEMPERATURE_MODES:
-        raise ConfigError(f"unknown temperature_mode {mode!r}")
-
-    loss = LossConfig(
-        kind=kind,
-        sigma=values.get("sigma", 20.0),
-        margin=values.get("margin", 0.4),
-        temperature_mode=mode,
-    )
-    sampler = SamplerConfig(
-        batch_size=values.get("batch_size", 75),
-        k=values.get("k", 5),
-        seed=values.get("seed", 0),
-    )
     return TrainConfig(
-        embed_dim=values["embed_dim"],
-        lr0=values.get("lr0", 0.01),
-        momentum=values.get("momentum", 0.9),
-        warmup_iters=values.get("warmup_iters", 3000),
-        decay_gamma=values.get("decay_gamma"),
-        total_iters=values.get("total_iters", 500_000),
-        loss=loss,
-        sampler=sampler,
-        proxy_init_seed=values.get("proxy_init_seed", 1),
-        head_init_seed=values.get("head_init_seed", 2),
+        **values["train"],
+        loss=LossConfig(**values["loss"]),
+        sampler=SamplerConfig(**values["sampler"]),
     )
 
 

@@ -26,11 +26,9 @@ from marginfit.losses import (
     TEMPERATURE_MODES,
     LossConfig,
     ProxyBank,
-    adaptive_margin_loss,
-    lmcl,
+    compute_loss,
     loss_backward_check,
     max_relative_error,
-    norm_softmax,
 )
 from marginfit.margins import build_margin_matrix, load_margin_matrix, save_margin_matrix
 from marginfit.sampler import SamplerConfig
@@ -99,12 +97,10 @@ def test_criterion_2_reduction_identities():
         mode = TEMPERATURE_MODES[seed % 2]
         zero_d = np.zeros((8, 8), np.float32)
 
-        ada = adaptive_margin_loss(
-            x, bank, labels, LossConfig(KIND_ADAPTIVE, sigma, 0.4, mode), zero_d
-        )
-        lm = lmcl(x, bank, labels, LossConfig(KIND_LMCL, sigma, 0.4, mode))
-        lm0 = lmcl(x, bank, labels, LossConfig(KIND_LMCL, sigma, 0.0, mode))
-        ns = norm_softmax(x, bank, labels, LossConfig(KIND_NORM_SOFTMAX, sigma, 0.0, mode))
+        ada = compute_loss(x, bank, labels, LossConfig(KIND_ADAPTIVE, sigma, 0.4, mode), zero_d)
+        lm = compute_loss(x, bank, labels, LossConfig(KIND_LMCL, sigma, 0.4, mode))
+        lm0 = compute_loss(x, bank, labels, LossConfig(KIND_LMCL, sigma, 0.0, mode))
+        ns = compute_loss(x, bank, labels, LossConfig(KIND_NORM_SOFTMAX, sigma, 0.0, mode))
         worst_chain = max(
             worst_chain,
             float(np.max(np.abs(ada.per_sample_loss - lm.per_sample_loss))),
@@ -177,7 +173,7 @@ def test_criterion_4_end_to_end_head_gradient():
     eps = 1e-5
 
     head = EmbeddingHead(w.astype(np.float32), b.astype(np.float32), eps)
-    out = norm_softmax(forward_head(head, feats.astype(np.float32)), bank, labels, cfg)
+    out = compute_loss(forward_head(head, feats.astype(np.float32)), bank, labels, cfg)
     gw, gb = backward_head(head, feats.astype(np.float32), out.grad_embeddings)
 
     p64 = proxies.astype(np.float64)

@@ -289,6 +289,13 @@ class TestEval:
         assert code == 0
         assert sum(l.startswith("recall@") for l in text.splitlines()) == 2
 
+    @pytest.mark.parametrize("ks", ["1,a", "1,,5"])
+    def test_bad_ks_exit_2(self, dataset, capsys, ks):
+        ckpt = train_checkpoint(dataset)
+        code, _ = run_cli(self.eval_args(dataset, ckpt) + ["--ks", ks])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_empty_gallery_exit_2(self, dataset):
         ckpt = train_checkpoint(dataset)
         save_matrix(np.zeros((0, 12), np.float32), dataset / "empty.emb")

@@ -15,13 +15,12 @@ from marginfit.evaluation import (
     MODE_FLOAT,
     RetrievalReport,
     compare_float_binary,
-    embed_dataset,
     format_report,
     machine_lines,
     recall_at_k,
     sign_codes,
 )
-from marginfit.trainer import Checkpoint, init, TrainConfig
+from marginfit.trainer import Checkpoint, forward_head, init, TrainConfig
 
 
 def brute_force_recall(query_e, query_labels, gallery_e, gallery_labels, ks, mode):
@@ -255,14 +254,14 @@ class TestEmbedAndCompare:
             rng.integers(0, 3, 9), ["a", "b", "c"], SPLIT_QUERY,
         )
         ckpt = tiny_checkpoint()
-        e1 = embed_dataset(ckpt, bundle)
-        e2 = embed_dataset(ckpt, bundle)
+        e1 = forward_head(ckpt.head, bundle.features)
+        e2 = forward_head(ckpt.head, bundle.features)
         np.testing.assert_array_equal(e1, e2)
         assert np.all(np.abs(np.linalg.norm(e1.astype(np.float64), axis=1) - 1) <= 1e-5)
 
     def test_single_row_bundle(self):
         bundle = FeatureBundle(np.ones((1, 6), np.float32), [0], ["a"], SPLIT_QUERY)
-        assert embed_dataset(tiny_checkpoint(), bundle).shape == (1, 4)
+        assert forward_head(tiny_checkpoint().head, bundle.features).shape == (1, 4)
 
     def test_compare_float_binary_shapes_and_hit(self):
         rng = np.random.default_rng(9)

@@ -15,12 +15,9 @@ from marginfit.losses import (
     MODE_MULTIPLY,
     LossConfig,
     ProxyBank,
-    adaptive_margin_loss,
-    lmcl,
+    compute_loss,
     loss_backward_check,
     max_relative_error,
-    norm_softmax,
-    scaled_logit,
 )
 
 # Scalar oracles, hand-computed: one positive at cos 1, one negative at cos 0,
@@ -62,14 +59,15 @@ def two_class_instance():
 class TestConfig:
     def test_scaled_logit_multiply(self):
         cfg = LossConfig(kind=KIND_NORM_SOFTMAX, sigma=20.0, temperature_mode=MODE_MULTIPLY)
-        assert scaled_logit(0.5, cfg) == pytest.approx(10.0)
+        assert 0.5 * cfg.tau == pytest.approx(10.0)
 
     def test_scaled_logit_divide(self):
         cfg = LossConfig(kind=KIND_NORM_SOFTMAX, sigma=20.0, temperature_mode=MODE_DIVIDE)
-        assert scaled_logit(0.5, cfg) == pytest.approx(0.025)
+        assert 0.5 * cfg.tau == pytest.approx(0.025)
 
     def test_scaled_logit_zero(self):
-        assert scaled_logit(0.0, LossConfig(sigma=7.0)) == 0.0
+        # the default mode multiplies, so tau is sigma itself
+        assert LossConfig(sigma=7.0).tau == 7.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -110,21 +108,21 @@ class TestForwardOracles:
     def test_norm_softmax_scalar_oracle(self):
         x, bank, labels = two_class_instance()
         cfg = LossConfig(kind=KIND_NORM_SOFTMAX, sigma=1.0, temperature_mode=MODE_MULTIPLY)
-        out = norm_softmax(x, bank, labels, cfg)
+        out = compute_loss(x, bank, labels, cfg)
         assert out.per_sample_loss[0] == pytest.approx(NS_ORACLE, abs=1e-6)
         assert out.mean_loss == pytest.approx(NS_ORACLE, abs=1e-6)
 
     def test_lmcl_scalar_oracle(self):
         x, bank, labels = two_class_instance()
         cfg = LossConfig(kind=KIND_LMCL, sigma=1.0, margin=0.4, temperature_mode=MODE_MULTIPLY)
-        out = lmcl(x, bank, labels, cfg)
+        out = compute_loss(x, bank, labels, cfg)
         assert out.per_sample_loss[0] == pytest.approx(LMCL_ORACLE, abs=1e-6)
 
     def test_adaptive_scalar_oracle(self):
         x, bank, labels = two_class_instance()
         cfg = LossConfig(kind=KIND_ADAPTIVE, sigma=1.0, margin=0.4, temperature_mode=MODE_MULTIPLY)
         dmat = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.float32)
-        out = adaptive_margin_loss(x, bank, labels, cfg, dmat)
+        out = compute_loss(x, bank, labels, cfg, dmat)
         assert out.per_sample_loss[0] == pytest.approx(ADAPTIVE_ORACLE, abs=1e-6)
 
     def test_full_margin_saturates_negative_logit(self):
@@ -135,7 +133,7 @@ class TestForwardOracles:
         bank = ProxyBank(np.stack([np.array([1.0, 0.0], np.float32), v]))
         cfg = LossConfig(kind=KIND_ADAPTIVE, sigma=1.0, margin=0.0)
         dmat = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.float32)
-        out = adaptive_margin_loss(x, bank, np.array([0]), cfg, dmat)
+        out = compute_loss(x, bank, np.array([0]), cfg, dmat)
         assert out.per_sample_loss[0] == pytest.approx(math.log(2.0), abs=1e-6)
 
     def test_single_class_loss_and_grads_zero(self):
@@ -143,7 +141,7 @@ class TestForwardOracles:
         x = unit_rows(rng, 4, 6)
         bank = ProxyBank(unit_rows(rng, 1, 6))
         cfg = LossConfig(kind=KIND_NORM_SOFTMAX, sigma=20.0)
-        out = norm_softmax(x, bank, np.zeros(4, dtype=np.int64), cfg)
+        out = compute_loss(x, bank, np.zeros(4, dtype=np.int64), cfg)
         assert out.mean_loss == 0.0
         assert np.all(out.grad_embeddings == 0.0)
         assert np.all(out.grad_proxies == 0.0)
@@ -154,7 +152,7 @@ class TestForwardOracles:
         x = np.zeros((1, d), dtype=np.float32)
         x[0, d - 1] = 1.0
         cfg = LossConfig(kind=KIND_NORM_SOFTMAX, sigma=20.0)
-        out = norm_softmax(x, bank, np.array([2]), cfg)
+        out = compute_loss(x, bank, np.array([2]), cfg)
         assert out.per_sample_loss[0] == pytest.approx(math.log(c), abs=1e-6)
 
 
@@ -162,18 +160,18 @@ class TestValidation:
     def test_dim_mismatch(self):
         x, bank, labels = two_class_instance()
         with pytest.raises(DimMismatch):
-            norm_softmax(np.ones((1, 3), np.float32), bank, labels, LossConfig())
+            compute_loss(np.ones((1, 3), np.float32), bank, labels, LossConfig(kind=KIND_NORM_SOFTMAX))
 
     def test_invalid_label(self):
         x, bank, labels = two_class_instance()
         with pytest.raises(InvalidLabel):
-            norm_softmax(x, bank, np.array([5]), LossConfig(kind=KIND_NORM_SOFTMAX))
+            compute_loss(x, bank, np.array([5]), LossConfig(kind=KIND_NORM_SOFTMAX))
 
     def test_margin_shape_mismatch(self):
         x, bank, labels = two_class_instance()
         cfg = LossConfig(kind=KIND_ADAPTIVE)
         with pytest.raises(MarginShapeMismatch):
-            adaptive_margin_loss(x, bank, labels, cfg, np.zeros((3, 3), np.float32))
+            compute_loss(x, bank, labels, cfg, np.zeros((3, 3), np.float32))
 
 
 class TestReductions:
@@ -184,22 +182,22 @@ class TestReductions:
             sigma = 20.0 if seed % 2 else 1.0
             zero_d = np.zeros((7, 7), dtype=np.float32)
 
-            ada = adaptive_margin_loss(
+            ada = compute_loss(
                 x, bank, labels,
                 LossConfig(kind=KIND_ADAPTIVE, sigma=sigma, margin=0.4, temperature_mode=mode),
                 zero_d,
             )
-            lm = lmcl(
+            lm = compute_loss(
                 x, bank, labels,
                 LossConfig(kind=KIND_LMCL, sigma=sigma, margin=0.4, temperature_mode=mode),
             )
             np.testing.assert_allclose(ada.per_sample_loss, lm.per_sample_loss, atol=1e-6)
 
-            lm0 = lmcl(
+            lm0 = compute_loss(
                 x, bank, labels,
                 LossConfig(kind=KIND_LMCL, sigma=sigma, margin=0.0, temperature_mode=mode),
             )
-            ns = norm_softmax(
+            ns = compute_loss(
                 x, bank, labels,
                 LossConfig(kind=KIND_NORM_SOFTMAX, sigma=sigma, temperature_mode=mode),
             )
@@ -207,8 +205,8 @@ class TestReductions:
 
     def test_positive_margin_strictly_increases_loss(self):
         x, bank, labels, _ = random_instance(3, batch=8, dim=8, classes=6)
-        ns = norm_softmax(x, bank, labels, LossConfig(kind=KIND_NORM_SOFTMAX, sigma=1.0))
-        lm = lmcl(x, bank, labels, LossConfig(kind=KIND_LMCL, sigma=1.0, margin=0.4))
+        ns = compute_loss(x, bank, labels, LossConfig(kind=KIND_NORM_SOFTMAX, sigma=1.0))
+        lm = compute_loss(x, bank, labels, LossConfig(kind=KIND_LMCL, sigma=1.0, margin=0.4))
         assert np.all(lm.per_sample_loss > ns.per_sample_loss)
 
 
@@ -218,14 +216,14 @@ class TestProperties:
         for seed in range(20):
             x, bank, labels, dmat = random_instance(seed)
             cfg = LossConfig(kind=KIND_ADAPTIVE, sigma=20.0, margin=0.4)
-            base = adaptive_margin_loss(x, bank, labels, cfg, dmat)
+            base = compute_loss(x, bank, labels, cfg, dmat)
 
             perm = rng.permutation(bank.num_classes)
             inv = np.argsort(perm)
             bank_p = ProxyBank(bank.proxies[perm])
             labels_p = inv[labels]
             dmat_p = dmat[np.ix_(perm, perm)]
-            out_p = adaptive_margin_loss(x, bank_p, labels_p, cfg, dmat_p)
+            out_p = compute_loss(x, bank_p, labels_p, cfg, dmat_p)
             np.testing.assert_allclose(out_p.per_sample_loss, base.per_sample_loss, atol=1e-6)
 
     @settings(max_examples=40, deadline=None)
@@ -238,7 +236,7 @@ class TestProperties:
     def test_losses_non_negative(self, seed, sigma, margin, mode):
         x, bank, labels, dmat = random_instance(seed, batch=5, dim=8, classes=6)
         cfg = LossConfig(kind=KIND_ADAPTIVE, sigma=sigma, margin=margin, temperature_mode=mode)
-        out = adaptive_margin_loss(x, bank, labels, cfg, dmat)
+        out = compute_loss(x, bank, labels, cfg, dmat)
         assert np.all(out.per_sample_loss >= 0.0)
         assert np.all(np.isfinite(out.grad_embeddings))
         assert np.all(np.isfinite(out.grad_proxies))
@@ -246,7 +244,7 @@ class TestProperties:
     def test_mean_matches_per_sample(self):
         for seed in range(10):
             x, bank, labels, dmat = random_instance(seed)
-            out = adaptive_margin_loss(
+            out = compute_loss(
                 x, bank, labels, LossConfig(kind=KIND_ADAPTIVE, sigma=20.0), dmat
             )
             assert out.mean_loss == pytest.approx(
@@ -287,8 +285,8 @@ class TestProperties:
             assert np.all(bump64[strict] > base64[strict])
 
             # public float32 surface never decreases either
-            pub_base = adaptive_margin_loss(x, bank, labels, cfg, dmat.astype(np.float32))
-            pub_bump = adaptive_margin_loss(x, bank, labels, cfg, bumped.astype(np.float32))
+            pub_base = compute_loss(x, bank, labels, cfg, dmat.astype(np.float32))
+            pub_bump = compute_loss(x, bank, labels, cfg, bumped.astype(np.float32))
             assert np.all(
                 pub_bump.per_sample_loss[affected] >= pub_base.per_sample_loss[affected]
             )
@@ -302,12 +300,31 @@ class TestGradients:
             cfg = LossConfig(kind=kind, sigma=20.0, margin=0.4, temperature_mode=mode)
             assert loss_backward_check(cfg, seed) <= 1e-4
 
+    def test_stacked_forward_matches_separate_calls(self):
+        # loss_backward_check evaluates stacks of perturbed parameters in one
+        # broadcast call, so every slice must equal the unstacked forward
+        x, bank, labels, dmat = random_instance(4)
+        rng = np.random.default_rng(4)
+        x64 = x.astype(np.float64)
+        p64 = bank.proxies.astype(np.float64)
+        xs = x64 + 1e-3 * rng.standard_normal((6,) + x64.shape)
+        ps = p64 + 1e-3 * rng.standard_normal((6,) + p64.shape)
+        for drows in (None, dmat.astype(np.float64)[labels, :]):
+            for stacked_x, stacked_p in [(xs, p64[None]), (x64[None], ps)]:
+                stacked = losses._forward_f64(stacked_x, stacked_p, labels, 20.0, 0.4, drows)
+                for i in range(6):
+                    xi = stacked_x[min(i, stacked_x.shape[0] - 1)]
+                    pi = stacked_p[min(i, stacked_p.shape[0] - 1)]
+                    single = losses._forward_f64(xi, pi, labels, 20.0, 0.4, drows)
+                    for got, want in zip(stacked, single):
+                        np.testing.assert_array_equal(got[i], want)
+
     def test_public_grads_match_fd(self):
         # independent differencing loop over the float64 forward, compared
         # against the float32 gradients the public op reports
         x, bank, labels, dmat = random_instance(21, batch=4, dim=6, classes=5)
         cfg = LossConfig(kind=KIND_ADAPTIVE, sigma=20.0, margin=0.4)
-        out = adaptive_margin_loss(x, bank, labels, cfg, dmat)
+        out = compute_loss(x, bank, labels, cfg, dmat)
 
         x64 = x.astype(np.float64)
         p64 = bank.proxies.astype(np.float64)

@@ -19,9 +19,9 @@ from marginfit.margins import (
     NORM_MINMAX,
     ClassTextEmbeddings,
     MarginMatrix,
+    align_margin_matrix,
     build_margin_matrix,
     load_margin_matrix,
-    lookup_row,
     save_margin_matrix,
 )
 
@@ -124,20 +124,20 @@ class TestLookup:
 
     def test_own_index_zero(self):
         m = self.make()
-        assert lookup_row(m, "b")[1] == 0.0
+        assert m.d[1, 1] == 0.0
 
     def test_symmetry_via_lookup(self):
         m = self.make()
-        assert lookup_row(m, "a")[2] == lookup_row(m, "c")[0]
+        assert m.d[0, 2] == m.d[2, 0]
 
     def test_unknown_class(self):
         with pytest.raises(UnknownClass):
-            lookup_row(self.make(), "zzz")
+            align_margin_matrix(self.make(), ["a", "b", "zzz"])
 
     def test_identical_embeddings_zero_row(self):
         e = np.tile(np.array([[2.0, 1.0]], np.float32), (3, 1))
         m = build_margin_matrix(ClassTextEmbeddings(e, ["a", "b", "c"]))
-        np.testing.assert_array_equal(lookup_row(m, "a"), np.zeros(3, np.float32))
+        np.testing.assert_array_equal(m.d[0], np.zeros(3, np.float32))
 
 
 class TestSerialization:

@@ -75,24 +75,6 @@ class TestDeterminism:
         for _ in range(5):
             assert batches_equal(s1.next_batch(), s2.next_batch())
 
-    def test_reseed_reproduces_fresh_stream(self):
-        b = bundle_with_counts([6] * 10)
-        s = BalancedSampler(b, SamplerConfig(batch_size=15, k=3, seed=0))
-        fresh = [s.next_batch() for _ in range(3)]
-        s.reseed(0)
-        again = [s.next_batch() for _ in range(3)]
-        assert all(batches_equal(x, y) for x, y in zip(fresh, again))
-
-    def test_reseed_mid_stream_restarts(self):
-        b = bundle_with_counts([6] * 10)
-        cfg = SamplerConfig(batch_size=15, k=3, seed=7)
-        s = BalancedSampler(b, cfg)
-        first = s.next_batch()
-        for _ in range(4):
-            s.next_batch()
-        s.reseed(7)
-        assert batches_equal(s.next_batch(), first)
-
     def test_different_seeds_differ(self):
         b = bundle_with_counts([6] * 10)
         differing = 0

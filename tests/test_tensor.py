@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from marginfit import tensor
 from marginfit.errors import DimMismatch, ZeroNorm
+from marginfit.trainer import EmbeddingHead, forward_head
 
 
 def unit_rows(rng, n, d):
@@ -17,16 +18,16 @@ def unit_rows(rng, n, d):
 
 class TestL2Normalize:
     def test_three_four_five(self):
-        out = tensor.l2_normalize(np.array([3.0, 4.0], dtype=np.float32))
-        np.testing.assert_allclose(out, [0.6, 0.8], atol=1e-6)
+        out = tensor.l2_normalize_rows(np.array([[3.0, 4.0]], dtype=np.float32))
+        np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-6)
 
     def test_already_unit(self):
-        out = tensor.l2_normalize(np.array([1.0, 0.0, 0.0], dtype=np.float32))
-        np.testing.assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-7)
+        out = tensor.l2_normalize_rows(np.array([[1.0, 0.0, 0.0]], dtype=np.float32))
+        np.testing.assert_allclose(out, [[1.0, 0.0, 0.0]], atol=1e-7)
 
     def test_zero_vector_raises(self):
         with pytest.raises(ZeroNorm):
-            tensor.l2_normalize(np.zeros(2, dtype=np.float32))
+            tensor.l2_normalize_rows(np.zeros((1, 2), dtype=np.float32))
 
     @given(
         hnp.arrays(
@@ -36,17 +37,17 @@ class TestL2Normalize:
         ).filter(lambda v: np.linalg.norm(v.astype(np.float64)) > 1e-6)
     )
     def test_idempotent_and_unit(self, v):
-        once = tensor.l2_normalize(v)
-        twice = tensor.l2_normalize(once)
+        once = tensor.l2_normalize_rows(v[None, :])
+        twice = tensor.l2_normalize_rows(once)
         assert abs(np.linalg.norm(once.astype(np.float64)) - 1.0) <= 1e-6
         np.testing.assert_allclose(twice, once, atol=1e-6)
 
     def test_rows_variant_matches_vector_op(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((5, 7)).astype(np.float32)
-        rows = tensor.l2_normalize_rows(m)
-        for i in range(5):
-            np.testing.assert_allclose(rows[i], tensor.l2_normalize(m[i]), atol=1e-7)
+        m64 = m.astype(np.float64)
+        want = m64 / np.linalg.norm(m64, axis=1, keepdims=True)
+        np.testing.assert_allclose(tensor.l2_normalize_rows(m), want, atol=1e-7)
 
     def test_rows_variant_zero_row(self):
         m = np.ones((3, 4), dtype=np.float32)
@@ -55,38 +56,48 @@ class TestL2Normalize:
             tensor.l2_normalize_rows(m)
 
 
+def identity_head(m):
+    """The embedding head (eps 1e-5) with an identity weight and zero bias: layer norm, then L2."""
+    n = m.shape[1]
+    return forward_head(EmbeddingHead(np.eye(n, dtype=np.float32), np.zeros(n, np.float32)), m)
+
+
 class TestLayerNorm:
     def test_two_four(self):
-        out = tensor.layer_norm(np.array([2.0, 4.0], dtype=np.float32), eps=1e-5)
-        np.testing.assert_allclose(out, [-1.0, 1.0], atol=1e-4)
+        # layer norm gives [-1, 1] / sqrt(1 + eps); the L2 step rescales it
+        out = identity_head(np.array([[2.0, 4.0]], dtype=np.float32))
+        np.testing.assert_allclose(out, [[-math.sqrt(0.5), math.sqrt(0.5)]], atol=1e-6)
 
     def test_constant_input_eps_dominated(self):
-        out = tensor.layer_norm(np.full(4, 7.5, dtype=np.float32), eps=1e-5)
-        np.testing.assert_allclose(out, np.zeros(4), atol=1e-6)
+        # layer norm maps a constant row to zeros, which the L2 step rejects
+        with pytest.raises(ZeroNorm):
+            identity_head(np.full((1, 4), 7.5, dtype=np.float32))
 
     def test_one_two_three(self):
-        # hand computation: mean 2, population std sqrt(2/3 + eps)
-        out = tensor.layer_norm(np.array([1.0, 2.0, 3.0], dtype=np.float32), eps=1e-5)
-        np.testing.assert_allclose(out, [-1.2247356859, 0.0, 1.2247356859], atol=1e-5)
+        # hand computation: mean 2, population std sqrt(2/3 + eps), then unit norm
+        out = identity_head(np.array([[1.0, 2.0, 3.0]], dtype=np.float32))
+        np.testing.assert_allclose(out, [[-math.sqrt(0.5), 0.0, math.sqrt(0.5)]], atol=1e-6)
 
     @given(
         hnp.arrays(
             np.float32,
             st.integers(2, 24),
             elements=st.floats(-1e3, 1e3, width=32),
-        )
+        ).filter(lambda v: np.ptp(v.astype(np.float64)) > 1e-3)
     )
     def test_output_mean_near_zero(self, v):
-        out = tensor.layer_norm(v, eps=1e-5)
+        out = identity_head(v[None, :])
         assert abs(float(np.mean(out.astype(np.float64)))) <= 1e-5
         assert np.all(np.isfinite(out))
 
     def test_rows_variant(self):
         rng = np.random.default_rng(1)
         m = rng.standard_normal((4, 6)).astype(np.float32)
-        rows = tensor.layer_norm_rows(m, eps=1e-5)
-        for i in range(4):
-            np.testing.assert_allclose(rows[i], tensor.layer_norm(m[i], eps=1e-5), atol=1e-7)
+        m64 = m.astype(np.float64)
+        t = m64 - m64.mean(axis=1, keepdims=True)
+        t /= np.sqrt(np.mean(t**2, axis=1, keepdims=True) + 1e-5)
+        want = t / np.linalg.norm(t, axis=1, keepdims=True)
+        np.testing.assert_allclose(identity_head(m), want, atol=1e-7)
 
 
 class TestPairwiseCosine:
@@ -137,27 +148,3 @@ class TestPairwiseEuclidean:
         d = tensor.pairwise_euclidean(a, b).astype(np.float64)
         c = tensor.pairwise_cosine(a, b).astype(np.float64)
         assert np.max(np.abs(d**2 - (2.0 - 2.0 * c))) <= 1e-4
-
-
-class TestLogSumExp:
-    def test_single_element(self):
-        assert tensor.log_sum_exp(np.array([3.25], np.float32)) == pytest.approx(3.25)
-
-    def test_two_zeros(self):
-        assert tensor.log_sum_exp(np.array([0.0, 0.0], np.float32)) == pytest.approx(
-            math.log(2.0), abs=1e-9
-        )
-
-    def test_large_values_no_overflow(self):
-        out = tensor.log_sum_exp(np.array([1000.0, 1000.0], np.float64))
-        assert out == pytest.approx(1000.0 + math.log(2.0), abs=1e-9)
-
-    @settings(max_examples=50)
-    @given(
-        hnp.arrays(np.float64, st.integers(1, 16), elements=st.floats(-50, 50)),
-    )
-    def test_shift_invariance(self, v):
-        c = 1e4
-        lhs = tensor.log_sum_exp(v + c)
-        rhs = tensor.log_sum_exp(v) + c
-        assert lhs == pytest.approx(rhs, abs=1e-6)

@@ -449,6 +449,45 @@ head_init_seed = 5
         assert cfg.decay_gamma is None
         assert cfg.resolved_decay_gamma == pytest.approx(0.01 ** (1 / 1900))
 
+    def test_defaults_come_from_the_dataclasses(self):
+        assert parse_train_config("embed_dim = 8") == TrainConfig(embed_dim=8)
+
+    def test_every_key_lands_on_its_field(self):
+        text = """
+embed_dim = 16
+lr0 = 0.25
+momentum = 0.5
+warmup_iters = 7
+decay_gamma = 0.75
+total_iters = 70
+loss_kind = lmcl
+sigma = 3.5
+margin = 0.125
+temperature_mode = divide
+batch_size = 12
+k = 3
+seed = 9
+proxy_init_seed = 10
+head_init_seed = 11
+"""
+        assert parse_train_config(text) == TrainConfig(
+            embed_dim=16,
+            lr0=0.25,
+            momentum=0.5,
+            warmup_iters=7,
+            decay_gamma=0.75,
+            total_iters=70,
+            loss=LossConfig(kind="lmcl", sigma=3.5, margin=0.125, temperature_mode="divide"),
+            sampler=SamplerConfig(batch_size=12, k=3, seed=9),
+            proxy_init_seed=10,
+            head_init_seed=11,
+        )
+
+    @pytest.mark.parametrize("lr0", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_lr0_rejected(self, lr0):
+        with pytest.raises(ConfigError):
+            parse_train_config(f"embed_dim = 8\nlr0 = {lr0}\n")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_train_config("embed_dim = 8\nnesterov = yes\n")
