@@ -60,7 +60,7 @@ def main():
     head0, bank0, _ = init(config(KIND_NORM_SOFTMAX), data.train.feature_dim,
                            data.train.num_classes)
     base_float, base_binary = compare_float_binary(
-        Checkpoint(head0, bank0, 0, []), data.split, ks
+        Checkpoint(head0, bank0, 0), data.split, ks
     )
     print(f"untrained head: float R@1 {base_float.recall[0]:.3f}, "
           f"binary R@1 {base_binary.recall[0]:.3f}")

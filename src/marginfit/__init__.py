@@ -8,10 +8,19 @@ and sign-binarized embeddings, and a CLI driving the whole pipeline.
 """
 
 import os as _os
+import sys as _sys
+import warnings as _warnings
 
 # MF_THREADS caps worker threads; must land before numpy loads its BLAS.
 _cap = _os.environ.get("MF_THREADS")
 if _cap:
+    if "numpy" in _sys.modules:
+        _warnings.warn(
+            f"MF_THREADS={_cap} has no effect: numpy was imported before marginfit "
+            "and its BLAS thread count is already fixed",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ[_var] = _cap
 

@@ -7,11 +7,13 @@ logit ``c`` is inflated toward 1 as ``c + (1 - c) * d`` using a per-class-pair
 margin ``d`` in [0, 1]. Setting ``d = 0`` everywhere recovers the
 constant-margin loss, and ``margin = 0`` on top recovers the plain softmax.
 
-``compute_loss`` is the one entry point for all three kinds. One float64
-forward, ``_forward_f64``, serves both training (through the analytic
-backward pass) and the finite-difference gradient check, which evaluates
-stacks of perturbed parameters in a single broadcast call. Public outputs
-are float32. Gradients are with respect to the mean loss over the batch.
+``compute_loss`` is the one entry point for all three kinds. One
+dtype-generic forward, ``_forward``, serves ``compute_loss`` (float64),
+the training step (float32, in buffers it allocates once; see
+``marginfit.trainer``) and the finite-difference gradient check, which
+evaluates stacks of perturbed parameters in a single float64 broadcast
+call. Its B-length reductions always run in float64. Public outputs are
+float32. Gradients are with respect to the mean loss over the batch.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ class LossConfig:
                 f"unknown temperature_mode {self.temperature_mode!r}, "
                 f"expected one of {TEMPERATURE_MODES}"
             )
-        if not self.sigma > 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigError(f"sigma must be finite and positive, got {self.sigma}")
         if not 0.0 <= self.margin < 1.0:
             raise ConfigError(f"margin must be in [0, 1), got {self.margin}")
 
@@ -116,66 +118,87 @@ class LossOutput:
     grad_proxies: np.ndarray  # (C, D) float32, d(mean_loss)/dP
 
 
-def _margin_rows(dmat, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Gather per-sample margin rows d[y_i, :] as a float64 (B, C) array.
-
-    Only the gathered rows are cast, so no C x C float64 copy is made.
-    """
+def _margin_array(dmat, num_classes: int) -> np.ndarray:
     d = np.asarray(getattr(dmat, "d", dmat))
     if d.ndim != 2 or d.shape != (num_classes, num_classes):
         raise MarginShapeMismatch(
             f"margin matrix must be {num_classes}x{num_classes}, got {d.shape}"
         )
-    return np.asarray(d[labels, :], dtype=np.float64)
+    return d
 
 
-def _forward_f64(x, p, labels, tau, margin, drows):
+def _slope_rows(d, labels: np.ndarray, out=None) -> np.ndarray:
+    """The (B, C) slope of the adaptive transform: 1 - d[y_i, :], 1 at the positive.
+
+    A negative cosine ``c`` becomes ``c + (1 - c) * d = 1 - (1 - c) * slope``,
+    and the backward pass multiplies by the same slope. Only the B label rows
+    are gathered, into ``out`` or a new float64 array, and transformed in
+    place, so no C x C copy is made.
+    """
+    if out is None:
+        out = np.asarray(d[labels], dtype=np.float64)
+    else:
+        # the training step's labels come from a validated bundle; "clip"
+        # writes straight into ``out`` where the default mode buffers a copy
+        np.take(d, labels, axis=0, out=out, mode="clip")
+    np.subtract(1.0, out, out=out)
+    out[np.arange(labels.shape[0]), labels] = 1.0
+    return out
+
+
+def _forward(x, p, labels, tau, margin, slope, out=None):
     """Per-sample losses plus the intermediates the backward pass reuses.
 
-    All arrays float64. ``x`` is (..., B, D) and ``p`` is (..., C, D); the
-    leading dimensions broadcast, so one call evaluates a stack of perturbed
-    parameters. ``drows`` is the (B, C) gather of per-label margin rows, or
-    None for the constant-margin / plain kinds. The positive entry of each
-    margin row is ignored (zero diagonal), so the adaptive transform is
-    applied to full rows and the positive logit overwritten afterwards.
+    dtype-generic: the (..., B, C) work runs in the dtype of ``x`` and ``p``,
+    in ``out`` when given, and the B-length reductions run in float64. ``x``
+    is (..., B, D) and ``p`` is (..., C, D); the leading dimensions
+    broadcast, so one call evaluates a stack of perturbed parameters.
+    ``slope`` is ``_slope_rows`` output, or None for the constant-margin /
+    plain kinds. Returns ``(e, ty, others, losses)``: ``e`` is the workspace
+    holding exp(u - max u) with the positive entries zeroed, ``ty`` the
+    shifted positive logit and ``others`` the sum of ``e``, all float64
+    except ``e``.
     """
     rows = np.arange(labels.shape[0])
-    cos = np.clip(np.matmul(x, np.swapaxes(p, -1, -2)), -1.0, 1.0)
-    if drows is None:
-        logits = cos.copy()
-    else:
-        logits = cos + (1.0 - cos) * drows
-    logits[..., rows, labels] = cos[..., rows, labels] - margin
-    u = tau * logits
-    hi = u.max(axis=-1)
-    e = np.exp(u - hi[..., None])
-    sumexp = e.sum(axis=-1)
+    u = np.matmul(x, np.swapaxes(p, -1, -2), out=out)
+    np.clip(u, -1.0, 1.0, out=u)
+    positive = u[..., rows, labels] - margin
+    if slope is not None:
+        np.subtract(1.0, u, out=u)
+        u *= slope
+        np.subtract(1.0, u, out=u)
+    u[..., rows, labels] = positive
+    u *= tau
+    u -= u.max(axis=-1)[..., None]
+    ty = u[..., rows, labels].astype(np.float64)
+    e = np.exp(u, out=u)
+    e[..., rows, labels] = 0.0
+    others = e.sum(axis=-1, dtype=np.float64)
     # Stable -log softmax(target): exact even when the target dominates and
     # the competing terms are many orders of magnitude smaller.
-    ty = u[..., rows, labels] - hi
-    others = e.copy()
-    others[..., rows, labels] = 0.0
-    losses = -ty + np.log1p(np.expm1(ty) + others.sum(axis=-1))
-    return cos, e, sumexp, losses
+    losses = np.log1p(np.expm1(ty) + others) - ty
+    return e, ty, others, losses
 
 
-def _forward_backward_f64(x, p, labels, tau, margin, drows):
-    """Float64 core: per-sample losses and gradients of the mean loss."""
-    batch = x.shape[0]
-    rows = np.arange(batch)
-    cos, e, sumexp, losses = _forward_f64(x, p, labels, tau, margin, drows)
-    dl_du = e / sumexp[:, None]
-    dl_du[rows, labels] -= 1.0
-    # Chain through the logit transform: slope 1 on the positive entry,
-    # (1 - d) on negatives. The cosine clamp is treated as identity.
-    if drows is None:
-        dl_dcos = dl_du * (tau / batch)
-    else:
-        slope = 1.0 - drows
-        slope[rows, labels] = 1.0
-        dl_dcos = dl_du * slope * (tau / batch)
-    grad_x = dl_dcos @ p
-    grad_p = dl_dcos.T @ x
+def _forward_backward(x, p, labels, tau, margin, slope, out=None, grad_x=None, grad_p=None):
+    """Per-sample float64 losses and the gradients of the mean loss in x and p.
+
+    Runs in the dtype of ``x`` and ``p``; ``out`` (B, C), ``grad_x`` (B, D)
+    and ``grad_p`` (C, D) are optional buffers of that dtype.
+    """
+    batch = labels.shape[0]
+    e, ty, others, losses = _forward(x, p, labels, tau, margin, slope, out)
+    # dl/du = softmax - onehot, times tau / B for the mean loss. The positive
+    # entry, softmax - 1 = -others / sumexp, keeps its precision when the
+    # target dominates.
+    scale = (tau / batch) / (others + np.exp(ty))
+    e *= scale.astype(e.dtype)[:, None]
+    e[np.arange(batch), labels] = -others * scale
+    # Chain through the logit transform; the cosine clamp is treated as identity.
+    if slope is not None:
+        e *= slope
+    grad_x = np.matmul(e, p, out=grad_x)
+    grad_p = np.matmul(e.T, x, out=grad_p)
     return losses, grad_x, grad_p
 
 
@@ -206,13 +229,13 @@ def compute_loss(
     cosine c against class z becomes c + (1 - c) * margins[y, z].
     """
     x, lab = _check_inputs(x, bank, labels)
-    drows = None
+    slope = None
     if cfg.kind == KIND_ADAPTIVE:
         if margins is None:
             raise ConfigError("adaptive loss requires a margin matrix")
-        drows = _margin_rows(margins, lab, bank.num_classes)
-    losses, grad_x, grad_p = _forward_backward_f64(
-        x.astype(np.float64), bank.proxies.astype(np.float64), lab, cfg.tau, cfg.effective_margin, drows
+        slope = _slope_rows(_margin_array(margins, bank.num_classes), lab)
+    losses, grad_x, grad_p = _forward_backward(
+        x.astype(np.float64), bank.proxies.astype(np.float64), lab, cfg.tau, cfg.effective_margin, slope
     )
     per_sample = losses.astype(np.float32)
     return LossOutput(
@@ -263,11 +286,11 @@ def loss_backward_check(
     tau = cfg.tau
     margin = cfg.effective_margin
     if cfg.kind == KIND_ADAPTIVE:
-        drows = _random_margin_matrix(rng, classes)[labels, :]
+        slope = _slope_rows(_random_margin_matrix(rng, classes), labels)
     else:
-        drows = None
+        slope = None
 
-    _, grad_x, grad_p = _forward_backward_f64(x, p, labels, tau, margin, drows)
+    _, grad_x, grad_p = _forward_backward(x, p, labels, tau, margin, slope)
 
     def perturbed(base, sign):
         n = base.size
@@ -277,7 +300,7 @@ def loss_backward_check(
         return stack
 
     def mean_loss(xs, ps):
-        return _forward_f64(xs, ps, labels, tau, margin, drows)[3].mean(-1)
+        return _forward(xs, ps, labels, tau, margin, slope)[3].mean(-1)
 
     fd_x = (
         mean_loss(perturbed(x, +1), p[None]) - mean_loss(perturbed(x, -1), p[None])

@@ -82,13 +82,13 @@ def _check_margin_monotonicity():
         bumped = dmat.astype(np.float64)
         bumped[y, z] += 0.1
         bumped[z, y] += 0.1
-        base = losses._forward_f64(
+        base = losses._forward(
             x.astype(np.float64), bank.proxies.astype(np.float64),
-            labels, cfg.tau, cfg.margin, dmat.astype(np.float64)[labels, :],
+            labels, cfg.tau, cfg.margin, losses._slope_rows(dmat, labels),
         )[3]
-        bump = losses._forward_f64(
+        bump = losses._forward(
             x.astype(np.float64), bank.proxies.astype(np.float64),
-            labels, cfg.tau, cfg.margin, bumped[labels, :],
+            labels, cfg.tau, cfg.margin, losses._slope_rows(bumped, labels),
         )[3]
         affected = labels == y
         if not np.all(bump[affected] >= base[affected]):

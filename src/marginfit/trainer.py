@@ -3,9 +3,15 @@
 The head and the proxy bank are trained jointly with classical SGD momentum
 (v = momentum * v + g; p = p - lr * v), linear learning-rate warmup and
 per-iteration exponential decay. Proxies are kept unit-norm by projecting
-(row-wise renormalization) after every step. All gradient math runs in
-float64 and is stored back as float32, so runs are bit-reproducible given
-the three seeds (sampler, head init, proxy init).
+(row-wise renormalization) after every step. Runs are bit-reproducible
+given the three seeds (sampler, head init, proxy init).
+
+Precision: the training step runs in float32. W, b, P and their velocities
+are float32 master arrays updated in place, the head is computed once per
+iteration and its intermediates feed the head backward, and the loss runs
+in buffers allocated once per run. Only the loss's B-length reductions
+(the softmax sums and the log) are float64. The finite-difference
+gradient checks, ``embed`` and ``eval`` (``forward_head``) run in float64.
 
 Training objective, per iteration, for every loss kind:
 
@@ -20,7 +26,7 @@ term adds ``(2 * QUANT_WEIGHT / C) * (p - s(p) / sqrt(D))`` to the proxy
 gradient before the momentum step. Embeddings gather around their class
 proxies, so proxies near the corners of the hypercube make sign-binarized
 embeddings keep the class structure for Hamming ranking. The streamed
-``loss`` value and the checkpoint's loss_history report only the first term.
+``loss`` value reports only the first term.
 
 Checkpoint file ``CKP1``: magic | EMB1 block weight (F x D) | EMB1 block
 bias (1 x D) | EMB1 block proxies (C x D) | u64 iteration.
@@ -31,6 +37,7 @@ starting with ``#`` are skipped; unknown keys are errors.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,12 +60,11 @@ from .errors import (
     MarginShapeMismatch,
     ZeroNorm,
 )
-from .losses import KIND_ADAPTIVE, LossConfig, ProxyBank, compute_loss
+from .losses import KIND_ADAPTIVE, LossConfig, ProxyBank, _forward_backward, _slope_rows
 from .sampler import BalancedSampler, SamplerConfig
-from .tensor import as_matrix, l2_normalize_rows
+from .tensor import ZERO_NORM_THRESHOLD, as_matrix, l2_normalize_rows
 
 MAGIC_CHECKPOINT = b"CKP1"
-LOSS_HISTORY_EVERY = 100
 DEFAULT_LAYER_NORM_EPS = 1e-5
 # Weight of the proxy quantization term. Over data seeds 1-10 of the
 # criterion-5 fixture (D=32), weights 0.5 / 1 / 2 / 4 / 10 give mean
@@ -125,17 +131,19 @@ class Checkpoint:
     head: EmbeddingHead
     proxies: ProxyBank
     iteration: int
-    loss_history: list[tuple[int, float]] = field(default_factory=list)
 
 
 def forward_head(head: EmbeddingHead, features: np.ndarray) -> np.ndarray:
-    """features @ W + b, layer norm, L2 normalize; rows come out unit-norm."""
+    """features @ W + b, layer norm, L2 normalize; rows come out unit-norm.
+
+    Runs in float64, as ``embed`` and ``eval`` need it, and returns float32.
+    """
     features = as_matrix(features, "features")
     if features.shape[1] != head.weight.shape[0]:
         raise DimMismatch(
             f"features have {features.shape[1]} columns, head expects {head.weight.shape[0]}"
         )
-    _, _, _, _, out = _head_core_f64(
+    _, _, _, out = _head_core(
         features.astype(np.float64),
         head.weight.astype(np.float64),
         head.bias.astype(np.float64),
@@ -144,70 +152,47 @@ def forward_head(head: EmbeddingHead, features: np.ndarray) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def _head_core_f64(feats, w, b, eps):
-    """Returns (pre-norm h, layer-normed t, std s, row norms of t, unit output)."""
-    h = feats @ w + b
-    mu = h.mean(axis=1, keepdims=True)
-    var = np.mean((h - mu) ** 2, axis=1, keepdims=True)
-    s = np.sqrt(var + eps)
-    t = (h - mu) / s
+def _head_core(feats, w, b, eps):
+    """Returns (layer-normed t, std s, row norms of t, unit output) in the operands' dtype."""
+    t = feats @ w
+    t += b
+    t -= t.mean(axis=1, keepdims=True)
+    s = np.sqrt(np.mean(t * t, axis=1, keepdims=True) + eps)
+    t /= s
     tn = np.linalg.norm(t, axis=1, keepdims=True)
     if np.any(tn < 1e-12):
         bad = int(np.argmin(tn))
         raise ZeroNorm(f"row {bad} collapsed to zero after layer norm")
-    return h, t, s, tn, t / tn
+    return t, s, tn, t / tn
 
 
-def l2_normalize_backward_f64(t, grad_out):
-    """Pull gradients back through o = t / ||t||; kills the radial component."""
-    tn = np.linalg.norm(t, axis=1, keepdims=True)
-    o = t / tn
-    radial = np.sum(grad_out * o, axis=1, keepdims=True)
-    return (grad_out - radial * o) / tn
+def _head_backward(feats, t, s, tn, grad_out, grad_w=None):
+    """Gradients in W and b from one ``_head_core`` call's t, s and row norms.
 
-
-def layer_norm_backward_f64(t, s, grad_t):
-    """Pull gradients back through t = (h - mean) / std, population variance."""
+    ``grad_out`` is the loss gradient at the unit-norm output t / ||t||.
+    The L2 normalization kills its radial component; the layer norm
+    (population variance) is pulled back through t = (h - mean) / s.
+    """
+    radial = np.sum(grad_out * t, axis=1, keepdims=True) / (tn * tn)
+    grad_t = (grad_out - radial * t) / tn
     gm = grad_t.mean(axis=1, keepdims=True)
     gt = np.mean(grad_t * t, axis=1, keepdims=True)
-    return (grad_t - gm - t * gt) / s
+    grad_h = (grad_t - gm - t * gt) / s
+    return np.matmul(feats.T, grad_h, out=grad_w), grad_h.sum(axis=0)
 
 
-def backward_head(
-    head: EmbeddingHead, features: np.ndarray, grad_embeddings: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the loss w.r.t. head weight and bias.
-
-    ``grad_embeddings`` is the loss gradient at the unit-norm output.
-    """
-    features = as_matrix(features, "features")
-    grad_w, grad_b = _backward_head_f64(
-        features.astype(np.float64),
-        head.weight.astype(np.float64),
-        head.bias.astype(np.float64),
-        head.layer_norm_eps,
-        np.asarray(grad_embeddings, dtype=np.float64),
-    )
-    return grad_w.astype(np.float32), grad_b.astype(np.float32)
-
-
-def _backward_head_f64(feats, w, b, eps, grad_out):
-    _, t, s, _, _ = _head_core_f64(feats, w, b, eps)
-    grad_t = l2_normalize_backward_f64(t, grad_out)
-    grad_h = layer_norm_backward_f64(t, s, grad_t)
-    return feats.T @ grad_h, grad_h.sum(axis=0)
-
-
-def quantization_penalty(proxies: np.ndarray) -> tuple[float, np.ndarray]:
+def quantization_penalty(proxies: np.ndarray, out=None) -> tuple[float, np.ndarray]:
     """QUANT_WEIGHT * mean_c ||p_c - s(p_c)/sqrt(D)||^2 and its gradient in p.
 
     ``s`` maps strictly positive entries to +1 and the rest, zeros included,
-    to -1, as ``evaluation.sign_codes`` does. Float64 in, float64 out.
+    to -1, as ``evaluation.sign_codes`` does. The gradient has the dtype of
+    ``proxies`` and goes to ``out`` when given.
     """
     num_classes, dim = proxies.shape
-    unit = 1.0 / np.sqrt(dim)
+    unit = 1.0 / math.sqrt(dim)  # a Python float keeps float32 math in float32
     # Branch-free code: 2u where p > 0, else 0, then shifted by -u (exact).
-    diff = (proxies > 0.0) * (2.0 * unit)
+    diff = np.greater(proxies, 0.0, out=out if out is not None else np.empty_like(proxies))
+    diff *= 2.0 * unit
     diff -= unit
     np.subtract(proxies, diff, out=diff)
     value = QUANT_WEIGHT * float(np.vdot(diff, diff)) / num_classes
@@ -222,17 +207,28 @@ def lr_at(cfg: TrainConfig, t: int) -> float:
     return cfg.lr0 * cfg.resolved_decay_gamma ** (t - cfg.warmup_iters)
 
 
-def sgd_momentum_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    velocity: np.ndarray,
-    lr: float,
-    momentum: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classical momentum: v <- momentum * v + g; p <- p - lr * v."""
-    v = momentum * velocity.astype(np.float64) + grads.astype(np.float64)
-    p = params.astype(np.float64) - lr * v
-    return p.astype(np.float32), v.astype(np.float32)
+def _momentum_step(param, grad, velocity, lr: float, momentum: float) -> None:
+    """Classical momentum, in place: v <- momentum * v + g; p <- p - lr * v.
+
+    ``grad`` is overwritten (it holds lr * v on return).
+    """
+    velocity *= momentum
+    velocity += grad
+    np.multiply(velocity, lr, out=grad)
+    param -= grad
+
+
+def _renormalize_rows(m) -> None:
+    """Scale each row of ``m`` to unit norm in place; ZeroNorm on a degenerate row.
+
+    The squares are summed in float64 and the norm rounded to m's dtype,
+    so a row already unit-norm at that precision divides by exactly 1.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", m, m, dtype=np.float64))
+    if np.any(norms < ZERO_NORM_THRESHOLD):
+        bad = int(np.argmin(norms))
+        raise ZeroNorm(f"proxy row {bad} has norm {norms[bad]:.3e}")
+    m /= norms.astype(m.dtype)[:, None]
 
 
 def init(
@@ -261,6 +257,53 @@ def init(
     return head, bank, velocities
 
 
+class _Step:
+    """The float32 training step over master arrays it updates in place.
+
+    W, b and P are the head's and the bank's own arrays. Every (B, C) and
+    (C, D) intermediate, and the (F, D) weight gradient, lives in a buffer
+    allocated once here.
+    """
+
+    def __init__(self, head, bank, velocities, cfg: TrainConfig, margins, batch_size: int):
+        self.w, self.b, self.p = head.weight, head.bias, bank.proxies
+        self.eps = head.layer_norm_eps
+        self.vel = velocities
+        self.momentum = cfg.momentum
+        self.tau, self.margin = cfg.loss.tau, cfg.loss.effective_margin
+        self.margins = None if margins is None else np.asarray(margins, dtype=np.float32)
+        self.logits = np.empty((batch_size, self.p.shape[0]), np.float32)
+        self.slope = None if margins is None else np.empty_like(self.logits)
+        self.grad_x = np.empty((batch_size, self.p.shape[1]), np.float32)
+        self.grad_w = np.empty_like(self.w)
+        self.grad_p = np.empty_like(self.p)
+        self.quant = np.empty_like(self.p)
+
+    def gradients(self, feats, labels):
+        """Per-sample float64 losses and the gradients of the mean loss in W, b and P."""
+        t, s, tn, emb = _head_core(feats, self.w, self.b, self.eps)
+        slope = None
+        if self.margins is not None:
+            slope = _slope_rows(self.margins, labels, out=self.slope)
+        losses, grad_x, grad_p = _forward_backward(
+            emb, self.p, labels, self.tau, self.margin, slope, self.logits, self.grad_x, self.grad_p
+        )
+        grad_w, grad_b = _head_backward(feats, t, s, tn, grad_x, self.grad_w)
+        return losses, grad_w, grad_b, grad_p
+
+    def update(self, grad_w, grad_b, grad_p, lr: float) -> None:
+        """Momentum step on W, b and P, then renormalize P's rows.
+
+        P's gradient gains the quantization term first.
+        """
+        _, grad_q = quantization_penalty(self.p, out=self.quant)
+        grad_q += grad_p
+        _momentum_step(self.w, grad_w, self.vel["weight"], lr, self.momentum)
+        _momentum_step(self.b, grad_b, self.vel["bias"], lr, self.momentum)
+        _momentum_step(self.p, grad_q, self.vel["proxies"], lr, self.momentum)
+        _renormalize_rows(self.p)
+
+
 def train(
     bundle: FeatureBundle,
     cfg: TrainConfig,
@@ -270,10 +313,11 @@ def train(
     """Run the sample/forward/loss/backward/step loop for cfg.total_iters.
 
     ``margin_matrix`` is required exactly when the loss kind is adaptive.
-    ``on_iteration(t, lr, mean_loss)``, if given, fires every iteration;
-    the checkpoint's loss_history keeps one entry per 100 iterations.
+    ``on_iteration(t, lr, mean_loss)``, if given, fires every iteration; it
+    is the one stream of the training loss.
     """
     validate_bundle(bundle, cfg.sampler.k)
+    dmat = None
     if cfg.loss.kind == KIND_ADAPTIVE:
         if margin_matrix is None:
             raise ConfigError("adaptive loss kind requires a margin matrix")
@@ -287,32 +331,22 @@ def train(
 
     head, bank, vel = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
     sampler = BalancedSampler(bundle, cfg.sampler)
-    history: list[tuple[int, float]] = []
+    step = _Step(head, bank, vel, cfg, dmat, cfg.sampler.batch_size)
 
     for t in range(cfg.total_iters):
         batch = sampler.next_batch()
         feats = bundle.features[batch.sample_indices]
-        embeddings = forward_head(head, feats)
-        out = compute_loss(embeddings, bank, batch.labels, cfg.loss, margin_matrix)
-        if not np.isfinite(out.mean_loss):
-            raise DivergenceError(f"non-finite loss {out.mean_loss} at iteration {t}")
-
-        grad_w, grad_b = backward_head(head, feats, out.grad_embeddings)
-        _, grad_p = quantization_penalty(bank.proxies.astype(np.float64))
-        grad_p += out.grad_proxies
+        losses, grad_w, grad_b, grad_p = step.gradients(feats, batch.labels)
+        mean_loss = float(losses.mean())
+        if not np.isfinite(mean_loss):
+            raise DivergenceError(f"non-finite loss {mean_loss} at iteration {t}")
         lr = lr_at(cfg, t)
-        new_w, vel["weight"] = sgd_momentum_step(head.weight, grad_w, vel["weight"], lr, cfg.momentum)
-        new_b, vel["bias"] = sgd_momentum_step(head.bias, grad_b, vel["bias"], lr, cfg.momentum)
-        new_p, vel["proxies"] = sgd_momentum_step(bank.proxies, grad_p, vel["proxies"], lr, cfg.momentum)
-        head = EmbeddingHead(new_w, new_b, head.layer_norm_eps)
-        bank = ProxyBank(l2_normalize_rows(new_p), bank.class_ids)
-
-        if t % LOSS_HISTORY_EVERY == 0:
-            history.append((t, out.mean_loss))
+        step.update(grad_w, grad_b, grad_p, lr)
         if on_iteration is not None:
-            on_iteration(t, lr, out.mean_loss)
+            on_iteration(t, lr, mean_loss)
 
-    return Checkpoint(head, bank, cfg.total_iters, history)
+    # the bank's invariant check (unit-norm rows) runs once, on the result
+    return Checkpoint(head, ProxyBank(bank.proxies, bank.class_ids), cfg.total_iters)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -337,7 +371,7 @@ def load_checkpoint(path) -> Checkpoint:
     if bias.shape[0] != 1:
         raise FormatError(f"{path}: bias block must have one row, got {bias.shape}")
     head = EmbeddingHead(weight, bias[0])
-    return Checkpoint(head, ProxyBank(proxies), iteration, [])
+    return Checkpoint(head, ProxyBank(proxies), iteration)
 
 
 # key -> (value type, config object, field); the dataclasses own the defaults

@@ -139,8 +139,10 @@ def test_criterion_3_margin_monotonicity():
         bumped[y, z] += 0.1
         bumped[z, y] += 0.1
 
-        base = losses._forward_f64(x, p, labels, cfg.tau, cfg.margin, d[labels, :])[3]
-        bump = losses._forward_f64(x, p, labels, cfg.tau, cfg.margin, bumped[labels, :])[3]
+        base = losses._forward(x, p, labels, cfg.tau, cfg.margin, losses._slope_rows(d, labels))[3]
+        bump = losses._forward(
+            x, p, labels, cfg.tau, cfg.margin, losses._slope_rows(bumped, labels)
+        )[3]
         affected = labels == y
         strict = affected & (x @ p[z] < 1.0 - 1e-6)
         checked += int(affected.sum())
@@ -159,7 +161,7 @@ def test_criterion_3_margin_monotonicity():
 
 
 def test_criterion_4_end_to_end_head_gradient():
-    from marginfit.trainer import EmbeddingHead, backward_head, forward_head, _head_core_f64
+    from marginfit.trainer import EmbeddingHead, _head_core, _Step
 
     rng = np.random.default_rng(0)
     batch, feat_dim, embed_dim, classes = 4, 8, 6, 5
@@ -172,15 +174,19 @@ def test_criterion_4_end_to_end_head_gradient():
     cfg = LossConfig(KIND_NORM_SOFTMAX, 20.0)
     eps = 1e-5
 
+    # the training step's float32 gradients: one head forward, the loss
+    # forward/backward in its buffers, the head backward on the same t, s, ||t||
     head = EmbeddingHead(w.astype(np.float32), b.astype(np.float32), eps)
-    out = compute_loss(forward_head(head, feats.astype(np.float32)), bank, labels, cfg)
-    gw, gb = backward_head(head, feats.astype(np.float32), out.grad_embeddings)
+    train_cfg = TrainConfig(embed_dim=embed_dim, loss=cfg)
+    _, _, velocities = init(train_cfg, feat_dim, classes)
+    step = _Step(head, bank, velocities, train_cfg, None, batch)
+    _, gw, gb, _ = step.gradients(feats.astype(np.float32), labels)
 
     p64 = proxies.astype(np.float64)
 
     def f(wv, bv):
-        emb = _head_core_f64(feats, wv, bv, eps)[4]
-        return float(losses._forward_f64(emb, p64, labels, cfg.tau, 0.0, None)[3].mean())
+        emb = _head_core(feats, wv, bv, eps)[3]
+        return float(losses._forward(emb, p64, labels, cfg.tau, 0.0, None)[3].mean())
 
     h = 1e-3
     fd_w = np.zeros_like(w)
@@ -238,7 +244,7 @@ def convergence_run():
         head_init_seed=5,
     )
     head0, bank0, _ = init(cfg, data.train.feature_dim, data.train.num_classes)
-    base_float, _ = compare_float_binary(Checkpoint(head0, bank0, 0, []), data.split, ks=[1])
+    base_float, _ = compare_float_binary(Checkpoint(head0, bank0, 0), data.split, ks=[1])
 
     curve = []
     t0 = time.time()
@@ -471,7 +477,7 @@ def test_criterion_10_format_round_trips(tmp_path):
 
     cfg = TrainConfig(embed_dim=4, total_iters=0, warmup_iters=0)
     head, bank, _ = init(cfg, 6, 3)
-    ckpt = Checkpoint(head, bank, 0, [])
+    ckpt = Checkpoint(head, bank, 0)
     k1, k2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(ckpt, k1)
     save_checkpoint(load_checkpoint(k1), k2)

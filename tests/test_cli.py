@@ -138,6 +138,25 @@ class TestTrain:
         assert code == 2
         assert "--margins is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["multiply", "divide"])
+    def test_infinite_sigma_exit_2(self, dataset, capsys, mode):
+        cfg = dataset / "inf.cfg"
+        cfg.write_text(
+            (dataset / "train.cfg").read_text(encoding="utf-8").replace("sigma = 20", "sigma = inf")
+            + f"temperature_mode = {mode}\n",
+            encoding="utf-8",
+        )
+        code, _ = run_cli([
+            "train",
+            "--config", str(cfg),
+            "--features", str(dataset / "train.emb"),
+            "--labels", str(dataset / "train.lbl"),
+            "--out", str(dataset / "x.ckpt"),
+        ])
+        assert code == 2
+        assert "sigma must be finite" in capsys.readouterr().err
+        assert not (dataset / "x.ckpt").exists()
+
     def test_margins_with_plain_loss_exit_2(self, dataset):
         run_cli([
             "margins-build",
@@ -341,13 +360,13 @@ class TestSelftest:
     def test_fault_injection_fails(self, monkeypatch):
         from marginfit import losses as losses_mod
 
-        real = losses_mod._forward_backward_f64
+        real = losses_mod._forward_backward
 
         def perturbed(*args, **kwargs):
             per_sample, grad_x, grad_p = real(*args, **kwargs)
             return per_sample, grad_x * 1.001, grad_p
 
-        monkeypatch.setattr(losses_mod, "_forward_backward_f64", perturbed)
+        monkeypatch.setattr(losses_mod, "_forward_backward", perturbed)
         code, text = run_cli(["selftest"])
         assert code == 1
         assert "FAIL" in text
@@ -374,3 +393,17 @@ class TestPackaging:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "3 3"
+
+    @pytest.mark.parametrize("numpy_first", [False, True])
+    def test_mf_threads_after_numpy_warns(self, numpy_first):
+        probe = (
+            "import os, warnings; os.environ['MF_THREADS'] = '3'; "
+            + ("import numpy; " if numpy_first else "")
+            + "warnings.simplefilter('always')\n"
+            "with warnings.catch_warnings(record=True) as seen:\n"
+            "    import marginfit\n"
+            "print(sum('MF_THREADS' in str(w.message) for w in seen))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ("1" if numpy_first else "0")

@@ -269,13 +269,13 @@ class TestProperties:
             bumped[y, z] += 0.1
             bumped[z, y] += 0.1
 
-            base64 = losses._forward_f64(
+            base64 = losses._forward(
                 x.astype(np.float64), bank.proxies.astype(np.float64),
-                labels, cfg.tau, cfg.margin, dmat[labels, :],
+                labels, cfg.tau, cfg.margin, losses._slope_rows(dmat, labels),
             )[3]
-            bump64 = losses._forward_f64(
+            bump64 = losses._forward(
                 x.astype(np.float64), bank.proxies.astype(np.float64),
-                labels, cfg.tau, cfg.margin, bumped[labels, :],
+                labels, cfg.tau, cfg.margin, losses._slope_rows(bumped, labels),
             )[3]
 
             affected = labels == y
@@ -309,13 +309,13 @@ class TestGradients:
         p64 = bank.proxies.astype(np.float64)
         xs = x64 + 1e-3 * rng.standard_normal((6,) + x64.shape)
         ps = p64 + 1e-3 * rng.standard_normal((6,) + p64.shape)
-        for drows in (None, dmat.astype(np.float64)[labels, :]):
+        for slope in (None, losses._slope_rows(dmat, labels)):
             for stacked_x, stacked_p in [(xs, p64[None]), (x64[None], ps)]:
-                stacked = losses._forward_f64(stacked_x, stacked_p, labels, 20.0, 0.4, drows)
+                stacked = losses._forward(stacked_x, stacked_p, labels, 20.0, 0.4, slope)
                 for i in range(6):
                     xi = stacked_x[min(i, stacked_x.shape[0] - 1)]
                     pi = stacked_p[min(i, stacked_p.shape[0] - 1)]
-                    single = losses._forward_f64(xi, pi, labels, 20.0, 0.4, drows)
+                    single = losses._forward(xi, pi, labels, 20.0, 0.4, slope)
                     for got, want in zip(stacked, single):
                         np.testing.assert_array_equal(got[i], want)
 
@@ -328,12 +328,12 @@ class TestGradients:
 
         x64 = x.astype(np.float64)
         p64 = bank.proxies.astype(np.float64)
-        drows = dmat.astype(np.float64)[labels, :]
+        slope = losses._slope_rows(dmat, labels)
         h = 1e-3
 
         def f(xv, pv):
             return float(
-                losses._forward_f64(xv, pv, labels, cfg.tau, cfg.margin, drows)[3].mean()
+                losses._forward(xv, pv, labels, cfg.tau, cfg.margin, slope)[3].mean()
             )
 
         fd_x = np.zeros_like(x64)
@@ -362,7 +362,7 @@ class TestGradients:
         h = 1e-3
 
         def f(xv):
-            return float(losses._forward_f64(xv, p64, labels, 20.0, 0.0, None)[3].mean())
+            return float(losses._forward(xv, p64, labels, 20.0, 0.0, None)[3].mean())
 
         for i in range(3):
             for j in range(4):

@@ -17,7 +17,7 @@ from marginfit.losses import (
     KIND_ADAPTIVE,
     KIND_NORM_SOFTMAX,
     LossConfig,
-    LossOutput,
+    ProxyBank,
     max_relative_error,
 )
 from marginfit.sampler import SamplerConfig
@@ -25,7 +25,6 @@ from marginfit.trainer import (
     Checkpoint,
     EmbeddingHead,
     TrainConfig,
-    backward_head,
     forward_head,
     init,
     load_checkpoint,
@@ -33,7 +32,6 @@ from marginfit.trainer import (
     lr_at,
     parse_train_config,
     save_checkpoint,
-    sgd_momentum_step,
     train,
 )
 
@@ -85,10 +83,16 @@ class TestSchedule:
         assert lr_at(cfg, 3010) == pytest.approx(0.01 * 0.999**10)
 
 
+def momentum_step(p, g, v, lr, momentum):
+    """trainer._momentum_step on copies; returns the new (p, v)."""
+    p, g, v = (np.array(a, np.float32) for a in (p, g, v))
+    trainer._momentum_step(p, g, v, lr, momentum)
+    return p, v
+
+
 class TestSgdStep:
     def test_plain_gradient_step(self):
-        p, v = sgd_momentum_step(np.array([2.0], np.float32), np.array([1.0], np.float32),
-                                 np.zeros(1, np.float32), lr=1.0, momentum=0.0)
+        p, v = momentum_step([2.0], [1.0], [0.0], lr=1.0, momentum=0.0)
         assert p[0] == pytest.approx(1.0)
 
     def test_velocity_decays_geometrically(self):
@@ -96,7 +100,7 @@ class TestSgdStep:
         p = np.zeros(1, np.float32)
         g = np.zeros(1, np.float32)
         for i in range(1, 4):
-            p, v = sgd_momentum_step(p, g, v, lr=0.1, momentum=0.9)
+            p, v = momentum_step(p, g, v, lr=0.1, momentum=0.9)
             assert v[0] == pytest.approx(0.9**i, rel=1e-5)
 
     def test_two_step_displacement(self):
@@ -105,8 +109,17 @@ class TestSgdStep:
         v = np.zeros(1, np.float32)
         g = np.ones(1, np.float32)
         for _ in range(2):
-            p, v = sgd_momentum_step(p, g, v, lr=1.0, momentum=0.9)
+            p, v = momentum_step(p, g, v, lr=1.0, momentum=0.9)
         assert p[0] == pytest.approx(-2.9, rel=1e-6)
+
+    def test_updates_in_place(self):
+        p = np.array([2.0, -1.0], np.float32)
+        v = np.array([0.5, 0.0], np.float32)
+        p_buf, v_buf = p, v
+        trainer._momentum_step(p, np.array([1.0, 2.0], np.float32), v, lr=0.5, momentum=0.5)
+        assert p is p_buf and v is v_buf
+        np.testing.assert_allclose(v, [1.25, 2.0])
+        np.testing.assert_allclose(p, [2.0 - 0.625, -2.0])
 
 
 def hand_head_oracle(rows, eps=1e-5):
@@ -149,13 +162,19 @@ class TestForwardHead:
             forward_head(head, np.ones((2, 5), np.float32))
 
 
+def head_gradients(w, b, feats, cot, eps=1e-5):
+    """The step's head backward on one float32 ``_head_core`` call's t, s, ||t||."""
+    t, s, tn, _ = trainer._head_core(
+        feats.astype(np.float32), w.astype(np.float32), b.astype(np.float32), eps
+    )
+    return trainer._head_backward(feats.astype(np.float32), t, s, tn, cot.astype(np.float32))
+
+
 class TestBackwardHead:
     def test_zero_cotangent_zero_grads(self):
         rng = np.random.default_rng(3)
-        head = EmbeddingHead(rng.standard_normal((8, 6)).astype(np.float32),
-                             rng.standard_normal(6).astype(np.float32))
-        feats = rng.standard_normal((4, 8)).astype(np.float32)
-        gw, gb = backward_head(head, feats, np.zeros((4, 6), np.float32))
+        gw, gb = head_gradients(rng.standard_normal((8, 6)), rng.standard_normal(6),
+                                rng.standard_normal((4, 8)), np.zeros((4, 6)))
         assert np.all(gw == 0.0) and np.all(gb == 0.0)
 
     def test_matches_finite_differences(self):
@@ -165,11 +184,10 @@ class TestBackwardHead:
         feats = rng.standard_normal((4, 8))
         cot = rng.standard_normal((4, 6))
         eps = 1e-5
-        head = EmbeddingHead(w.astype(np.float32), b.astype(np.float32), eps)
-        gw, gb = backward_head(head, feats.astype(np.float32), cot.astype(np.float32))
+        gw, gb = head_gradients(w, b, feats, cot, eps)
 
         def f(wv, bv):
-            out = trainer._head_core_f64(feats, wv, bv, eps)[4]
+            out = trainer._head_core(feats, wv, bv, eps)[3]
             return float(np.sum(cot * out))
 
         h = 1e-3
@@ -191,12 +209,14 @@ class TestBackwardHead:
         assert max_relative_error(gb.astype(np.float64), fd_b) <= 1e-4
 
     def test_radial_gradient_component_annihilated(self):
+        # the output is unit-norm, so a cotangent along it moves nothing
         rng = np.random.default_rng(5)
-        t = rng.standard_normal((6, 5))
-        grad_out = rng.standard_normal((6, 5))
-        grad_t = trainer.l2_normalize_backward_f64(t, grad_out)
-        o = t / np.linalg.norm(t, axis=1, keepdims=True)
-        assert np.max(np.abs(np.sum(grad_t * o, axis=1))) <= 1e-5
+        w = rng.standard_normal((8, 6))
+        b = rng.standard_normal(6)
+        feats = rng.standard_normal((4, 8))
+        out = trainer._head_core(feats, w, b, 1e-5)[3]
+        gw, gb = head_gradients(w, b, feats, rng.standard_normal((4, 1)) * out)
+        assert np.max(np.abs(gw)) <= 1e-5 and np.max(np.abs(gb)) <= 1e-5
 
 
 class TestQuantizationPenalty:
@@ -267,7 +287,7 @@ class TestTrainLoop:
         head, bank, _ = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
         np.testing.assert_array_equal(ckpt.head.weight, head.weight)
         np.testing.assert_array_equal(ckpt.proxies.proxies, bank.proxies)
-        assert ckpt.iteration == 0 and ckpt.loss_history == []
+        assert ckpt.iteration == 0
 
     def test_deterministic_checkpoints(self, tmp_path):
         bundle = small_bundle()
@@ -293,20 +313,18 @@ class TestTrainLoop:
 
     def test_loss_history_sampling_and_callback(self):
         seen = []
-        ckpt = train(
-            small_bundle(),
-            small_config(total_iters=250),
-            on_iteration=lambda t, lr, loss: seen.append((t, lr, loss)),
-        )
-        assert [t for t, _ in ckpt.loss_history] == [0, 100, 200]
-        assert len(seen) == 250
+        cfg = small_config(total_iters=250)
+        train(small_bundle(), cfg, on_iteration=lambda t, lr, loss: seen.append((t, lr, loss)))
+        assert [t for t, _, _ in seen] == list(range(250))
+        assert all(lr == lr_at(cfg, t) for t, lr, _ in seen)
         assert all(np.isfinite(loss) for _, _, loss in seen)
 
     def test_identical_loss_history_across_runs(self):
         cfg = small_config(total_iters=30)
-        h1 = train(small_bundle(), cfg).loss_history
-        h2 = train(small_bundle(), cfg).loss_history
-        assert h1 == h2
+        h1, h2 = [], []
+        train(small_bundle(), cfg, on_iteration=lambda t, lr, loss: h1.append(loss))
+        train(small_bundle(), cfg, on_iteration=lambda t, lr, loss: h2.append(loss))
+        assert len(h1) == 30 and h1 == h2
 
     def test_adaptive_requires_margins(self):
         cfg = small_config(loss=LossConfig(kind=KIND_ADAPTIVE))
@@ -331,20 +349,19 @@ class TestTrainLoop:
         assert ckpt.iteration == cfg.total_iters
 
     def test_divergence_detected(self, monkeypatch):
-        def nan_loss(x, bank, labels, cfg, margins=None):
-            return LossOutput(
-                float("nan"),
-                np.full(x.shape[0], np.nan, np.float32),
-                np.zeros_like(x),
-                np.zeros_like(bank.proxies),
-            )
+        real = trainer._forward_backward
 
-        monkeypatch.setattr(trainer, "compute_loss", nan_loss)
+        def nan_loss(*args, **kwargs):
+            losses, grad_x, grad_p = real(*args, **kwargs)
+            return np.full_like(losses, np.nan), grad_x, grad_p
+
+        monkeypatch.setattr(trainer, "_forward_backward", nan_loss)
         with pytest.raises(DivergenceError):
             train(small_bundle(), small_config(total_iters=3))
 
     def test_end_to_end_gradient_through_head(self):
-        # criterion-4 shape: loss(head(features)) vs finite differences on W
+        # criterion-4 shape: the step's loss(head(features)) gradient vs
+        # finite differences on W
         rng = np.random.default_rng(9)
         batch, feat_dim, embed_dim, classes = 4, 8, 6, 5
         feats = rng.standard_normal((batch, feat_dim))
@@ -354,24 +371,23 @@ class TestTrainLoop:
         proxies32 = np.linalg.qr(rng.standard_normal((embed_dim, embed_dim)))[0][
             :classes
         ].astype(np.float32)
-        from marginfit.losses import ProxyBank, compute_loss
-
         bank = ProxyBank(proxies32)
         cfg = LossConfig(kind=KIND_NORM_SOFTMAX, sigma=20.0)
         eps = 1e-5
 
         head = EmbeddingHead(w.astype(np.float32), b.astype(np.float32), eps)
-        emb = forward_head(head, feats.astype(np.float32))
-        out = compute_loss(emb, bank, labels, cfg)
-        gw, _ = backward_head(head, feats.astype(np.float32), out.grad_embeddings)
+        train_cfg = TrainConfig(embed_dim=embed_dim, loss=cfg)
+        _, _, velocities = init(train_cfg, feat_dim, classes)
+        step = trainer._Step(head, bank, velocities, train_cfg, None, batch)
+        _, gw, _, _ = step.gradients(feats.astype(np.float32), labels)
 
         from marginfit import losses as losses_mod
 
         p64 = proxies32.astype(np.float64)
 
         def f(wv):
-            emb64 = trainer._head_core_f64(feats, wv, b, eps)[4]
-            per = losses_mod._forward_f64(emb64, p64, labels, cfg.tau, 0.0, None)[3]
+            emb64 = trainer._head_core(feats, wv, b, eps)[3]
+            per = losses_mod._forward(emb64, p64, labels, cfg.tau, 0.0, None)[3]
             return float(per.mean())
 
         h = 1e-3
