@@ -1,9 +1,11 @@
 """Command-line pipeline: margins-build, train, embed, eval, selftest.
 
-Exit codes: 0 success, 1 selftest failure, 2 format/config/data errors,
-3 invariant violations, 4 training divergence. All randomness flows from
-seeds in the config file, so every subcommand is deterministic given its
-inputs. Set MF_THREADS to cap worker (BLAS) threads.
+Exit codes: 0 success, 1 selftest failure. A ``MarginfitError`` exits with
+its class's ``exit_code`` (see ``marginfit.errors``: 2 format/config/data
+errors, 3 invariant violations, 4 training divergence), and an OSError
+(missing file, permissions) exits 2. All randomness flows from seeds in
+the config file, so every subcommand is deterministic given its inputs.
+Set MF_THREADS to cap worker (BLAS) threads.
 """
 
 from __future__ import annotations
@@ -24,21 +26,7 @@ from .data_io import (
     save_matrix,
     validate_bundle,
 )
-from .errors import (
-    ConfigError,
-    DegenerateRange,
-    DimMismatch,
-    DivergenceError,
-    EmptyGallery,
-    FormatError,
-    InvalidLabel,
-    InvariantViolation,
-    LabelOutOfRange,
-    MarginShapeMismatch,
-    NonFiniteData,
-    UnknownClass,
-    ZeroNorm,
-)
+from .errors import ConfigError, MarginfitError
 from .evaluation import (
     DEFAULT_KS,
     MODE_BINARY,
@@ -71,26 +59,6 @@ from .trainer import (
 EXIT_OK = 0
 EXIT_SELFTEST_FAIL = 1
 EXIT_FORMAT = 2
-EXIT_INVARIANT = 3
-EXIT_DIVERGENCE = 4
-
-_FORMAT_ERRORS = (
-    OSError,
-    FormatError,
-    ConfigError,
-    LabelOutOfRange,
-    NonFiniteData,
-    DimMismatch,
-    InvalidLabel,
-    EmptyGallery,
-)
-_INVARIANT_ERRORS = (
-    InvariantViolation,
-    ZeroNorm,
-    DegenerateRange,
-    MarginShapeMismatch,
-    UnknownClass,
-)
 
 
 def _cmd_margins_build(args) -> int:
@@ -220,15 +188,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _INVARIANT_ERRORS as exc:
+    except (MarginfitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except _FORMAT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+        return exc.exit_code if isinstance(exc, MarginfitError) else EXIT_FORMAT
 
 
 if __name__ == "__main__":

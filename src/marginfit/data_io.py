@@ -6,15 +6,20 @@ bit-exactly across machines and languages:
 * matrix:  ``EMB1`` | u32 rows | u32 cols | rows*cols float32, row-major
 * labels:  ``LBL1`` | u32 N | u32 C | N of u32 label indices, each < C
 
-Payload length must equal what the header declares, exactly; trailing
-bytes are a FormatError, never silently ignored. Class ids travel in a
-UTF-8 text sidecar, one id per line. Native OSError (missing file,
-permissions) propagates untouched.
+Every container, MGN1 and CKP1 included, is read through
+``read_container``: it checks the magic, requires the payload length to
+equal what the header declares, exactly (trailing bytes are a FormatError,
+never silently ignored), and names the file in every FormatError and
+NonFiniteData. Class ids travel in a UTF-8 text sidecar, one id per line;
+``checked_class_ids`` is the one rule for them (default "0".."C-1",
+one per class, unique). Native OSError (missing file, permissions)
+propagates untouched.
 """
 
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,16 +43,35 @@ SPLIT_GALLERY = "gallery"
 SPLIT_TAGS = (SPLIT_TRAIN, SPLIT_QUERY, SPLIT_GALLERY)
 
 
-def read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated file: expected {n} bytes for {what}, got {len(buf)}")
-    return buf
+@contextmanager
+def read_container(path, magic: bytes):
+    """Open the container at ``path`` and check its 4-byte ``magic``.
+
+    Yields ``read(n, what)``, which returns exactly n bytes or raises
+    FormatError. When the ``with`` block ends, the file must be at EOF.
+    Every FormatError and NonFiniteData raised inside names ``path``.
+    """
+    with open(path, "rb") as f:
+
+        def read(n: int, what: str) -> bytes:
+            buf = f.read(n)
+            if len(buf) != n:
+                raise FormatError(f"truncated file: expected {n} bytes for {what}, got {len(buf)}")
+            return buf
+
+        try:
+            expect_magic(read, magic, "file")
+            yield read
+            if f.read(1):
+                raise FormatError("trailing bytes after declared payload")
+        except (FormatError, NonFiniteData) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
 
-def expect_eof(f, path) -> None:
-    if f.read(1):
-        raise FormatError(f"{path}: trailing bytes after declared payload")
+def expect_magic(read, magic: bytes, what: str) -> None:
+    got = read(4, f"{what} magic")
+    if got != magic:
+        raise FormatError(f"bad {what} magic {got!r}, expected {magic!r}")
 
 
 def matrix_to_bytes(m: np.ndarray) -> bytes:
@@ -59,13 +83,16 @@ def matrix_to_bytes(m: np.ndarray) -> bytes:
     return header + np.ascontiguousarray(m, dtype="<f4").tobytes()
 
 
-def read_matrix_block(f, what: str = "matrix") -> np.ndarray:
-    """Parse one EMB1 block from an open binary stream."""
-    magic = read_exact(f, 4, f"{what} magic")
-    if magic != MAGIC_MATRIX:
-        raise FormatError(f"bad {what} magic {magic!r}, expected {MAGIC_MATRIX!r}")
-    rows, cols = struct.unpack("<II", read_exact(f, 8, f"{what} shape header"))
-    payload = read_exact(f, rows * cols * 4, f"{what} payload")
+def read_matrix_block(read, what: str) -> np.ndarray:
+    """Parse one EMB1 block, magic included, through a ``read_container`` reader."""
+    expect_magic(read, MAGIC_MATRIX, what)
+    return read_matrix(read, what)
+
+
+def read_matrix(read, what: str) -> np.ndarray:
+    """Parse an EMB1 shape header and payload (the block after its magic)."""
+    rows, cols = struct.unpack("<II", read(8, f"{what} shape header"))
+    payload = read(rows * cols * 4, f"{what} payload")
     m = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float32)
     if not np.all(np.isfinite(m)):
         raise NonFiniteData(f"{what} payload contains NaN or Inf")
@@ -78,13 +105,8 @@ def save_matrix(m: np.ndarray, path) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        try:
-            m = read_matrix_block(f)
-        except (FormatError, NonFiniteData) as exc:
-            raise type(exc)(f"{path}: {exc}") from None
-        expect_eof(f, path)
-    return m
+    with read_container(path, MAGIC_MATRIX) as read:
+        return read_matrix(read, "matrix")
 
 
 def save_labels(labels, num_classes: int, path) -> None:
@@ -101,13 +123,9 @@ def save_labels(labels, num_classes: int, path) -> None:
 
 def load_labels(path) -> tuple[np.ndarray, int]:
     """Returns (labels, num_classes)."""
-    with open(path, "rb") as f:
-        magic = read_exact(f, 4, "magic")
-        if magic != MAGIC_LABELS:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC_LABELS!r}")
-        n, c = struct.unpack("<II", read_exact(f, 8, "count header"))
-        payload = read_exact(f, n * 4, "label payload")
-        expect_eof(f, path)
+    with read_container(path, MAGIC_LABELS) as read:
+        n, c = struct.unpack("<II", read(8, "count header"))
+        payload = read(n * 4, "label payload")
     lab = np.frombuffer(payload, dtype="<u4").astype(np.int64)
     if lab.size and lab.max() >= c:
         raise LabelOutOfRange(f"{path}: label {lab.max()} >= declared class count {c}")
@@ -121,8 +139,20 @@ def save_class_ids(class_ids: list[str], path) -> None:
 def load_class_ids(path) -> list[str]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     ids = [line.strip() for line in lines if line.strip()]
-    if len(set(ids)) != len(ids):
-        raise InvariantViolation(f"{path}: duplicate class ids")
+    return checked_class_ids(ids, len(ids), str(path))
+
+
+def checked_class_ids(class_ids, count: int, owner: str) -> list[str]:
+    """The ids of ``count`` classes, "0".."count-1" when ``class_ids`` is None.
+
+    Given ids must number ``count`` and be unique, or InvariantViolation
+    names ``owner``.
+    """
+    ids = [str(i) for i in range(count)] if class_ids is None else list(class_ids)
+    if len(ids) != count:
+        raise InvariantViolation(f"{owner}: {len(ids)} class ids for {count} classes")
+    if len(set(ids)) != count:
+        raise InvariantViolation(f"{owner}: class ids must be unique")
     return ids
 
 
@@ -146,9 +176,8 @@ class FeatureBundle:
             raise InvariantViolation(
                 f"{self.labels.shape[0]} labels for {self.features.shape[0]} feature rows"
             )
+        self.class_ids = checked_class_ids(self.class_ids, len(self.class_ids), "bundle")
         c = len(self.class_ids)
-        if len(set(self.class_ids)) != c:
-            raise InvariantViolation("class ids must be unique")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= c):
             raise InvariantViolation(f"labels outside [0, {c})")
 
@@ -181,14 +210,8 @@ def load_bundle(
     if split_tag == SPLIT_GALLERY and features.shape[0] == 0:
         raise EmptyGallery(f"{features_path}: gallery has no rows")
     labels, num_classes = load_labels(labels_path)
-    if class_ids_path is not None:
-        class_ids = load_class_ids(class_ids_path)
-        if len(class_ids) != num_classes:
-            raise InvariantViolation(
-                f"{len(class_ids)} class ids but labels declare {num_classes} classes"
-            )
-    else:
-        class_ids = [str(i) for i in range(num_classes)]
+    class_ids = None if class_ids_path is None else load_class_ids(class_ids_path)
+    class_ids = checked_class_ids(class_ids, num_classes, str(labels_path))
     return FeatureBundle(features, labels, class_ids, split_tag)
 
 

@@ -1,16 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, each carrying its CLI exit code.
 
-The CLI maps these onto exit codes: format/config/data problems exit 2,
-invariant violations exit 3, training divergence exit 4.
+``exit_code`` is what ``marginfit`` exits with when the error reaches the
+CLI: 2 for format, config and data problems (the default), 3 for invariant
+violations, 4 for training divergence.
 """
 
 
 class MarginfitError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 2
+
 
 class ZeroNorm(MarginfitError):
     """A vector that must be normalized has (numerically) zero norm."""
+
+    exit_code = 3
 
 
 class DimMismatch(MarginfitError):
@@ -24,9 +29,13 @@ class InvalidLabel(MarginfitError):
 class MarginShapeMismatch(MarginfitError):
     """Margin matrix shape does not match the number of classes."""
 
+    exit_code = 3
+
 
 class UnknownClass(MarginfitError):
     """A class id is not present in the margin matrix."""
+
+    exit_code = 3
 
 
 class FormatError(MarginfitError):
@@ -44,9 +53,13 @@ class LabelOutOfRange(MarginfitError):
 class InvariantViolation(MarginfitError):
     """Loaded or constructed data violates a documented invariant."""
 
+    exit_code = 3
+
 
 class DegenerateRange(MarginfitError):
     """Min-max normalization requested but all distances are equal."""
+
+    exit_code = 3
 
 
 class ConfigError(MarginfitError):
@@ -55,6 +68,8 @@ class ConfigError(MarginfitError):
 
 class DivergenceError(MarginfitError):
     """Training produced a non-finite loss."""
+
+    exit_code = 4
 
 
 class EmptyGallery(MarginfitError):

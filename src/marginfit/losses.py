@@ -18,10 +18,11 @@ float32. Gradients are with respect to the mean loss over the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .data_io import checked_class_ids
 from .errors import (
     ConfigError,
     DimMismatch,
@@ -84,18 +85,11 @@ class ProxyBank:
     """One learnable unit-norm vector per class."""
 
     proxies: np.ndarray
-    class_ids: list[str] = field(default_factory=list)
+    class_ids: list[str] | None = None
 
     def __post_init__(self):
         self.proxies = as_matrix(self.proxies, "proxies")
-        if not self.class_ids:
-            self.class_ids = [str(i) for i in range(self.proxies.shape[0])]
-        if len(self.class_ids) != self.proxies.shape[0]:
-            raise InvariantViolation(
-                f"{len(self.class_ids)} class ids for {self.proxies.shape[0]} proxies"
-            )
-        if len(set(self.class_ids)) != len(self.class_ids):
-            raise InvariantViolation("class ids must be unique")
+        self.class_ids = checked_class_ids(self.class_ids, self.proxies.shape[0], "proxy bank")
         norms = np.linalg.norm(self.proxies.astype(np.float64), axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-5):
             worst = int(np.argmax(np.abs(norms - 1.0)))
@@ -118,9 +112,20 @@ class LossOutput:
     grad_proxies: np.ndarray  # (C, D) float32, d(mean_loss)/dP
 
 
-def _margin_array(dmat, num_classes: int) -> np.ndarray:
-    d = np.asarray(getattr(dmat, "d", dmat))
-    if d.ndim != 2 or d.shape != (num_classes, num_classes):
+def margin_array(kind: str, margins, num_classes: int) -> np.ndarray | None:
+    """The C x C margin array of a ``MarginMatrix`` or array; None for non-adaptive kinds.
+
+    The adaptive kind requires ``margins`` and the other kinds refuse them
+    (ConfigError); a shape other than C x C is a MarginShapeMismatch.
+    """
+    if kind != KIND_ADAPTIVE:
+        if margins is not None:
+            raise ConfigError(f"loss kind {kind!r} does not take a margin matrix")
+        return None
+    if margins is None:
+        raise ConfigError("adaptive loss kind requires a margin matrix")
+    d = np.asarray(getattr(margins, "d", margins))
+    if d.shape != (num_classes, num_classes):
         raise MarginShapeMismatch(
             f"margin matrix must be {num_classes}x{num_classes}, got {d.shape}"
         )
@@ -222,18 +227,15 @@ def _check_inputs(x: np.ndarray, bank: ProxyBank, labels) -> tuple[np.ndarray, n
 def compute_loss(
     x: np.ndarray, bank: ProxyBank, labels, cfg: LossConfig, margins=None
 ) -> LossOutput:
-    """Loss of kind ``cfg.kind`` and its gradients; the adaptive kind requires ``margins``.
+    """Loss of kind ``cfg.kind`` and its gradients; only the adaptive kind takes ``margins``.
 
     ``margins`` is a C x C matrix of values in [0, 1] with zero diagonal
     (a MarginMatrix or a raw array). For sample i with label y, each negative
     cosine c against class z becomes c + (1 - c) * margins[y, z].
     """
     x, lab = _check_inputs(x, bank, labels)
-    slope = None
-    if cfg.kind == KIND_ADAPTIVE:
-        if margins is None:
-            raise ConfigError("adaptive loss requires a margin matrix")
-        slope = _slope_rows(_margin_array(margins, bank.num_classes), lab)
+    d = margin_array(cfg.kind, margins, bank.num_classes)
+    slope = None if d is None else _slope_rows(d, lab)
     losses, grad_x, grad_p = _forward_backward(
         x.astype(np.float64), bank.proxies.astype(np.float64), lab, cfg.tau, cfg.effective_margin, slope
     )

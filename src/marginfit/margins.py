@@ -18,10 +18,11 @@ little-endian.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .data_io import checked_class_ids, read_container
 from .errors import (
     ConfigError,
     DegenerateRange,
@@ -30,7 +31,6 @@ from .errors import (
     UnknownClass,
     ZeroNorm,
 )
-from .data_io import expect_eof, read_exact
 from .tensor import as_matrix, l2_normalize_rows, pairwise_cosine, pairwise_euclidean
 
 METRIC_COSINE = "cosine"
@@ -51,18 +51,13 @@ class ClassTextEmbeddings:
     """One text-modality vector per class."""
 
     embeddings: np.ndarray  # (C, T) float32
-    class_ids: list[str] = field(default_factory=list)
+    class_ids: list[str] | None = None
 
     def __post_init__(self):
         self.embeddings = as_matrix(self.embeddings, "class text embeddings")
-        if not self.class_ids:
-            self.class_ids = [str(i) for i in range(self.embeddings.shape[0])]
-        if len(self.class_ids) != self.embeddings.shape[0]:
-            raise InvariantViolation(
-                f"{len(self.class_ids)} class ids for {self.embeddings.shape[0]} embeddings"
-            )
-        if len(set(self.class_ids)) != len(self.class_ids):
-            raise InvariantViolation("class ids must be unique")
+        self.class_ids = checked_class_ids(
+            self.class_ids, self.embeddings.shape[0], "class text embeddings"
+        )
         norms = np.linalg.norm(self.embeddings.astype(np.float64), axis=1)
         if np.any(norms < 1e-12):
             bad = int(np.argmin(norms))
@@ -81,12 +76,9 @@ class MarginMatrix:
     def __post_init__(self):
         self.d = as_matrix(self.d, "margin matrix")
         c = self.d.shape[0]
-        if self.d.shape != (c, c) or len(self.class_ids) != c:
-            raise InvariantViolation(
-                f"margin matrix {self.d.shape} does not match {len(self.class_ids)} class ids"
-            )
-        if len(set(self.class_ids)) != c:
-            raise InvariantViolation("class ids must be unique")
+        if self.d.shape != (c, c):
+            raise InvariantViolation(f"margin matrix must be square, got {self.d.shape}")
+        self.class_ids = checked_class_ids(self.class_ids, c, "margin matrix")
         if self.metric not in METRICS or self.norm_mode not in NORM_MODES:
             raise InvariantViolation(
                 f"unknown metric/norm combination ({self.metric!r}, {self.norm_mode!r})"
@@ -170,21 +162,17 @@ def save_margin_matrix(m: MarginMatrix, path) -> None:
 def load_margin_matrix(path) -> MarginMatrix:
     metric_names = {v: k for k, v in _METRIC_CODES.items()}
     norm_names = {v: k for k, v in _NORM_CODES.items()}
-    with open(path, "rb") as f:
-        magic = read_exact(f, 4, "magic")
-        if magic != MAGIC_MARGINS:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC_MARGINS!r}")
-        c, metric_code, norm_code = struct.unpack("<IBB", read_exact(f, 6, "header"))
+    with read_container(path, MAGIC_MARGINS) as read:
+        c, metric_code, norm_code = struct.unpack("<IBB", read(6, "header"))
         if metric_code not in metric_names or norm_code not in norm_names:
-            raise FormatError(f"{path}: unknown metric/norm codes ({metric_code}, {norm_code})")
+            raise FormatError(f"unknown metric/norm codes ({metric_code}, {norm_code})")
         class_ids = []
         for i in range(c):
-            (length,) = struct.unpack("<I", read_exact(f, 4, f"class id {i} length"))
+            (length,) = struct.unpack("<I", read(4, f"class id {i} length"))
             try:
-                class_ids.append(read_exact(f, length, f"class id {i}").decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{path}: class id {i} is not valid UTF-8") from exc
-        payload = read_exact(f, c * c * 4, "margin payload")
-        expect_eof(f, path)
+                class_ids.append(read(length, f"class id {i}").decode("utf-8"))
+            except UnicodeDecodeError:
+                raise FormatError(f"class id {i} is not valid UTF-8") from None
+        payload = read(c * c * 4, "margin payload")
     d = np.frombuffer(payload, dtype="<f4").reshape(c, c).astype(np.float32)
     return MarginMatrix(d, class_ids, metric_names[metric_code], norm_names[norm_code])

@@ -29,7 +29,9 @@ embeddings keep the class structure for Hamming ranking. The streamed
 ``loss`` value reports only the first term.
 
 Checkpoint file ``CKP1``: magic | EMB1 block weight (F x D) | EMB1 block
-bias (1 x D) | EMB1 block proxies (C x D) | u64 iteration.
+bias (1 x D) | EMB1 block proxies (C x D) | u64 iteration. It is read
+through ``data_io.read_container``, which names the file in every format
+error. ``losses.margin_array`` decides which loss kinds take margins.
 
 Train config file: UTF-8 ``key = value`` lines. Blank lines and lines
 starting with ``#`` are skipped; unknown keys are errors.
@@ -46,21 +48,13 @@ import numpy as np
 
 from .data_io import (
     FeatureBundle,
-    expect_eof,
     matrix_to_bytes,
-    read_exact,
+    read_container,
     read_matrix_block,
     validate_bundle,
 )
-from .errors import (
-    ConfigError,
-    DimMismatch,
-    DivergenceError,
-    FormatError,
-    MarginShapeMismatch,
-    ZeroNorm,
-)
-from .losses import KIND_ADAPTIVE, LossConfig, ProxyBank, _forward_backward, _slope_rows
+from .errors import ConfigError, DimMismatch, DivergenceError, FormatError, ZeroNorm
+from .losses import LossConfig, ProxyBank, _forward_backward, _slope_rows, margin_array
 from .sampler import BalancedSampler, SamplerConfig
 from .tensor import ZERO_NORM_THRESHOLD, as_matrix, l2_normalize_rows
 
@@ -247,7 +241,7 @@ def init(
     proxy_rng = np.random.Generator(np.random.Philox(key=cfg.proxy_init_seed % (1 << 64)))
     proxies = proxy_rng.standard_normal((num_classes, cfg.embed_dim))
     proxies = l2_normalize_rows(proxies.astype(np.float32))
-    bank = ProxyBank(proxies, list(class_ids) if class_ids else [])
+    bank = ProxyBank(proxies, class_ids)
 
     velocities = {
         "weight": np.zeros_like(head.weight),
@@ -312,22 +306,13 @@ def train(
 ) -> Checkpoint:
     """Run the sample/forward/loss/backward/step loop for cfg.total_iters.
 
-    ``margin_matrix`` is required exactly when the loss kind is adaptive.
+    ``margin_matrix`` is required exactly when the loss kind is adaptive
+    (``losses.margin_array``).
     ``on_iteration(t, lr, mean_loss)``, if given, fires every iteration; it
     is the one stream of the training loss.
     """
     validate_bundle(bundle, cfg.sampler.k)
-    dmat = None
-    if cfg.loss.kind == KIND_ADAPTIVE:
-        if margin_matrix is None:
-            raise ConfigError("adaptive loss kind requires a margin matrix")
-        dmat = np.asarray(getattr(margin_matrix, "d", margin_matrix))
-        if dmat.shape != (bundle.num_classes, bundle.num_classes):
-            raise MarginShapeMismatch(
-                f"margin matrix {dmat.shape} does not match {bundle.num_classes} classes"
-            )
-    elif margin_matrix is not None:
-        raise ConfigError(f"loss kind {cfg.loss.kind!r} does not take a margin matrix")
+    dmat = margin_array(cfg.loss.kind, margin_matrix, bundle.num_classes)
 
     head, bank, vel = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
     sampler = BalancedSampler(bundle, cfg.sampler)
@@ -359,17 +344,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        magic = read_exact(f, 4, "magic")
-        if magic != MAGIC_CHECKPOINT:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC_CHECKPOINT!r}")
-        weight = read_matrix_block(f, "weight")
-        bias = read_matrix_block(f, "bias")
-        proxies = read_matrix_block(f, "proxies")
-        (iteration,) = struct.unpack("<Q", read_exact(f, 8, "iteration"))
-        expect_eof(f, path)
-    if bias.shape[0] != 1:
-        raise FormatError(f"{path}: bias block must have one row, got {bias.shape}")
+    with read_container(path, MAGIC_CHECKPOINT) as read:
+        weight = read_matrix_block(read, "weight")
+        bias = read_matrix_block(read, "bias")
+        proxies = read_matrix_block(read, "proxies")
+        (iteration,) = struct.unpack("<Q", read(8, "iteration"))
+        if bias.shape[0] != 1:
+            raise FormatError(f"bias block must have one row, got {bias.shape}")
     head = EmbeddingHead(weight, bias[0])
     return Checkpoint(head, ProxyBank(proxies), iteration)
 

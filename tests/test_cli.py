@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from marginfit import cli, data_io
+import marginfit
+from marginfit import cli, data_io, errors
 from marginfit.data_io import save_class_ids, save_labels, save_matrix
 from marginfit.margins import (
     METRIC_COSINE,
@@ -18,6 +20,13 @@ from marginfit.margins import (
     ClassTextEmbeddings,
 )
 from marginfit.trainer import init, load_checkpoint, TrainConfig
+
+
+def child_env(**extra):
+    """The environment for a child Python that imports the marginfit under test."""
+    src = str(Path(marginfit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def run_cli(argv):
@@ -372,9 +381,60 @@ class TestSelftest:
         assert "FAIL" in text
 
 
+# The documented exit code of every error class: 2 format/config/data,
+# 3 invariant violations, 4 training divergence.
+EXIT_CODES = {
+    errors.ConfigError: 2,
+    errors.DimMismatch: 2,
+    errors.EmptyGallery: 2,
+    errors.FormatError: 2,
+    errors.InvalidLabel: 2,
+    errors.LabelOutOfRange: 2,
+    errors.NonFiniteData: 2,
+    errors.DegenerateRange: 3,
+    errors.InvariantViolation: 3,
+    errors.MarginShapeMismatch: 3,
+    errors.UnknownClass: 3,
+    errors.ZeroNorm: 3,
+    errors.DivergenceError: 4,
+}
+
+
+def error_classes(base=errors.MarginfitError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from error_classes(cls)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "exc_type, code", list(EXIT_CODES.items()), ids=[c.__name__ for c in EXIT_CODES]
+    )
+    def test_error_reaching_main(self, monkeypatch, capsys, exc_type, code):
+        def fail(_args):
+            raise exc_type("injected")
+
+        monkeypatch.setattr(cli, "_cmd_selftest", fail)
+        assert cli.main(["selftest"]) == code
+        assert capsys.readouterr().err == "error: injected\n"
+
+    def test_oserror_exit_2(self, monkeypatch, capsys):
+        def fail(_args):
+            raise FileNotFoundError(2, "No such file or directory", "absent.emb")
+
+        monkeypatch.setattr(cli, "_cmd_selftest", fail)
+        assert cli.main(["selftest"]) == 2
+        assert "absent.emb" in capsys.readouterr().err
+
+    def test_every_error_class_has_an_exit_code(self):
+        found = set(error_classes())
+        assert found == set(EXIT_CODES)
+        assert all(cls.exit_code in (2, 3, 4) for cls in found)
+
+
 class TestPackaging:
     def test_module_entry_point(self, dataset):
-        env = dict(os.environ, MF_THREADS="2")
+        env = child_env(MF_THREADS="2")
         proc = subprocess.run(
             [sys.executable, "-m", "marginfit", "margins-build",
              "--class-text", str(dataset / "text.emb"),
@@ -390,7 +450,9 @@ class TestPackaging:
             "import os; os.environ['MF_THREADS'] = '3'; import marginfit; "
             "print(os.environ['OMP_NUM_THREADS'], os.environ['OPENBLAS_NUM_THREADS'])"
         )
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "3 3"
 
@@ -404,6 +466,8 @@ class TestPackaging:
             "    import marginfit\n"
             "print(sum('MF_THREADS' in str(w.message) for w in seen))"
         )
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ("1" if numpy_first else "0")

@@ -141,6 +141,45 @@ class TestClassIdSidecar:
             load_class_ids(path)
 
 
+class TestClassIdRule:
+    """One rule for every owner of class ids: default "0".."C-1", C of them, unique."""
+
+    @staticmethod
+    def owners():
+        from marginfit.losses import ProxyBank
+        from marginfit.margins import ClassTextEmbeddings, MarginMatrix
+
+        eye = np.eye(2, dtype=np.float32)
+        return {
+            "bundle": lambda ids: FeatureBundle(eye, [0, 1], ids),
+            "proxies": lambda ids: ProxyBank(eye, ids),
+            "text": lambda ids: ClassTextEmbeddings(eye, ids),
+            "margins": lambda ids: MarginMatrix(np.zeros((2, 2), np.float32), ids),
+        }
+
+    @pytest.mark.parametrize("owner", ["proxies", "text", "margins"])
+    def test_default_ids(self, owner):
+        assert self.owners()[owner](None).class_ids == ["0", "1"]
+
+    @pytest.mark.parametrize("owner", ["bundle", "proxies", "text", "margins"])
+    def test_duplicates_rejected(self, owner):
+        with pytest.raises(InvariantViolation, match="must be unique"):
+            self.owners()[owner](["a", "a"])
+
+    @pytest.mark.parametrize("owner", ["proxies", "text", "margins"])
+    @pytest.mark.parametrize("ids", [[], ["a"], ["a", "b", "c"]])
+    def test_count_must_match(self, owner, ids):
+        with pytest.raises(InvariantViolation, match=f"{len(ids)} class ids for 2 classes"):
+            self.owners()[owner](ids)
+
+    def test_sidecar_count_must_match_labels(self, tmp_path):
+        save_matrix(np.eye(2, dtype=np.float32), tmp_path / "f.emb")
+        save_labels([0, 1], 2, tmp_path / "l.lbl")
+        save_class_ids(["a", "b", "c"], tmp_path / "ids.txt")
+        with pytest.raises(InvariantViolation, match="3 class ids for 2 classes"):
+            load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl", SPLIT_TRAIN, tmp_path / "ids.txt")
+
+
 def make_bundle(counts, split=SPLIT_TRAIN, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     labels = np.concatenate([np.full(n, i) for i, n in enumerate(counts)])

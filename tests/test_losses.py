@@ -173,6 +173,19 @@ class TestValidation:
         with pytest.raises(MarginShapeMismatch):
             compute_loss(x, bank, labels, cfg, np.zeros((3, 3), np.float32))
 
+    @pytest.mark.parametrize("kind", [KIND_LMCL, KIND_NORM_SOFTMAX])
+    def test_margins_refused_for_non_adaptive_kinds(self, kind):
+        # the same rule as trainer.train: only the adaptive kind takes margins,
+        # whatever their shape
+        x, bank, labels = two_class_instance()
+        with pytest.raises(ConfigError):
+            compute_loss(x, bank, labels, LossConfig(kind=kind), np.zeros((7, 7), np.float32))
+
+    def test_adaptive_requires_margins(self):
+        x, bank, labels = two_class_instance()
+        with pytest.raises(ConfigError):
+            compute_loss(x, bank, labels, LossConfig(kind=KIND_ADAPTIVE))
+
 
 class TestReductions:
     @pytest.mark.parametrize("mode", [MODE_MULTIPLY, MODE_DIVIDE])

@@ -172,6 +172,17 @@ class TestSerialization:
         with pytest.raises(FormatError):
             load_margin_matrix(path)
 
+    def test_truncated_file_names_path(self, tmp_path):
+        m = self.make()
+        path = tmp_path / "m.mgn"
+        save_margin_matrix(m, path)
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(FormatError) as excinfo:
+            load_margin_matrix(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: ")
+        assert "margin payload" in message
+
     def test_out_of_range_entry_rejected(self, tmp_path):
         path = tmp_path / "m.mgn"
         ids = b"\x01\x00\x00\x00a" + b"\x01\x00\x00\x00b"

@@ -437,6 +437,18 @@ class TestCheckpointFile:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    def test_truncated_block_names_path(self, tmp_path):
+        ckpt = self.make_ckpt()
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(ckpt, path)
+        # magic (4) + weight block magic and shape (12), then 14 payload bytes
+        path.write_bytes(path.read_bytes()[:30])
+        with pytest.raises(FormatError) as excinfo:
+            load_checkpoint(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: ")
+        assert "weight payload" in message and "got 14" in message
+
 
 class TestConfigFile:
     GOOD = """
