@@ -1,10 +1,11 @@
 """Proxy-based metric learning with text-derived adaptive margins.
 
-Trains a small embedding head (linear map, parameterless layer norm,
-L2 normalization) over precomputed backbone features against learnable
-unit-norm class proxies, with optional per-class-pair additive margins
-built from a second modality. Includes a Recall@K evaluator for float
-and sign-binarized embeddings, and a CLI driving the whole pipeline.
+Trains a small embedding head (linear map, centring, L2 normalization,
+which equals a parameterless layer norm followed by L2 normalization) over
+precomputed backbone features against learnable unit-norm class proxies,
+with optional per-class-pair additive margins built from a second modality.
+Includes a Recall@K evaluator for float and sign-binarized embeddings, and
+a CLI driving the whole pipeline.
 """
 
 import os as _os

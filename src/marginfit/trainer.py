@@ -1,4 +1,4 @@
-"""Embedding-head training: linear map, parameterless layer norm, L2 normalize.
+"""Embedding-head training: linear map, centring, L2 normalize.
 
 The head and the proxy bank are trained jointly with classical SGD momentum
 (v = momentum * v + g; p = p - lr * v), linear learning-rate warmup and
@@ -59,7 +59,6 @@ from .sampler import BalancedSampler, SamplerConfig
 from .tensor import ZERO_NORM_THRESHOLD, as_matrix, l2_normalize_rows
 
 MAGIC_CHECKPOINT = b"CKP1"
-DEFAULT_LAYER_NORM_EPS = 1e-5
 # Weight of the proxy quantization term. Over data seeds 1-10 of the
 # criterion-5 fixture (D=32), weights 0.5 / 1 / 2 / 4 / 10 give mean
 # float-vs-binary Recall@1 gaps of 15.4 / 11.8 / 10.9 / 11.3 / 18.6 points
@@ -72,7 +71,6 @@ QUANT_WEIGHT = 2.0
 class EmbeddingHead:
     weight: np.ndarray  # (F, D) float32
     bias: np.ndarray  # (D,) float32
-    layer_norm_eps: float = DEFAULT_LAYER_NORM_EPS
 
     def __post_init__(self):
         self.weight = as_matrix(self.weight, "weight")
@@ -98,7 +96,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.embed_dim < 2:
-            raise ConfigError("embed_dim must be at least 2 (layer norm needs it)")
+            raise ConfigError("embed_dim must be at least 2 (centring needs it)")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if not (np.isfinite(self.lr0) and self.lr0 >= 0):
@@ -128,7 +126,10 @@ class Checkpoint:
 
 
 def forward_head(head: EmbeddingHead, features: np.ndarray) -> np.ndarray:
-    """features @ W + b, layer norm, L2 normalize; rows come out unit-norm.
+    """features @ W + b, centred, L2 normalized; rows come out unit-norm.
+
+    A parameterless layer norm before the L2 step would change nothing: its
+    division by the row's standard deviation cancels in the normalization.
 
     Runs in float64, as ``embed`` and ``eval`` need it, and returns float32.
     """
@@ -137,41 +138,34 @@ def forward_head(head: EmbeddingHead, features: np.ndarray) -> np.ndarray:
         raise DimMismatch(
             f"features have {features.shape[1]} columns, head expects {head.weight.shape[0]}"
         )
-    _, _, _, out = _head_core(
-        features.astype(np.float64),
-        head.weight.astype(np.float64),
-        head.bias.astype(np.float64),
-        head.layer_norm_eps,
+    _, _, out = _head_core(
+        features.astype(np.float64), head.weight.astype(np.float64), head.bias.astype(np.float64)
     )
     return out.astype(np.float32)
 
 
-def _head_core(feats, w, b, eps):
-    """Returns (layer-normed t, std s, row norms of t, unit output) in the operands' dtype."""
+def _head_core(feats, w, b):
+    """Returns (centred t, row norms of t, unit output) in the operands' dtype."""
     t = feats @ w
     t += b
     t -= t.mean(axis=1, keepdims=True)
-    s = np.sqrt(np.mean(t * t, axis=1, keepdims=True) + eps)
-    t /= s
     tn = np.linalg.norm(t, axis=1, keepdims=True)
-    if np.any(tn < 1e-12):
+    if np.any(tn < ZERO_NORM_THRESHOLD):
         bad = int(np.argmin(tn))
-        raise ZeroNorm(f"row {bad} collapsed to zero after layer norm")
-    return t, s, tn, t / tn
+        raise ZeroNorm(f"row {bad} collapsed to zero after centring")
+    return t, tn, t / tn
 
 
-def _head_backward(feats, t, s, tn, grad_out, grad_w=None):
-    """Gradients in W and b from one ``_head_core`` call's t, s and row norms.
+def _head_backward(feats, t, tn, grad_out, grad_w=None):
+    """Gradients in W and b from one ``_head_core`` call's t and row norms.
 
     ``grad_out`` is the loss gradient at the unit-norm output t / ||t||.
-    The L2 normalization kills its radial component; the layer norm
-    (population variance) is pulled back through t = (h - mean) / s.
+    The L2 normalization kills its radial component; the centring
+    t = h - mean(h) subtracts the row mean of the gradient.
     """
     radial = np.sum(grad_out * t, axis=1, keepdims=True) / (tn * tn)
-    grad_t = (grad_out - radial * t) / tn
-    gm = grad_t.mean(axis=1, keepdims=True)
-    gt = np.mean(grad_t * t, axis=1, keepdims=True)
-    grad_h = (grad_t - gm - t * gt) / s
+    grad_h = (grad_out - radial * t) / tn
+    grad_h -= grad_h.mean(axis=1, keepdims=True)
     return np.matmul(feats.T, grad_h, out=grad_w), grad_h.sum(axis=0)
 
 
@@ -261,7 +255,6 @@ class _Step:
 
     def __init__(self, head, bank, velocities, cfg: TrainConfig, margins, batch_size: int):
         self.w, self.b, self.p = head.weight, head.bias, bank.proxies
-        self.eps = head.layer_norm_eps
         self.vel = velocities
         self.momentum = cfg.momentum
         self.tau, self.margin = cfg.loss.tau, cfg.loss.effective_margin
@@ -275,14 +268,14 @@ class _Step:
 
     def gradients(self, feats, labels):
         """Per-sample float64 losses and the gradients of the mean loss in W, b and P."""
-        t, s, tn, emb = _head_core(feats, self.w, self.b, self.eps)
+        t, tn, emb = _head_core(feats, self.w, self.b)
         slope = None
         if self.margins is not None:
             slope = _slope_rows(self.margins, labels, out=self.slope)
         losses, grad_x, grad_p = _forward_backward(
             emb, self.p, labels, self.tau, self.margin, slope, self.logits, self.grad_x, self.grad_p
         )
-        grad_w, grad_b = _head_backward(feats, t, s, tn, grad_x, self.grad_w)
+        grad_w, grad_b = _head_backward(feats, t, tn, grad_x, self.grad_w)
         return losses, grad_w, grad_b, grad_p
 
     def update(self, grad_w, grad_b, grad_p, lr: float) -> None:

@@ -172,11 +172,10 @@ def test_criterion_4_end_to_end_head_gradient():
     proxies = unit_rows(rng, classes, embed_dim)
     bank = ProxyBank(proxies)
     cfg = LossConfig(KIND_NORM_SOFTMAX, 20.0)
-    eps = 1e-5
 
     # the training step's float32 gradients: one head forward, the loss
-    # forward/backward in its buffers, the head backward on the same t, s, ||t||
-    head = EmbeddingHead(w.astype(np.float32), b.astype(np.float32), eps)
+    # forward/backward in its buffers, the head backward on the same t, ||t||
+    head = EmbeddingHead(w.astype(np.float32), b.astype(np.float32))
     train_cfg = TrainConfig(embed_dim=embed_dim, loss=cfg)
     _, _, velocities = init(train_cfg, feat_dim, classes)
     step = _Step(head, bank, velocities, train_cfg, None, batch)
@@ -185,7 +184,7 @@ def test_criterion_4_end_to_end_head_gradient():
     p64 = proxies.astype(np.float64)
 
     def f(wv, bv):
-        emb = _head_core(feats, wv, bv, eps)[3]
+        emb = _head_core(feats, wv, bv)[2]
         return float(losses._forward(emb, p64, labels, cfg.tau, 0.0, None)[3].mean())
 
     h = 1e-3

@@ -20,6 +20,10 @@ from marginfit.trainer import QUANT_WEIGHT, TrainConfig, init, lr_at, train
 
 STEPS = 50
 ATOL = 1e-5
+# The reference head is the layer norm (population variance, this epsilon)
+# followed by L2 normalization; the program drops the layer norm's scale,
+# which cancels in the normalization.
+LN_EPS = 1e-5
 
 
 def reference_head(feats, w, b, eps):
@@ -77,7 +81,7 @@ def reference_train(bundle, cfg, d=None, steps=STEPS):
         batch = sampler.next_batch()
         feats = bundle.features[batch.sample_indices].astype(np.float64)
         w, b, p = (a.astype(np.float64) for a in params)
-        ht, hs, htn, emb = reference_head(feats, w, b, head.layer_norm_eps)
+        ht, hs, htn, emb = reference_head(feats, w, b, LN_EPS)
         losses, grad_x, grad_p = reference_loss(emb, p, batch.labels, cfg.loss, d)
         curve.append(float(losses.mean()))
         grad_w, grad_b = reference_head_backward(feats, ht, hs, htn, grad_x)

@@ -11,6 +11,7 @@ from marginfit.errors import (
     DivergenceError,
     FormatError,
     MarginShapeMismatch,
+    ZeroNorm,
 )
 from marginfit.evaluation import sign_codes
 from marginfit.losses import (
@@ -161,13 +162,19 @@ class TestForwardHead:
         with pytest.raises(DimMismatch):
             forward_head(head, np.ones((2, 5), np.float32))
 
+    def test_constant_row_collapses(self):
+        # a row equal in every coordinate is zero after centring
+        head = EmbeddingHead(np.eye(4, dtype=np.float32), np.full(4, 0.5, np.float32))
+        with pytest.raises(ZeroNorm):
+            forward_head(head, np.zeros((2, 4), np.float32))
 
-def head_gradients(w, b, feats, cot, eps=1e-5):
-    """The step's head backward on one float32 ``_head_core`` call's t, s, ||t||."""
-    t, s, tn, _ = trainer._head_core(
-        feats.astype(np.float32), w.astype(np.float32), b.astype(np.float32), eps
+
+def head_gradients(w, b, feats, cot):
+    """The step's head backward on one float32 ``_head_core`` call's t and ||t||."""
+    t, tn, _ = trainer._head_core(
+        feats.astype(np.float32), w.astype(np.float32), b.astype(np.float32)
     )
-    return trainer._head_backward(feats.astype(np.float32), t, s, tn, cot.astype(np.float32))
+    return trainer._head_backward(feats.astype(np.float32), t, tn, cot.astype(np.float32))
 
 
 class TestBackwardHead:
@@ -183,11 +190,10 @@ class TestBackwardHead:
         b = rng.standard_normal(6)
         feats = rng.standard_normal((4, 8))
         cot = rng.standard_normal((4, 6))
-        eps = 1e-5
-        gw, gb = head_gradients(w, b, feats, cot, eps)
+        gw, gb = head_gradients(w, b, feats, cot)
 
         def f(wv, bv):
-            out = trainer._head_core(feats, wv, bv, eps)[3]
+            out = trainer._head_core(feats, wv, bv)[2]
             return float(np.sum(cot * out))
 
         h = 1e-3
@@ -214,7 +220,7 @@ class TestBackwardHead:
         w = rng.standard_normal((8, 6))
         b = rng.standard_normal(6)
         feats = rng.standard_normal((4, 8))
-        out = trainer._head_core(feats, w, b, 1e-5)[3]
+        out = trainer._head_core(feats, w, b)[2]
         gw, gb = head_gradients(w, b, feats, rng.standard_normal((4, 1)) * out)
         assert np.max(np.abs(gw)) <= 1e-5 and np.max(np.abs(gb)) <= 1e-5
 
@@ -373,9 +379,8 @@ class TestTrainLoop:
         ].astype(np.float32)
         bank = ProxyBank(proxies32)
         cfg = LossConfig(kind=KIND_NORM_SOFTMAX, sigma=20.0)
-        eps = 1e-5
 
-        head = EmbeddingHead(w.astype(np.float32), b.astype(np.float32), eps)
+        head = EmbeddingHead(w.astype(np.float32), b.astype(np.float32))
         train_cfg = TrainConfig(embed_dim=embed_dim, loss=cfg)
         _, _, velocities = init(train_cfg, feat_dim, classes)
         step = trainer._Step(head, bank, velocities, train_cfg, None, batch)
@@ -386,7 +391,7 @@ class TestTrainLoop:
         p64 = proxies32.astype(np.float64)
 
         def f(wv):
-            emb64 = trainer._head_core(feats, wv, b, eps)[3]
+            emb64 = trainer._head_core(feats, wv, b)[2]
             per = losses_mod._forward(emb64, p64, labels, cfg.tau, 0.0, None)[3]
             return float(per.mean())
 
