@@ -1,11 +1,10 @@
 """Command-line pipeline: margins-build, train, embed, eval, selftest.
 
-Exit codes: 0 success, 1 selftest failure. A ``MarginfitError`` exits with
-its class's ``exit_code`` (see ``marginfit.errors``: 2 format/config/data
-errors, 3 invariant violations, 4 training divergence), and an OSError
-(missing file, permissions) exits 2. All randomness flows from seeds in
-the config file, so every subcommand is deterministic given its inputs.
-Set MF_THREADS to cap worker (BLAS) threads.
+Exit codes: 0 success, 1 selftest failure, 2 OSError, else the error's
+``exit_code`` (``marginfit.errors``: 2 format/config/data, 3 invariant
+violations, 4 training divergence). All randomness flows from seeds in the
+config file, so every subcommand is deterministic given its inputs. Set
+MF_THREADS to cap worker (BLAS) threads.
 """
 
 from __future__ import annotations

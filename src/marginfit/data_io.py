@@ -6,14 +6,12 @@ bit-exactly across machines and languages:
 * matrix:  ``EMB1`` | u32 rows | u32 cols | rows*cols float32, row-major
 * labels:  ``LBL1`` | u32 N | u32 C | N of u32 label indices, each < C
 
-Every container, MGN1 and CKP1 included, is read through
-``read_container``: it checks the magic, requires the payload length to
-equal what the header declares, exactly (trailing bytes are a FormatError,
-never silently ignored), and names the file in every FormatError and
-NonFiniteData. Class ids travel in a UTF-8 text sidecar, one id per line;
-``checked_class_ids`` is the one rule for them (default "0".."C-1",
-one per class, unique). Native OSError (missing file, permissions)
-propagates untouched.
+Every container, MGN1 and CKP1 included, is read by ``read_container``:
+the payload length must equal what the header declares, exactly (trailing
+bytes are a FormatError), and every FormatError names the file. Class ids
+travel in a UTF-8 text sidecar, one id per line; ``checked_class_ids`` is
+their one rule. Native OSError (missing file, permissions) propagates
+untouched.
 """
 
 from __future__ import annotations
@@ -25,13 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyGallery,
-    FormatError,
-    InvariantViolation,
-    LabelOutOfRange,
-    NonFiniteData,
-)
+from .errors import EmptyGallery, FormatError, InvariantViolation, LabelOutOfRange, NonFiniteData
 from .tensor import as_matrix
 
 MAGIC_MATRIX = b"EMB1"
@@ -90,7 +82,7 @@ def read_matrix_block(read, what: str) -> np.ndarray:
 
 
 def read_matrix(read, what: str) -> np.ndarray:
-    """Parse an EMB1 shape header and payload (the block after its magic)."""
+    """Parse the EMB1 shape header and payload that follow the magic."""
     rows, cols = struct.unpack("<II", read(8, f"{what} shape header"))
     payload = read(rows * cols * 4, f"{what} payload")
     m = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float32)

@@ -113,10 +113,9 @@ class LossOutput:
 
 
 def margin_array(kind: str, margins, num_classes: int) -> np.ndarray | None:
-    """The C x C margin array of a ``MarginMatrix`` or array; None for non-adaptive kinds.
+    """The C x C array of ``margins`` (a MarginMatrix or array), or None.
 
-    The adaptive kind requires ``margins`` and the other kinds refuse them
-    (ConfigError); a shape other than C x C is a MarginShapeMismatch.
+    Only the adaptive kind takes margins, and it requires them (ConfigError).
     """
     if kind != KIND_ADAPTIVE:
         if margins is not None:
