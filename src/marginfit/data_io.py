@@ -52,7 +52,7 @@ def read_container(path, magic: bytes):
             return buf
 
         try:
-            expect_magic(read, magic, "file")
+            _expect_magic(read, magic, "file")
             yield read
             if f.read(1):
                 raise FormatError("trailing bytes after declared payload")
@@ -60,7 +60,7 @@ def read_container(path, magic: bytes):
             raise type(exc)(f"{path}: {exc}") from None
 
 
-def expect_magic(read, magic: bytes, what: str) -> None:
+def _expect_magic(read, magic: bytes, what: str) -> None:
     got = read(4, f"{what} magic")
     if got != magic:
         raise FormatError(f"bad {what} magic {got!r}, expected {magic!r}")
@@ -77,11 +77,11 @@ def matrix_to_bytes(m: np.ndarray) -> bytes:
 
 def read_matrix_block(read, what: str) -> np.ndarray:
     """Parse one EMB1 block, magic included, through a ``read_container`` reader."""
-    expect_magic(read, MAGIC_MATRIX, what)
-    return read_matrix(read, what)
+    _expect_magic(read, MAGIC_MATRIX, what)
+    return _read_matrix(read, what)
 
 
-def read_matrix(read, what: str) -> np.ndarray:
+def _read_matrix(read, what: str) -> np.ndarray:
     """Parse the EMB1 shape header and payload that follow the magic."""
     rows, cols = struct.unpack("<II", read(8, f"{what} shape header"))
     payload = read(rows * cols * 4, f"{what} payload")
@@ -98,7 +98,7 @@ def save_matrix(m: np.ndarray, path) -> None:
 
 def load_matrix(path) -> np.ndarray:
     with read_container(path, MAGIC_MATRIX) as read:
-        return read_matrix(read, "matrix")
+        return _read_matrix(read, "matrix")
 
 
 def save_labels(labels, num_classes: int, path) -> None:

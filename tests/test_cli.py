@@ -90,6 +90,19 @@ class TestMarginsBuild:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_empty_class_ids_exit_3(self, dataset, capsys):
+        # an empty sidecar names no class; it does not fall back to "0".."C-1"
+        (dataset / "empty.txt").write_text("\n", encoding="utf-8")
+        code, _ = run_cli([
+            "margins-build",
+            "--class-text", str(dataset / "text.emb"),
+            "--class-ids", str(dataset / "empty.txt"),
+            "--out", str(dataset / "m.mgn"),
+        ])
+        assert code == 3
+        assert "0 class ids for 5 classes" in capsys.readouterr().err
+        assert not (dataset / "m.mgn").exists()
+
     def test_single_class_warns(self, dataset, capsys):
         save_matrix(np.ones((1, 7), np.float32), dataset / "one.emb")
         save_class_ids(["only"], dataset / "one.txt")

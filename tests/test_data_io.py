@@ -29,6 +29,8 @@ from marginfit.errors import (
     LabelOutOfRange,
     NonFiniteData,
 )
+from marginfit.losses import ProxyBank
+from marginfit.margins import ClassTextEmbeddings, MarginMatrix
 
 
 class TestMatrixContainer:
@@ -146,9 +148,6 @@ class TestClassIdRule:
 
     @staticmethod
     def owners():
-        from marginfit.losses import ProxyBank
-        from marginfit.margins import ClassTextEmbeddings, MarginMatrix
-
         eye = np.eye(2, dtype=np.float32)
         return {
             "bundle": lambda ids: FeatureBundle(eye, [0, 1], ids),
