@@ -23,7 +23,6 @@ from .data_io import (
     load_class_ids,
     load_matrix,
     save_matrix,
-    validate_bundle,
 )
 from .errors import ConfigError, MarginfitError
 from .evaluation import (
@@ -83,8 +82,6 @@ def _cmd_margins_build(args) -> int:
 def _cmd_train(args) -> int:
     cfg = load_train_config(args.config)
     bundle = load_bundle(args.features, args.labels, SPLIT_TRAIN, args.class_ids)
-    for warning in validate_bundle(bundle, cfg.sampler.k):
-        print(f"warning: {warning}", file=sys.stderr)
 
     margin_matrix = None
     if cfg.loss.kind == KIND_ADAPTIVE:
@@ -98,7 +95,10 @@ def _cmd_train(args) -> int:
         if t % 100 == 0:
             print(f"iter={t} lr={lr:.8g} loss={loss:.8g}")
 
-    ckpt = train(bundle, cfg, margin_matrix, on_iteration=stream)
+    def warn(message):
+        print(f"warning: {message}", file=sys.stderr)
+
+    ckpt = train(bundle, cfg, margin_matrix, on_iteration=stream, on_warning=warn)
     save_checkpoint(ckpt, args.out)
     print(f"checkpoint={args.out} iteration={ckpt.iteration}")
     return EXIT_OK

@@ -1,15 +1,26 @@
 """Deterministic class-balanced batch sampling.
 
 Every batch draws ``batch_size / k`` distinct classes uniformly without
-replacement, then ``k`` samples from each (without replacement when the
+replacement, then ``k`` samples from each: without replacement when the
 class has at least k samples, with replacement otherwise, so small classes
-stay in the training distribution).
+stay in the training distribution.
+
+A batch costs a fixed handful of array operations, whatever its size: one
+class draw, one ``(k, batch_size / k)`` uniform draw, then Floyd's k-subset
+algorithm (Bentley & Floyd, CACM 1987) on every drawn class at once. Draw j
+of a class with n rows picks uniformly from ``[0, n - k + j]`` and takes
+``n - k + j`` instead when the pick repeats an earlier draw; the k picks are
+a uniform k-subset of the class. A class with fewer than k rows scales the
+same uniforms to ``[0, n)`` and draws with replacement. The rows of each
+class are found through one stable argsort of the labels. The layout is
+draw-major: slot ``j * (batch_size / k) + i`` holds draw j of class i.
 
 Batch t is generated from a Philox stream keyed by (seed, t), so the whole
 batch sequence is a pure function of (seed, config, bundle): two samplers
-built with the same seed give the same batch at the same call index. The
-specific generator is an implementation detail; only the determinism
-contract is stable.
+built with the same seed give the same batch at the same call index, and a
+sampler whose ``counter`` is set to t resumes at batch t. The specific
+generator is an implementation detail; only the determinism contract is
+stable.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 
 class BalancedSampler:
-    """Mutable sampler state: (seed, batch counter) plus per-class indices."""
+    """Mutable sampler state: (seed, batch counter) plus the class-sorted row table."""
 
     def __init__(self, bundle: FeatureBundle, config: SamplerConfig):
         if config.classes_per_batch > bundle.num_classes:
@@ -61,13 +72,15 @@ class BalancedSampler:
                 f"batch needs {config.classes_per_batch} classes but bundle has "
                 f"only {bundle.num_classes}"
             )
+        counts = np.bincount(bundle.labels, minlength=bundle.num_classes)
+        if np.any(counts == 0):
+            raise ConfigError("every class must have at least one sample")
         self.config = config
         self.num_classes = bundle.num_classes
-        self.by_class = [
-            np.flatnonzero(bundle.labels == c) for c in range(bundle.num_classes)
-        ]
-        if any(len(idx) == 0 for idx in self.by_class):
-            raise ConfigError("every class must have at least one sample")
+        # rows[starts[c] : starts[c] + counts[c]] are the rows of class c
+        self.rows = np.argsort(bundle.labels, kind="stable")
+        self.counts = counts
+        self.starts = np.cumsum(counts) - counts
         self.seed = config.seed
         self.counter = 0
 
@@ -76,14 +89,13 @@ class BalancedSampler:
         self.counter += 1
         k = self.config.k
         classes = rng.choice(self.num_classes, size=self.config.classes_per_batch, replace=False)
-        indices = np.empty(self.config.batch_size, dtype=np.int64)
-        labels = np.empty(self.config.batch_size, dtype=np.int64)
-        for slot, cls in enumerate(classes):
-            pool = self.by_class[cls]
-            if len(pool) >= k:
-                pick = rng.choice(len(pool), size=k, replace=False)
-            else:
-                pick = rng.integers(0, len(pool), size=k)
-            indices[slot * k : (slot + 1) * k] = pool[pick]
-            labels[slot * k : (slot + 1) * k] = cls
-        return Batch(indices, labels)
+        u = rng.random((k, classes.size))
+        n = self.counts[classes]
+        top = n - k + np.arange(k)[:, None]  # draw j picks from [0, top[j]]
+        pick = (u * (top + 1)).astype(np.int64)
+        for j in range(1, k):
+            seen = (pick[:j] == pick[j]).any(axis=0)
+            np.copyto(pick[j], top[j], where=seen)
+        pick = np.where(n >= k, pick, (u * n).astype(np.int64))
+        indices = self.rows[self.starts[classes] + pick].ravel()
+        return Batch(indices, np.tile(classes, k))

@@ -4,7 +4,8 @@ The head and the proxy bank are trained jointly with classical SGD momentum
 (v = momentum * v + g; p = p - lr * v), linear learning-rate warmup and
 per-iteration exponential decay. Proxies are kept unit-norm by projecting
 (row-wise renormalization) after every step. Runs are bit-reproducible
-given the three seeds (sampler, head init, proxy init).
+given the three seeds (sampler, head init, proxy init) at a fixed BLAS
+thread count, which ``MF_THREADS`` sets before numpy is imported.
 
 Precision: the training step runs in float32. W, b, P and their velocities
 are float32 master arrays updated in place, the head is computed once per
@@ -296,15 +297,20 @@ def train(
     cfg: TrainConfig,
     margin_matrix=None,
     on_iteration=None,
+    on_warning=None,
 ) -> Checkpoint:
     """Run the sample/forward/loss/backward/step loop for cfg.total_iters.
 
     ``margin_matrix`` is required exactly when the loss kind is adaptive
     (``losses.margin_array``).
+    ``on_warning(message)``, if given, receives each ``validate_bundle``
+    warning before the first iteration.
     ``on_iteration(t, lr, mean_loss)``, if given, fires every iteration; it
     is the one stream of the training loss.
     """
-    validate_bundle(bundle, cfg.sampler.k)
+    for warning in validate_bundle(bundle, cfg.sampler.k):
+        if on_warning is not None:
+            on_warning(warning)
     dmat = margin_array(cfg.loss.kind, margin_matrix, bundle.num_classes)
 
     head, bank, vel = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)

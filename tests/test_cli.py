@@ -2,7 +2,7 @@ import io
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +237,39 @@ class TestTrain:
             "--out", str(dataset / "perm.ckpt"),
         ])
         assert code == 0
+
+    def test_validates_once_and_warns_before_streaming(self, dataset, monkeypatch):
+        # class cls4 has one row, fewer than k = 2
+        save_labels(np.repeat(np.arange(5), [10, 10, 10, 9, 1]), 5, dataset / "small.lbl")
+        calls = []
+        original = data_io.validate_bundle
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # every marginfit module that binds the function calls through the counter
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "validate_bundle", None) is original
+            if name.split(".")[0] == "marginfit" and bound:
+                monkeypatch.setattr(module, "validate_bundle", counted)
+        both = io.StringIO()
+        with redirect_stdout(both), redirect_stderr(both):
+            code = cli.main([
+                "train",
+                "--config", str(dataset / "train.cfg"),
+                "--features", str(dataset / "train.emb"),
+                "--labels", str(dataset / "small.lbl"),
+                "--class-ids", str(dataset / "ids.txt"),
+                "--out", str(dataset / "small.ckpt"),
+            ])
+        assert code == 0
+        assert len(calls) == 1
+        lines = both.getvalue().splitlines()
+        assert lines[0] == (
+            "warning: class 'cls4' has 1 samples < k=2; sampler will draw with replacement"
+        )
+        assert lines[1].startswith("iter=0 ")
 
     def test_zero_iterations_checkpoint_equals_init(self, dataset):
         (dataset / "zero.cfg").write_text(

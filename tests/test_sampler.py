@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,47 @@ class TestBatchShape:
             assert np.all(counts == cfg.k)
 
 
+class TestWithinClassDraws:
+    def test_three_subsets_of_six_uniform(self):
+        # Floyd's algorithm makes every k-subset equally likely: 20 subsets of
+        # 6 rows, chi-squared against uniform with 19 degrees of freedom
+        b = bundle_with_counts([6])
+        s = BalancedSampler(b, SamplerConfig(batch_size=3, k=3, seed=0))
+        subsets = {c: i for i, c in enumerate(itertools.combinations(range(6), 3))}
+        hits = np.zeros(len(subsets))
+        n_batches = 30_000
+        for _ in range(n_batches):
+            hits[subsets[tuple(sorted(s.next_batch().sample_indices.tolist()))]] += 1
+        expected = n_batches / len(subsets)
+        chi2 = float(np.sum((hits - expected) ** 2) / expected)
+        assert chi2 < 43.8  # the 0.999 quantile of chi-squared(19)
+
+    def test_mixed_class_sizes(self):
+        # n < k, n == k, n == k + 1 and n >> k, all drawn in every batch
+        counts = [3, 5, 6, 40]
+        b = bundle_with_counts(counts)
+        k = 5
+        s = BalancedSampler(b, SamplerConfig(batch_size=20, k=k, seed=6))
+        for _ in range(300):
+            batch = s.next_batch()
+            for cls, n in enumerate(counts):
+                picks = batch.sample_indices[batch.labels == cls]
+                assert len(picks) == k
+                assert np.all(b.labels[picks] == cls)
+                if n >= k:
+                    assert len(set(picks.tolist())) == k
+                if n == k:
+                    assert set(picks.tolist()) == set(np.flatnonzero(b.labels == cls).tolist())
+
+    def test_draw_major_layout(self):
+        b = bundle_with_counts([7] * 12)
+        cfg = SamplerConfig(batch_size=20, k=4, seed=8)
+        batch = BalancedSampler(b, cfg).next_batch()
+        per_draw = batch.labels.reshape(cfg.k, cfg.classes_per_batch)
+        assert np.all(per_draw == per_draw[0])
+        assert len(set(per_draw[0].tolist())) == cfg.classes_per_batch
+
+
 class TestDeterminism:
     def test_same_seed_same_call_index(self):
         b = bundle_with_counts([6] * 10)
@@ -74,6 +117,28 @@ class TestDeterminism:
         s1, s2 = BalancedSampler(b, cfg), BalancedSampler(b, cfg)
         for _ in range(5):
             assert batches_equal(s1.next_batch(), s2.next_batch())
+
+    def test_counter_resumes_the_stream(self):
+        b = bundle_with_counts([2, 5, 9, 6, 4])
+        cfg = SamplerConfig(batch_size=12, k=4, seed=9)
+        s1 = BalancedSampler(b, cfg)
+        for _ in range(7):
+            expected = s1.next_batch()
+        s2 = BalancedSampler(b, cfg)
+        s2.counter = 6
+        assert batches_equal(s2.next_batch(), expected)
+        assert batches_equal(s2.next_batch(), s1.next_batch())
+
+    def test_golden_batches_at_seed_0(self):
+        # a deliberate pin: any change to the batch stream shows up here
+        labels = np.array([2, 0, 3, 1, 3, 2, 3, 0, 1, 3, 2, 1, 3, 2, 3])  # counts 2, 3, 4, 6
+        b = FeatureBundle(np.ones((labels.size, 2), np.float32), labels, ["a", "b", "c", "d"])
+        s = BalancedSampler(b, SamplerConfig(batch_size=9, k=3, seed=0))
+        first, second = s.next_batch(), s.next_batch()
+        np.testing.assert_array_equal(first.sample_indices, [5, 6, 1, 10, 12, 1, 0, 14, 1])
+        np.testing.assert_array_equal(first.labels, [2, 3, 0, 2, 3, 0, 2, 3, 0])
+        np.testing.assert_array_equal(second.sample_indices, [0, 3, 4, 10, 8, 6, 13, 11, 9])
+        np.testing.assert_array_equal(second.labels, [2, 1, 3, 2, 1, 3, 2, 1, 3])
 
     def test_different_seeds_differ(self):
         b = bundle_with_counts([6] * 10)

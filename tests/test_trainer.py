@@ -11,6 +11,7 @@ from marginfit.errors import (
     DivergenceError,
     FormatError,
     MarginShapeMismatch,
+    NonFiniteData,
     ZeroNorm,
 )
 from marginfit.evaluation import sign_codes
@@ -331,6 +332,26 @@ class TestTrainLoop:
         train(small_bundle(), cfg, on_iteration=lambda t, lr, loss: h1.append(loss))
         train(small_bundle(), cfg, on_iteration=lambda t, lr, loss: h2.append(loss))
         assert len(h1) == 30 and h1 == h2
+
+    def test_validates_the_bundle(self):
+        bundle = small_bundle()
+        bundle.features[3, 1] = np.nan
+        with pytest.raises(NonFiniteData):
+            train(bundle, small_config())
+
+    def test_warnings_reach_callback_before_first_iteration(self):
+        labels = np.array([0] * 8 + [1] * 8 + [2])
+        feats = np.random.default_rng(0).standard_normal((labels.size, 10)).astype(np.float32)
+        events = []
+        train(
+            FeatureBundle(feats, labels, ["a", "b", "c"]),
+            small_config(total_iters=2, warmup_iters=1),
+            on_iteration=lambda t, lr, loss: events.append(t),
+            on_warning=events.append,
+        )
+        assert events == [
+            "class 'c' has 1 samples < k=2; sampler will draw with replacement", 0, 1
+        ]
 
     def test_adaptive_requires_margins(self):
         cfg = small_config(loss=LossConfig(kind=KIND_ADAPTIVE))
