@@ -25,7 +25,7 @@ if _cap:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ[_var] = _cap
 
-from . import data_io, errors, evaluation, margins, sampler, synthetic, tensor, trainer
+from . import data_io, errors, evaluation, margins, sampler, synthetic, trainer
 from .losses import LossConfig, LossOutput, ProxyBank
 from .sampler import SamplerConfig
 from .trainer import Checkpoint, TrainConfig
@@ -37,7 +37,6 @@ __all__ = [
     "margins",
     "sampler",
     "synthetic",
-    "tensor",
     "trainer",
     "LossConfig",
     "LossOutput",

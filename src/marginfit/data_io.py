@@ -8,14 +8,18 @@ bit-exactly across machines and languages:
 
 Every container, MGN1 and CKP1 included, is read by ``read_container``:
 the payload length must equal what the header declares, exactly (trailing
-bytes are a FormatError), and every FormatError names the file. Class ids
-travel in a UTF-8 text sidecar, one id per line; ``checked_class_ids`` is
-their one rule. Native OSError (missing file, permissions) propagates
-untouched.
+bytes, or a length the file cannot hold, are a FormatError), and every
+FormatError names the file. Class ids travel in a UTF-8 text sidecar, one
+id per line; ``checked_class_ids`` is their one rule. Native OSError
+(missing file, permissions) propagates untouched. ``as_matrix`` is the one
+float32 2-D coercion every module uses, and ``ZERO_NORM_THRESHOLD`` the one
+bound below which a row cannot be normalized.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -23,8 +27,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyGallery, FormatError, InvariantViolation, LabelOutOfRange, NonFiniteData
-from .tensor import as_matrix
+from .errors import (
+    DimMismatch,
+    EmptyGallery,
+    FormatError,
+    InvariantViolation,
+    LabelOutOfRange,
+    NonFiniteData,
+)
+
+ZERO_NORM_THRESHOLD = 1e-12  # a row with a smaller L2 norm raises ZeroNorm
 
 MAGIC_MATRIX = b"EMB1"
 MAGIC_LABELS = b"LBL1"
@@ -35,17 +47,33 @@ SPLIT_GALLERY = "gallery"
 SPLIT_TAGS = (SPLIT_TRAIN, SPLIT_QUERY, SPLIT_GALLERY)
 
 
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a C-contiguous float32 2-D array; DimMismatch names ``name`` otherwise."""
+    m = np.ascontiguousarray(a, dtype=np.float32)
+    if m.ndim != 2:
+        raise DimMismatch(f"{name} must be 2-D, got shape {m.shape}")
+    return m
+
+
 @contextmanager
 def read_container(path, magic: bytes):
     """Open the container at ``path`` and check its 4-byte ``magic``.
 
     Yields ``read(n, what)``, which returns exactly n bytes or raises
-    FormatError. When the ``with`` block ends, the file must be at EOF.
+    FormatError; in a regular file it raises before reading when fewer than
+    n bytes are left. When the ``with`` block ends, the file must be at EOF.
     Every FormatError and NonFiniteData raised inside names ``path``.
     """
     with open(path, "rb") as f:
+        st = os.fstat(f.fileno())
+        size = st.st_size if stat.S_ISREG(st.st_mode) else None  # a pipe has no size
 
         def read(n: int, what: str) -> bytes:
+            # f.read(n) allocates n bytes up front, so a regular file's size bounds n first
+            if size is not None and n > size - f.tell():
+                raise FormatError(
+                    f"truncated file: expected {n} bytes for {what}, got {size - f.tell()}"
+                )
             buf = f.read(n)
             if len(buf) != n:
                 raise FormatError(f"truncated file: expected {n} bytes for {what}, got {len(buf)}")

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import EvalSplit
+from .data_io import EvalSplit, as_matrix
 from .errors import ConfigError, DimMismatch, EmptyGallery, InvariantViolation, NonFiniteData
-from .tensor import as_matrix
 from .trainer import Checkpoint, forward_head
 
 MODE_FLOAT = "float"

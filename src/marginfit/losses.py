@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import checked_class_ids
+from .data_io import as_matrix, checked_class_ids
 from .errors import (
     ConfigError,
     DimMismatch,
@@ -30,7 +30,6 @@ from .errors import (
     InvariantViolation,
     MarginShapeMismatch,
 )
-from .tensor import as_matrix
 
 KIND_NORM_SOFTMAX = "norm_softmax"
 KIND_LMCL = "lmcl"

@@ -10,6 +10,9 @@ loss. Two metrics (cosine, euclidean) and two normalizations:
 * minmax: affine rescale of the raw distances so the off-diagonal
   min hits 0 and the max hits 1.
 
+Both metrics come from one float64 Gram matrix of the rows (unit rows
+for cosine and for analytic), so memory stays O(C^2) whatever T is.
+
 File format ``MGN1``: magic | u32 C | u8 metric | u8 norm_mode |
 C class-id records (u32 byte length + UTF-8) | C*C float32, row-major,
 little-endian.
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import checked_class_ids, read_container
+from .data_io import ZERO_NORM_THRESHOLD, as_matrix, checked_class_ids, read_container
 from .errors import (
     ConfigError,
     DegenerateRange,
@@ -31,7 +34,6 @@ from .errors import (
     UnknownClass,
     ZeroNorm,
 )
-from .tensor import as_matrix, l2_normalize_rows, pairwise_cosine, pairwise_euclidean
 
 METRIC_COSINE = "cosine"
 METRIC_EUCLIDEAN = "euclidean"
@@ -59,7 +61,7 @@ class ClassTextEmbeddings:
             self.class_ids, self.embeddings.shape[0], "class text embeddings"
         )
         norms = np.linalg.norm(self.embeddings.astype(np.float64), axis=1)
-        if np.any(norms < 1e-12):
+        if np.any(norms < ZERO_NORM_THRESHOLD):
             bad = int(np.argmin(norms))
             raise ZeroNorm(f"class {self.class_ids[bad]!r} has an all-zero text embedding")
 
@@ -106,32 +108,42 @@ def build_margin_matrix(
     if norm_mode not in NORM_MODES:
         raise ConfigError(f"unknown norm mode {norm_mode!r}")
 
-    c = cte.embeddings.shape[0]
-    if norm_mode == NORM_ANALYTIC:
-        unit = l2_normalize_rows(cte.embeddings)
-        if metric == METRIC_COSINE:
-            d = (1.0 - pairwise_cosine(unit, unit).astype(np.float64)) / 2.0
-        else:
-            # chord between unit vectors is at most 2
-            d = pairwise_euclidean(unit, unit).astype(np.float64) / 2.0
-    else:
-        if metric == METRIC_COSINE:
-            unit = l2_normalize_rows(cte.embeddings)
-            raw = 1.0 - pairwise_cosine(unit, unit).astype(np.float64)
-        else:
-            raw = pairwise_euclidean(cte.embeddings, cte.embeddings).astype(np.float64)
-        off = ~np.eye(c, dtype=bool)
-        if c >= 2:
-            lo, hi = raw[off].min(), raw[off].max()
-            if hi - lo < 1e-12:
-                raise DegenerateRange(
-                    "all off-diagonal distances are equal; min-max normalization undefined"
-                )
-            d = (raw - lo) / (hi - lo)
-        else:
-            d = raw
+    x = cte.embeddings.astype(np.float64)
+    if metric == METRIC_COSINE or norm_mode == NORM_ANALYTIC:
+        # unit rows, rounded to float32 like the embeddings they come from
+        x = (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32).astype(np.float64)
 
-    d = (d + d.T) / 2.0
+    # One (C, C) float64 block, worked in place: the Gram matrix, then the
+    # cosines or distances rounded to float32, the raw distances, the margins.
+    d = x @ x.T
+    if metric == METRIC_COSINE:
+        np.clip(d, -1.0, 1.0, out=d)
+    else:
+        # ||a - b||^2 = a.a + b.b - 2 a.b; equal dot products cancel to exactly 0
+        sq_norms = np.diagonal(d).copy()
+        d *= -2.0
+        d += sq_norms[:, None]
+        d += sq_norms[None, :]
+        np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+    d[...] = d.astype(np.float32)
+    if metric == METRIC_COSINE:
+        np.subtract(1.0, d, out=d)
+
+    c = d.shape[0]
+    if norm_mode == NORM_ANALYTIC:
+        d /= 2.0  # both raw distances lie in [0, 2] on unit rows
+    elif c >= 2:
+        off = d[~np.eye(c, dtype=bool)]
+        lo, hi = off.min(), off.max()
+        if hi - lo < 1e-12:
+            raise DegenerateRange(
+                "all off-diagonal distances are equal; min-max normalization undefined"
+            )
+        d -= lo
+        d /= hi - lo
+
+    d += d.T  # numpy buffers the overlapping transpose
+    d /= 2.0
     np.clip(d, 0.0, 1.0, out=d)
     np.fill_diagonal(d, 0.0)
     return MarginMatrix(d.astype(np.float32), list(cte.class_ids), metric, norm_mode)

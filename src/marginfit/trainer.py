@@ -48,7 +48,9 @@ from pathlib import Path
 import numpy as np
 
 from .data_io import (
+    ZERO_NORM_THRESHOLD,
     FeatureBundle,
+    as_matrix,
     matrix_to_bytes,
     read_container,
     read_matrix_block,
@@ -57,7 +59,6 @@ from .data_io import (
 from .errors import ConfigError, DimMismatch, DivergenceError, FormatError, ZeroNorm
 from .losses import LossConfig, ProxyBank, _forward_backward, _slope_rows, margin_array
 from .sampler import BalancedSampler, SamplerConfig
-from .tensor import ZERO_NORM_THRESHOLD, as_matrix, l2_normalize_rows
 
 MAGIC_CHECKPOINT = b"CKP1"
 # Weight of the proxy quantization term. Over data seeds 1-10 of the
@@ -226,7 +227,7 @@ def init(
     """Random head and proxies plus zeroed velocity buffers.
 
     Weight ~ uniform(-1/sqrt(F), 1/sqrt(F)), bias zero; proxy rows are
-    standard normal draws, L2-normalized.
+    standard normal draws rounded to float32, then L2-normalized in float64.
     """
     head_rng = np.random.Generator(np.random.Philox(key=cfg.head_init_seed % (1 << 64)))
     bound = 1.0 / np.sqrt(feature_dim)
@@ -234,8 +235,9 @@ def init(
     head = EmbeddingHead(weight, np.zeros(cfg.embed_dim, dtype=np.float32))
 
     proxy_rng = np.random.Generator(np.random.Philox(key=cfg.proxy_init_seed % (1 << 64)))
-    proxies = proxy_rng.standard_normal((num_classes, cfg.embed_dim))
-    proxies = l2_normalize_rows(proxies.astype(np.float32))
+    draws = proxy_rng.standard_normal((num_classes, cfg.embed_dim))
+    draws = draws.astype(np.float32).astype(np.float64)
+    proxies = (draws / np.linalg.norm(draws, axis=1, keepdims=True)).astype(np.float32)
     bank = ProxyBank(proxies, class_ids)
 
     velocities = {

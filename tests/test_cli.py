@@ -1,5 +1,6 @@
 import io
 import os
+import struct
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -128,6 +129,38 @@ class TestMarginsBuild:
             "--out", str(dataset / "equi.mgn"),
         ])
         assert code == 3
+
+
+class TestOversizedHeader:
+    """A header that claims more bytes than the file holds is a format error (exit 2)."""
+
+    CLAIMS = [(0xFFFFFFFF, 0xFFFFFFFF), (1 << 30, 1 << 28)]
+
+    @pytest.mark.parametrize("rows,cols", CLAIMS)
+    def test_bare_matrix(self, dataset, capsys, rows, cols):
+        path = dataset / "huge.emb"
+        path.write_bytes(b"EMB1" + struct.pack("<II", rows, cols))
+        code, _ = run_cli([
+            "margins-build",
+            "--class-text", str(path),
+            "--class-ids", str(dataset / "ids.txt"),
+            "--out", str(dataset / "m.mgn"),
+        ])
+        assert code == 2
+        assert f"error: {path}: truncated file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows,cols", CLAIMS)
+    def test_matrix_inside_checkpoint(self, dataset, capsys, rows, cols):
+        path = dataset / "huge.ckpt"
+        path.write_bytes(b"CKP1" + b"EMB1" + struct.pack("<II", rows, cols))
+        code, _ = run_cli([
+            "embed",
+            "--ckpt", str(path),
+            "--features", str(dataset / "q.emb"),
+            "--out", str(dataset / "qe.emb"),
+        ])
+        assert code == 2
+        assert f"error: {path}: truncated file" in capsys.readouterr().err
 
 
 class TestTrain:

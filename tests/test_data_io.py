@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -23,6 +24,7 @@ from marginfit.data_io import (
     validate_bundle,
 )
 from marginfit.errors import (
+    DimMismatch,
     EmptyGallery,
     FormatError,
     InvariantViolation,
@@ -79,6 +81,28 @@ class TestMatrixContainer:
         with pytest.raises(NonFiniteData):
             load_matrix(path)
 
+    def test_as_matrix_rejects_non_2d(self):
+        with pytest.raises(DimMismatch, match="weights must be 2-D"):
+            data_io.as_matrix(np.ones(3, np.float32), "weights")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("cut", [0, 3])
+    def test_reads_from_a_pipe(self, tmp_path, cut):
+        # a pipe has no size to bound reads by; a short one is still a FormatError
+        save_matrix(np.arange(6, dtype=np.float32).reshape(2, 3), tmp_path / "m.emb")
+        data = (tmp_path / "m.emb").read_bytes()
+        r, w = os.pipe()
+        os.write(w, data[: len(data) - cut])
+        os.close(w)
+        try:
+            if cut:
+                with pytest.raises(FormatError, match="expected 24 bytes for matrix payload, got 21"):
+                    load_matrix(f"/dev/fd/{r}")
+            else:
+                np.testing.assert_array_equal(load_matrix(f"/dev/fd/{r}"), np.arange(6).reshape(2, 3))
+        finally:
+            os.close(r)
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_matrix(tmp_path / "absent.emb")
@@ -126,6 +150,13 @@ class TestLabelContainer:
         path = tmp_path / "l.lbl"
         path.write_bytes(b"LBL1" + struct.pack("<II", 1, 2))
         with pytest.raises(FormatError):
+            load_labels(path)
+
+    def test_oversized_count_refused_before_reading(self, tmp_path):
+        # 2^32 - 1 labels claim 16 GiB; the bound is checked before any read
+        path = tmp_path / "l.lbl"
+        path.write_bytes(b"LBL1" + struct.pack("<II", 0xFFFFFFFF, 2) + struct.pack("<I", 0))
+        with pytest.raises(FormatError, match="expected 17179869180 bytes for label payload, got 4"):
             load_labels(path)
 
 

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,9 +33,10 @@ def rows_with_cosines(g):
 
 
 class TestBuild:
-    def test_identical_embeddings_zero_matrix(self):
+    @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
+    def test_identical_embeddings_zero_matrix(self, metric):
         e = np.tile(np.array([[1.0, 2.0, 3.0]], np.float32), (4, 1))
-        m = build_margin_matrix(ClassTextEmbeddings(e), METRIC_COSINE, NORM_ANALYTIC)
+        m = build_margin_matrix(ClassTextEmbeddings(e), metric, NORM_ANALYTIC)
         np.testing.assert_array_equal(m.d, np.zeros((4, 4), np.float32))
 
     def test_orthogonal_pair_is_half(self):
@@ -45,6 +47,11 @@ class TestBuild:
     def test_antipodal_pair_is_one(self):
         e = np.array([[1.0, 0.0], [-1.0, 0.0]], np.float32)
         m = build_margin_matrix(ClassTextEmbeddings(e), METRIC_COSINE, NORM_ANALYTIC)
+        assert m.d[0, 1] == pytest.approx(1.0, abs=1e-6)
+
+    def test_euclidean_antipodal_pair_is_one(self):
+        e = np.array([[2.0, 0.0], [-0.5, 0.0]], np.float32)  # chord 2 between the unit rows
+        m = build_margin_matrix(ClassTextEmbeddings(e), METRIC_EUCLIDEAN, NORM_ANALYTIC)
         assert m.d[0, 1] == pytest.approx(1.0, abs=1e-6)
 
     def test_minmax_three_class_oracle(self):
@@ -61,6 +68,59 @@ class TestBuild:
         m = build_margin_matrix(ClassTextEmbeddings(e), METRIC_EUCLIDEAN, NORM_ANALYTIC)
         assert m.d[0, 1] == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-6)
 
+    def test_euclidean_analytic_normalizes_rows(self):
+        # [3, 4] and [0, 10] become [0.6, 0.8] and [0, 1]: cosine 0.8, chord sqrt(0.4)
+        e = np.array([[3.0, 4.0], [0.0, 10.0]], np.float32)
+        m = build_margin_matrix(ClassTextEmbeddings(e), METRIC_EUCLIDEAN, NORM_ANALYTIC)
+        assert m.d[0, 1] == pytest.approx(np.sqrt(0.4) / 2.0, abs=1e-6)
+
+    def test_euclidean_analytic_is_sqrt_of_cosine(self):
+        # on unit rows, chord / 2 = sqrt(2 - 2 cos) / 2 = sqrt((1 - cos) / 2)
+        e = np.random.default_rng(4).standard_normal((12, 9)).astype(np.float32)
+        cos = build_margin_matrix(ClassTextEmbeddings(e), METRIC_COSINE, NORM_ANALYTIC)
+        euc = build_margin_matrix(ClassTextEmbeddings(e), METRIC_EUCLIDEAN, NORM_ANALYTIC)
+        want = np.sqrt(cos.d.astype(np.float64))
+        assert np.max(np.abs(euc.d - want)) <= 1e-6
+
+    def test_euclidean_minmax_three_four_five(self):
+        # raw rows, not unit ones: distances 3 / 4 / 5 map to 0 / 0.5 / 1
+        e = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]], np.float32)
+        e += np.float32(1.0)  # no zero row
+        m = build_margin_matrix(ClassTextEmbeddings(e), METRIC_EUCLIDEAN, NORM_MINMAX)
+        assert m.d[0, 1] == pytest.approx(0.0, abs=1e-6)
+        assert m.d[0, 2] == pytest.approx(0.5, abs=1e-6)
+        assert m.d[1, 2] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("norm", [NORM_ANALYTIC, NORM_MINMAX])
+    def test_euclidean_matches_explicit_differences(self, norm):
+        # the Gram expansion against the (C, C, T) difference oracle it replaced
+        e = (np.random.default_rng(6).standard_normal((20, 16)) * 10.0).astype(np.float32)
+        x = e.astype(np.float64)
+        if norm == NORM_ANALYTIC:
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+        diff = x[:, None, :] - x[None, :, :]
+        want = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        off = ~np.eye(20, dtype=bool)
+        if norm == NORM_ANALYTIC:
+            want /= 2.0
+        else:
+            want = (want - want[off].min()) / (want[off].max() - want[off].min())
+        np.fill_diagonal(want, 0.0)
+        m = build_margin_matrix(ClassTextEmbeddings(e), METRIC_EUCLIDEAN, norm)
+        assert np.max(np.abs(m.d - want)) <= 1e-6
+
+    def test_euclidean_memory_is_quadratic_in_classes_only(self):
+        # a (C, C, T) float64 difference tensor alone would take 216 MB here
+        e = np.random.default_rng(5).standard_normal((300, 300)).astype(np.float32)
+        cte = ClassTextEmbeddings(e)
+        tracemalloc.start()
+        try:
+            build_margin_matrix(cte, METRIC_EUCLIDEAN, NORM_ANALYTIC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_minmax_degenerate_range(self):
         e = np.eye(3, dtype=np.float32)  # all pairs equidistant
         with pytest.raises(DegenerateRange):
@@ -75,6 +135,11 @@ class TestBuild:
         e = np.array([[1.0, 0.0], [0.0, 0.0]], np.float32)
         with pytest.raises(ZeroNorm):
             ClassTextEmbeddings(e)
+
+    def test_near_zero_embedding_names_class(self):
+        e = np.array([[1.0, 0.0], [1e-13, 0.0]], np.float32)
+        with pytest.raises(ZeroNorm, match="class 'b'"):
+            ClassTextEmbeddings(e, ["a", "b"])
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), scale=st.floats(1e-3, 1e3))
@@ -182,6 +247,15 @@ class TestSerialization:
         message = str(excinfo.value)
         assert message.startswith(f"{path}: ")
         assert "margin payload" in message
+
+    def test_oversized_class_id_length(self, tmp_path):
+        # a class-id length of 2^32 - 1 is refused before the read, and the error names the file
+        path = tmp_path / "m.mgn"
+        path.write_bytes(b"MGN1" + struct.pack("<IBB", 1, 0, 0) + struct.pack("<I", 0xFFFFFFFF))
+        with pytest.raises(FormatError) as excinfo:
+            load_margin_matrix(path)
+        assert str(excinfo.value).startswith(f"{path}: truncated file")
+        assert "class id 0" in str(excinfo.value)
 
     def test_out_of_range_entry_rejected(self, tmp_path):
         path = tmp_path / "m.mgn"

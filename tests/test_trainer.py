@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from marginfit import trainer
 from marginfit.data_io import FeatureBundle
@@ -124,13 +127,12 @@ class TestSgdStep:
         np.testing.assert_allclose(p, [2.0 - 0.625, -2.0])
 
 
-def hand_head_oracle(rows, eps=1e-5):
-    """Independent pure-python layer norm + L2 for the orthonormal-weight case."""
+def hand_head_oracle(rows):
+    """Independent pure-python centring + L2 for the orthonormal-weight case."""
     out = []
     for row in rows:
         mu = sum(row) / len(row)
-        var = sum((x - mu) ** 2 for x in row) / len(row)
-        t = [(x - mu) / math.sqrt(var + eps) for x in row]
+        t = [x - mu for x in row]
         norm = math.sqrt(sum(x * x for x in t))
         out.append([x / norm for x in t])
     return np.array(out, dtype=np.float32)
@@ -168,6 +170,53 @@ class TestForwardHead:
         head = EmbeddingHead(np.eye(4, dtype=np.float32), np.full(4, 0.5, np.float32))
         with pytest.raises(ZeroNorm):
             forward_head(head, np.zeros((2, 4), np.float32))
+
+
+def identity_head(m):
+    """The embedding head with an identity weight and zero bias: centring, then L2."""
+    n = m.shape[1]
+    return forward_head(EmbeddingHead(np.eye(n, dtype=np.float32), np.zeros(n, np.float32)), m)
+
+
+class TestLayerNorm:
+    """The head equals a parameterless layer norm followed by L2 normalization."""
+
+    def test_two_four(self):
+        # centring gives [-1, 1]; the L2 step rescales it
+        out = identity_head(np.array([[2.0, 4.0]], dtype=np.float32))
+        np.testing.assert_allclose(out, [[-math.sqrt(0.5), math.sqrt(0.5)]], atol=1e-6)
+
+    def test_constant_input_collapses(self):
+        # centring maps a constant row to zeros, which the L2 step rejects
+        with pytest.raises(ZeroNorm):
+            identity_head(np.full((1, 4), 7.5, dtype=np.float32))
+
+    def test_one_two_three(self):
+        # hand computation: mean 2, centred [-1, 0, 1], then unit norm
+        out = identity_head(np.array([[1.0, 2.0, 3.0]], dtype=np.float32))
+        np.testing.assert_allclose(out, [[-math.sqrt(0.5), 0.0, math.sqrt(0.5)]], atol=1e-6)
+
+    @given(
+        hnp.arrays(
+            np.float32,
+            st.integers(2, 24),
+            elements=st.floats(-1e3, 1e3, width=32),
+        ).filter(lambda v: np.ptp(v.astype(np.float64)) > 1e-3)
+    )
+    def test_output_mean_near_zero(self, v):
+        out = identity_head(v[None, :])
+        assert abs(float(np.mean(out.astype(np.float64)))) <= 1e-5
+        assert np.all(np.isfinite(out))
+
+    def test_rows_variant(self):
+        # a layer norm's division by the row's standard deviation cancels in the L2 step
+        rng = np.random.default_rng(1)
+        m = rng.standard_normal((4, 6)).astype(np.float32)
+        m64 = m.astype(np.float64)
+        t = m64 - m64.mean(axis=1, keepdims=True)
+        t /= np.sqrt(np.mean(t**2, axis=1, keepdims=True))
+        want = t / np.linalg.norm(t, axis=1, keepdims=True)
+        np.testing.assert_allclose(identity_head(m), want, atol=1e-7)
 
 
 def head_gradients(w, b, feats, cot):
@@ -270,6 +319,15 @@ class TestInit:
         _, bank, _ = init(small_config(), feature_dim=10, num_classes=6)
         norms = np.linalg.norm(bank.proxies.astype(np.float64), axis=1)
         assert np.all(np.abs(norms - 1.0) <= 1e-5)
+
+    def test_proxies_are_normalized_draws(self):
+        # the Philox draws, rounded to float32, divided by their float64 row norms
+        cfg = small_config()
+        rng = np.random.Generator(np.random.Philox(key=cfg.proxy_init_seed))
+        draws = rng.standard_normal((6, cfg.embed_dim)).astype(np.float32).astype(np.float64)
+        want = (draws / np.linalg.norm(draws, axis=1, keepdims=True)).astype(np.float32)
+        _, bank, _ = init(cfg, feature_dim=10, num_classes=6)
+        np.testing.assert_array_equal(bank.proxies, want)
 
     def test_bias_exactly_zero(self):
         head, _, _ = init(small_config(), feature_dim=10, num_classes=6)
