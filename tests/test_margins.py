@@ -33,11 +33,11 @@ def rows_with_cosines(g):
 
 
 class TestBuild:
-    @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
-    def test_identical_embeddings_zero_matrix(self, metric):
+    def test_identical_embeddings_zero_matrix(self):
         e = np.tile(np.array([[1.0, 2.0, 3.0]], np.float32), (4, 1))
-        m = build_margin_matrix(ClassTextEmbeddings(e), metric, NORM_ANALYTIC)
-        np.testing.assert_array_equal(m.d, np.zeros((4, 4), np.float32))
+        for metric in (METRIC_COSINE, METRIC_EUCLIDEAN):
+            m = build_margin_matrix(ClassTextEmbeddings(e), metric, NORM_ANALYTIC)
+            np.testing.assert_array_equal(m.d, np.zeros((4, 4), np.float32), err_msg=metric)
 
     def test_orthogonal_pair_is_half(self):
         e = np.eye(2, dtype=np.float32)
