@@ -9,7 +9,8 @@ pipeline can be driven end to end:
     marginfit margins-build --class-text data/class_text.emb \
         --class-ids data/class_ids.txt --out data/margins.mgn
     marginfit train --config data/train.cfg --features data/train.emb \
-        --labels data/train.lbl --margins data/margins.mgn --out data/model.ckpt
+        --labels data/train.lbl --class-ids data/class_ids.txt \
+        --margins data/margins.mgn --out data/model.ckpt
     marginfit eval --ckpt data/model.ckpt --query-features data/query.emb \
         --query-labels data/query.lbl --gallery-features data/gallery.emb \
         --gallery-labels data/gallery.lbl

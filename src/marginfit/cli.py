@@ -14,16 +14,7 @@ import sys
 
 import numpy as np
 
-from .data_io import (
-    SPLIT_GALLERY,
-    SPLIT_QUERY,
-    SPLIT_TRAIN,
-    EvalSplit,
-    load_bundle,
-    load_class_ids,
-    load_matrix,
-    save_matrix,
-)
+from .data_io import EvalSplit, load_bundle, load_class_ids, load_matrix, save_matrix
 from .errors import ConfigError, MarginfitError
 from .evaluation import (
     DEFAULT_KS,
@@ -40,7 +31,6 @@ from .margins import (
     NORM_ANALYTIC,
     NORM_MINMAX,
     ClassTextEmbeddings,
-    align_margin_matrix,
     build_margin_matrix,
     load_margin_matrix,
     save_margin_matrix,
@@ -81,13 +71,13 @@ def _cmd_margins_build(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_train_config(args.config)
-    bundle = load_bundle(args.features, args.labels, SPLIT_TRAIN, args.class_ids)
+    bundle = load_bundle(args.features, args.labels, args.class_ids)
 
     margin_matrix = None
     if cfg.loss.kind == KIND_ADAPTIVE:
         if args.margins is None:
             raise ConfigError("loss_kind is adaptive: --margins is required")
-        margin_matrix = align_margin_matrix(load_margin_matrix(args.margins), bundle.class_ids)
+        margin_matrix = load_margin_matrix(args.margins)
     elif args.margins is not None:
         raise ConfigError(f"loss_kind {cfg.loss.kind!r} does not take --margins")
 
@@ -118,8 +108,8 @@ def _cmd_eval(args) -> int:
     except ValueError:
         raise ConfigError(f"--ks must be comma-separated integers, got {args.ks!r}") from None
     ckpt = load_checkpoint(args.ckpt)
-    query = load_bundle(args.query_features, args.query_labels, SPLIT_QUERY)
-    gallery = load_bundle(args.gallery_features, args.gallery_labels, SPLIT_GALLERY)
+    query = load_bundle(args.query_features, args.query_labels)
+    gallery = load_bundle(args.gallery_features, args.gallery_labels)
     split = EvalSplit(query, gallery)
 
     mode = MODE_BINARY if args.binary else MODE_FLOAT

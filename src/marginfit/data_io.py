@@ -14,6 +14,9 @@ id per line; ``checked_class_ids`` is their one rule. Native OSError
 (missing file, permissions) propagates untouched. ``as_matrix`` is the one
 float32 2-D coercion every module uses, and ``ZERO_NORM_THRESHOLD`` the one
 bound below which a row cannot be normalized.
+
+A ``FeatureBundle`` may be empty or miss classes: the sampler refuses those
+for training, and ``recall_at_k`` an empty query set or gallery.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import numpy as np
 
 from .errors import (
     DimMismatch,
-    EmptyGallery,
     FormatError,
     InvariantViolation,
     LabelOutOfRange,
@@ -40,11 +42,6 @@ ZERO_NORM_THRESHOLD = 1e-12  # a row with a smaller L2 norm raises ZeroNorm
 
 MAGIC_MATRIX = b"EMB1"
 MAGIC_LABELS = b"LBL1"
-
-SPLIT_TRAIN = "train"
-SPLIT_QUERY = "query"
-SPLIT_GALLERY = "gallery"
-SPLIT_TAGS = (SPLIT_TRAIN, SPLIT_QUERY, SPLIT_GALLERY)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -183,15 +180,10 @@ class FeatureBundle:
     features: np.ndarray  # (N, F) float32
     labels: np.ndarray  # (N,) int
     class_ids: list[str]
-    split_tag: str = SPLIT_TRAIN
 
     def __post_init__(self):
         self.features = as_matrix(self.features, "features")
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.split_tag not in SPLIT_TAGS:
-            raise InvariantViolation(f"unknown split tag {self.split_tag!r}")
-        if self.features.shape[0] < 1:
-            raise InvariantViolation("bundle must contain at least one sample")
         if self.labels.shape != (self.features.shape[0],):
             raise InvariantViolation(
                 f"{self.labels.shape[0]} labels for {self.features.shape[0]} feature rows"
@@ -222,17 +214,13 @@ class EvalSplit:
             raise InvariantViolation("query and gallery must share the same class ids")
 
 
-def load_bundle(
-    features_path, labels_path, split_tag: str = SPLIT_TRAIN, class_ids_path=None
-) -> FeatureBundle:
-    """Read a feature matrix and its labels; an empty gallery raises EmptyGallery."""
+def load_bundle(features_path, labels_path, class_ids_path=None) -> FeatureBundle:
+    """Read a feature matrix, its labels and, if given, the class-id sidecar."""
     features = load_matrix(features_path)
-    if split_tag == SPLIT_GALLERY and features.shape[0] == 0:
-        raise EmptyGallery(f"{features_path}: gallery has no rows")
     labels, num_classes = load_labels(labels_path)
     class_ids = None if class_ids_path is None else load_class_ids(class_ids_path)
     class_ids = checked_class_ids(class_ids, num_classes, str(labels_path))
-    return FeatureBundle(features, labels, class_ids, split_tag)
+    return FeatureBundle(features, labels, class_ids)
 
 
 def validate_bundle(bundle: FeatureBundle, k: int = 5) -> list[str]:
@@ -240,7 +228,7 @@ def validate_bundle(bundle: FeatureBundle, k: int = 5) -> list[str]:
 
     Non-finite feature rows are a hard error. Returns warnings for classes
     the sampler will have to draw with replacement (< k samples) and for
-    all-zero feature rows. Train bundles must reference every class.
+    all-zero feature rows.
     """
     finite = np.isfinite(bundle.features).all(axis=1)
     if not finite.all():
@@ -249,9 +237,6 @@ def validate_bundle(bundle: FeatureBundle, k: int = 5) -> list[str]:
 
     warnings = []
     counts = np.bincount(bundle.labels, minlength=bundle.num_classes)
-    if bundle.split_tag == SPLIT_TRAIN and np.any(counts == 0):
-        missing = [bundle.class_ids[i] for i in np.flatnonzero(counts == 0)[:5]]
-        raise InvariantViolation(f"train bundle has classes with no samples: {missing}")
     for idx in np.flatnonzero((counts > 0) & (counts < k)):
         warnings.append(
             f"class {bundle.class_ids[idx]!r} has {counts[idx]} samples < k={k}; "

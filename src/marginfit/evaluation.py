@@ -101,6 +101,8 @@ def recall_at_k(
     glab = np.asarray(gallery_labels, dtype=np.int64)
     if gallery_e.shape[0] == 0:
         raise EmptyGallery("gallery has no rows")
+    if query_e.shape[0] == 0:
+        raise InvariantViolation("no queries to rank")
     if query_e.shape[1] != gallery_e.shape[1]:
         raise DimMismatch(
             f"query dim {query_e.shape[1]} != gallery dim {gallery_e.shape[1]}"

@@ -30,6 +30,7 @@ from .errors import (
     InvariantViolation,
     MarginShapeMismatch,
 )
+from .margins import MarginMatrix, align_margin_matrix
 
 KIND_NORM_SOFTMAX = "norm_softmax"
 KIND_LMCL = "lmcl"
@@ -111,10 +112,12 @@ class LossOutput:
     grad_proxies: np.ndarray  # (C, D) float32, d(mean_loss)/dP
 
 
-def margin_array(kind: str, margins, num_classes: int) -> np.ndarray | None:
-    """The C x C array of ``margins`` (a MarginMatrix or array), or None.
+def margin_array(kind: str, margins, class_ids: list[str]) -> np.ndarray | None:
+    """The C x C array of ``margins`` in the order of ``class_ids``, or None.
 
     Only the adaptive kind takes margins, and it requires them (ConfigError).
+    A MarginMatrix is aligned to ``class_ids`` by id (UnknownClass when its
+    ids differ); a raw array must already be C x C in that order.
     """
     if kind != KIND_ADAPTIVE:
         if margins is not None:
@@ -122,7 +125,10 @@ def margin_array(kind: str, margins, num_classes: int) -> np.ndarray | None:
         return None
     if margins is None:
         raise ConfigError("adaptive loss kind requires a margin matrix")
-    d = np.asarray(getattr(margins, "d", margins))
+    if isinstance(margins, MarginMatrix):
+        return align_margin_matrix(margins, class_ids).d
+    d = np.asarray(margins)
+    num_classes = len(class_ids)
     if d.shape != (num_classes, num_classes):
         raise MarginShapeMismatch(
             f"margin matrix must be {num_classes}x{num_classes}, got {d.shape}"
@@ -227,12 +233,12 @@ def compute_loss(
 ) -> LossOutput:
     """Loss of kind ``cfg.kind`` and its gradients; only the adaptive kind takes ``margins``.
 
-    ``margins`` is a C x C matrix of values in [0, 1] with zero diagonal
-    (a MarginMatrix or a raw array). For sample i with label y, each negative
-    cosine c against class z becomes c + (1 - c) * margins[y, z].
+    ``margins`` is a C x C matrix in [0, 1] with zero diagonal, aligned to
+    ``bank.class_ids`` by ``margin_array``. For sample i with label y, each
+    negative cosine c against class z becomes c + (1 - c) * margins[y, z].
     """
     x, lab = _check_inputs(x, bank, labels)
-    d = margin_array(cfg.kind, margins, bank.num_classes)
+    d = margin_array(cfg.kind, margins, bank.class_ids)
     slope = None if d is None else _slope_rows(d, lab)
     losses, grad_x, grad_p = _forward_backward(
         x.astype(np.float64), bank.proxies.astype(np.float64), lab, cfg.tau, cfg.effective_margin, slope

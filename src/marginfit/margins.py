@@ -150,13 +150,18 @@ def build_margin_matrix(
 
 
 def align_margin_matrix(m: MarginMatrix, class_ids: list[str]) -> MarginMatrix:
-    """Permute rows/cols so the matrix follows the given class-id order."""
+    """Permute rows/cols to follow ``class_ids``; UnknownClass names missing and extra ids."""
     if list(class_ids) == m.class_ids:
         return m
-    if set(class_ids) != set(m.class_ids) or len(class_ids) != m.num_classes:
-        missing = sorted(set(class_ids) - set(m.class_ids))[:5]
-        raise UnknownClass(f"margin matrix does not cover class ids {missing}")
-    perm = np.array([m.class_ids.index(cid) for cid in class_ids])
+    row = {cid: i for i, cid in enumerate(m.class_ids)}
+    missing = sorted(set(class_ids) - row.keys())
+    extra = sorted(row.keys() - set(class_ids))
+    if missing or extra:
+        raise UnknownClass(
+            f"margin matrix ids differ from the class ids: missing {missing[:5]}, "
+            f"extra {extra[:5]}"
+        )
+    perm = np.array([row[cid] for cid in class_ids])
     return MarginMatrix(m.d[np.ix_(perm, perm)], list(class_ids), m.metric, m.norm_mode)
 
 

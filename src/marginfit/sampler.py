@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import FeatureBundle
-from .errors import ConfigError
+from .errors import ConfigError, InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -58,38 +58,40 @@ class Batch:
     labels: np.ndarray  # (batch_size,) class indices
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed % (1 << 64), index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 class BalancedSampler:
     """Mutable sampler state: (seed, batch counter) plus the class-sorted row table."""
 
     def __init__(self, bundle: FeatureBundle, config: SamplerConfig):
+        if bundle.labels.size == 0:
+            raise InvariantViolation("cannot sample batches from a bundle with no rows")
+        counts = np.bincount(bundle.labels, minlength=bundle.num_classes)
+        if np.any(counts == 0):
+            missing = [bundle.class_ids[i] for i in np.flatnonzero(counts == 0)[:5]]
+            raise InvariantViolation(f"bundle has classes with no samples: {missing}")
         if config.classes_per_batch > bundle.num_classes:
             raise ConfigError(
                 f"batch needs {config.classes_per_batch} classes but bundle has "
                 f"only {bundle.num_classes}"
             )
-        counts = np.bincount(bundle.labels, minlength=bundle.num_classes)
-        if np.any(counts == 0):
-            raise ConfigError("every class must have at least one sample")
         self.config = config
         self.num_classes = bundle.num_classes
         # rows[starts[c] : starts[c] + counts[c]] are the rows of class c
         self.rows = np.argsort(bundle.labels, kind="stable")
         self.counts = counts
         self.starts = np.cumsum(counts) - counts
-        self.seed = config.seed
         self.counter = 0
+        # one Generator per sampler; each batch rewinds its Philox to key (seed, t)
+        key = np.array([config.seed % (1 << 64), 0], np.uint64)
+        self._rng = np.random.Generator(np.random.Philox(key=key))
+        self._rewind = self._rng.bit_generator.state  # counter 0, empty buffer
 
     def next_batch(self) -> Batch:
-        rng = _stream(self.seed, self.counter)
+        self._rewind["state"]["key"][1] = self.counter
+        self._rng.bit_generator.state = self._rewind
         self.counter += 1
         k = self.config.k
-        classes = rng.choice(self.num_classes, size=self.config.classes_per_batch, replace=False)
-        u = rng.random((k, classes.size))
+        classes = self._rng.choice(self.num_classes, self.config.classes_per_batch, replace=False)
+        u = self._rng.random((k, classes.size))
         n = self.counts[classes]
         top = n - k + np.arange(k)[:, None]  # draw j picks from [0, top[j]]
         pick = (u * (top + 1)).astype(np.int64)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import SPLIT_GALLERY, SPLIT_QUERY, SPLIT_TRAIN, EvalSplit, FeatureBundle
+from .data_io import EvalSplit, FeatureBundle
 from .margins import ClassTextEmbeddings
 
 
@@ -47,15 +47,15 @@ def clustered_features(
     centers = _unit_rows(rng, num_classes, feature_dim)
     class_ids = [f"class{i:03d}" for i in range(num_classes)]
 
-    def draw(per_class, split_tag):
+    def draw(per_class):
         labels = np.repeat(np.arange(num_classes), per_class)
         noise = rng.standard_normal((labels.size, feature_dim)) * cluster_std
         feats = (centers[labels] + noise).astype(np.float32)
-        return FeatureBundle(feats, labels, class_ids, split_tag)
+        return FeatureBundle(feats, labels, class_ids)
 
-    train = draw(train_per_class, SPLIT_TRAIN)
-    query = draw(query_per_class, SPLIT_QUERY)
-    gallery = draw(gallery_per_class, SPLIT_GALLERY)
+    train = draw(train_per_class)
+    query = draw(query_per_class)
+    gallery = draw(gallery_per_class)
     return SyntheticDataset(train, EvalSplit(query, gallery), centers.astype(np.float32))
 
 

@@ -303,8 +303,8 @@ def train(
 ) -> Checkpoint:
     """Run the sample/forward/loss/backward/step loop for cfg.total_iters.
 
-    ``margin_matrix`` is required exactly when the loss kind is adaptive
-    (``losses.margin_array``).
+    ``margin_matrix`` is required exactly when the loss kind is adaptive and
+    is aligned to ``bundle.class_ids`` (``losses.margin_array``).
     ``on_warning(message)``, if given, receives each ``validate_bundle``
     warning before the first iteration.
     ``on_iteration(t, lr, mean_loss)``, if given, fires every iteration; it
@@ -313,10 +313,10 @@ def train(
     for warning in validate_bundle(bundle, cfg.sampler.k):
         if on_warning is not None:
             on_warning(warning)
-    dmat = margin_array(cfg.loss.kind, margin_matrix, bundle.num_classes)
+    sampler = BalancedSampler(bundle, cfg.sampler)
+    dmat = margin_array(cfg.loss.kind, margin_matrix, bundle.class_ids)
 
     head, bank, vel = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
-    sampler = BalancedSampler(bundle, cfg.sampler)
     step = _Step(head, bank, vel, cfg, dmat, cfg.sampler.batch_size)
 
     for t in range(cfg.total_iters):

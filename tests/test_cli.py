@@ -271,6 +271,53 @@ class TestTrain:
         ])
         assert code == 0
 
+    def test_margins_for_other_class_ids_exit_3(self, dataset, capsys):
+        save_class_ids([f"cls{i}" for i in range(1, 6)], dataset / "other.txt")
+        run_cli([
+            "margins-build",
+            "--class-text", str(dataset / "text.emb"),
+            "--class-ids", str(dataset / "other.txt"),
+            "--out", str(dataset / "other.mgn"),
+        ])
+        code, _ = run_cli([
+            "train",
+            "--config", str(dataset / "adaptive.cfg"),
+            "--features", str(dataset / "train.emb"),
+            "--labels", str(dataset / "train.lbl"),
+            "--class-ids", str(dataset / "ids.txt"),
+            "--margins", str(dataset / "other.mgn"),
+            "--out", str(dataset / "x.ckpt"),
+        ])
+        assert code == 3
+        assert "missing ['cls0'], extra ['cls5']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("classes", [50, 0])
+    def test_empty_train_file_exit_3(self, dataset, capsys, classes):
+        save_matrix(np.zeros((0, 12), np.float32), dataset / "empty.emb")
+        save_labels([], classes, dataset / "empty.lbl")
+        code, _ = run_cli([
+            "train",
+            "--config", str(dataset / "train.cfg"),
+            "--features", str(dataset / "empty.emb"),
+            "--labels", str(dataset / "empty.lbl"),
+            "--out", str(dataset / "x.ckpt"),
+        ])
+        assert code == 3
+        assert "no rows" in capsys.readouterr().err
+
+    def test_class_without_rows_exit_3(self, dataset, capsys):
+        save_labels(np.repeat(np.arange(4), 10), 5, dataset / "four.lbl")
+        code, _ = run_cli([
+            "train",
+            "--config", str(dataset / "train.cfg"),
+            "--features", str(dataset / "train.emb"),
+            "--labels", str(dataset / "four.lbl"),
+            "--class-ids", str(dataset / "ids.txt"),
+            "--out", str(dataset / "x.ckpt"),
+        ])
+        assert code == 3
+        assert "classes with no samples: ['cls4']" in capsys.readouterr().err
+
     def test_validates_once_and_warns_before_streaming(self, dataset, monkeypatch):
         # class cls4 has one row, fewer than k = 2
         save_labels(np.repeat(np.arange(5), [10, 10, 10, 9, 1]), 5, dataset / "small.lbl")
@@ -412,6 +459,17 @@ class TestEval:
         args[args.index("--gallery-labels") + 1] = str(dataset / "empty.lbl")
         code, _ = run_cli(args)
         assert code == 2
+
+    def test_empty_query_exit_3(self, dataset, capsys):
+        ckpt = train_checkpoint(dataset)
+        save_matrix(np.zeros((0, 12), np.float32), dataset / "empty.emb")
+        save_labels([], 5, dataset / "empty.lbl")
+        args = self.eval_args(dataset, ckpt)
+        args[args.index("--query-features") + 1] = str(dataset / "empty.emb")
+        args[args.index("--query-labels") + 1] = str(dataset / "empty.lbl")
+        code, _ = run_cli(args)
+        assert code == 3
+        assert "no queries" in capsys.readouterr().err
 
     def test_reads_each_feature_file_once(self, dataset, monkeypatch):
         ckpt = train_checkpoint(dataset)

@@ -9,9 +9,6 @@ from hypothesis.extra import numpy as hnp
 
 from marginfit import data_io
 from marginfit.data_io import (
-    SPLIT_GALLERY,
-    SPLIT_QUERY,
-    SPLIT_TRAIN,
     EvalSplit,
     FeatureBundle,
     load_bundle,
@@ -25,7 +22,6 @@ from marginfit.data_io import (
 )
 from marginfit.errors import (
     DimMismatch,
-    EmptyGallery,
     FormatError,
     InvariantViolation,
     LabelOutOfRange,
@@ -207,15 +203,15 @@ class TestClassIdRule:
         save_labels([0, 1], 2, tmp_path / "l.lbl")
         save_class_ids(["a", "b", "c"], tmp_path / "ids.txt")
         with pytest.raises(InvariantViolation, match="3 class ids for 2 classes"):
-            load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl", SPLIT_TRAIN, tmp_path / "ids.txt")
+            load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl", tmp_path / "ids.txt")
 
 
-def make_bundle(counts, split=SPLIT_TRAIN, dim=4, seed=0):
+def make_bundle(counts, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     labels = np.concatenate([np.full(n, i) for i, n in enumerate(counts)])
     feats = rng.standard_normal((labels.size, dim)).astype(np.float32)
     ids = [f"c{i}" for i in range(len(counts))]
-    return FeatureBundle(feats, labels, ids, split)
+    return FeatureBundle(feats, labels, ids)
 
 
 class TestBundle:
@@ -224,9 +220,7 @@ class TestBundle:
         save_matrix(b.features, tmp_path / "f.emb")
         save_labels(b.labels, b.num_classes, tmp_path / "l.lbl")
         save_class_ids(b.class_ids, tmp_path / "ids.txt")
-        loaded = load_bundle(
-            tmp_path / "f.emb", tmp_path / "l.lbl", SPLIT_TRAIN, tmp_path / "ids.txt"
-        )
+        loaded = load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl", tmp_path / "ids.txt")
         np.testing.assert_array_equal(loaded.features, b.features)
         np.testing.assert_array_equal(loaded.labels, b.labels)
         assert loaded.class_ids == b.class_ids
@@ -238,13 +232,13 @@ class TestBundle:
         loaded = load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl")
         assert loaded.class_ids == ["0", "1"]
 
-    def test_empty_gallery_file(self, tmp_path):
+    def test_zero_row_file_loads(self, tmp_path):
+        # the sampler and recall_at_k refuse an empty bundle; loading it is no error
         save_matrix(np.zeros((0, 3), np.float32), tmp_path / "f.emb")
         save_labels([], 2, tmp_path / "l.lbl")
-        with pytest.raises(EmptyGallery):
-            load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl", SPLIT_GALLERY)
-        with pytest.raises(InvariantViolation):
-            load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl", SPLIT_QUERY)
+        b = load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl")
+        assert b.features.shape == (0, 3) and b.num_classes == 2
+        assert validate_bundle(b) == []
 
     def test_clean_bundle_no_warnings(self):
         assert validate_bundle(make_bundle([6, 7]), k=5) == []
@@ -265,19 +259,14 @@ class TestBundle:
         b.features[1] = 0.0
         assert any("all zeros" in w for w in validate_bundle(b))
 
-    def test_train_bundle_missing_class(self):
-        feats = np.ones((2, 3), np.float32)
-        b = FeatureBundle(feats, [0, 0], ["a", "b"], SPLIT_TRAIN)
-        with pytest.raises(InvariantViolation):
-            validate_bundle(b)
-
     def test_query_bundle_may_miss_classes(self):
+        # only the sampler needs a row of every class
         feats = np.ones((2, 3), np.float32)
-        b = FeatureBundle(feats, [0, 0], ["a", "b"], SPLIT_QUERY)
-        validate_bundle(b)
+        b = FeatureBundle(feats, [0, 0], ["a", "b"])
+        assert validate_bundle(b, k=2) == []
 
     def test_eval_split_namespace_check(self):
-        q = make_bundle([2, 2], split=SPLIT_QUERY)
-        g = FeatureBundle(q.features, q.labels, ["x", "y"], SPLIT_GALLERY)
+        q = make_bundle([2, 2])
+        g = FeatureBundle(q.features, q.labels, ["x", "y"])
         with pytest.raises(InvariantViolation):
             EvalSplit(q, g)

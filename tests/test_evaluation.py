@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from marginfit import evaluation
-from marginfit.data_io import SPLIT_GALLERY, SPLIT_QUERY, EvalSplit, FeatureBundle
+from marginfit.data_io import EvalSplit, FeatureBundle
 from marginfit.errors import (
     ConfigError,
     DimMismatch,
@@ -172,6 +172,11 @@ class TestRecallAtK:
             recall_at_k(np.ones((1, 3), np.float32), [0],
                         np.zeros((0, 3), np.float32), [], ks=[1])
 
+    def test_no_queries(self):
+        with pytest.raises(InvariantViolation, match="no queries"):
+            recall_at_k(np.zeros((0, 3), np.float32), [],
+                        np.ones((2, 3), np.float32), [0, 1], ks=[1])
+
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             recall_at_k(np.ones((1, 3), np.float32), [0],
@@ -251,7 +256,7 @@ class TestEmbedAndCompare:
         rng = np.random.default_rng(8)
         bundle = FeatureBundle(
             rng.standard_normal((9, 6)).astype(np.float32),
-            rng.integers(0, 3, 9), ["a", "b", "c"], SPLIT_QUERY,
+            rng.integers(0, 3, 9), ["a", "b", "c"],
         )
         ckpt = tiny_checkpoint()
         e1 = forward_head(ckpt.head, bundle.features)
@@ -260,15 +265,15 @@ class TestEmbedAndCompare:
         assert np.all(np.abs(np.linalg.norm(e1.astype(np.float64), axis=1) - 1) <= 1e-5)
 
     def test_single_row_bundle(self):
-        bundle = FeatureBundle(np.ones((1, 6), np.float32), [0], ["a"], SPLIT_QUERY)
+        bundle = FeatureBundle(np.ones((1, 6), np.float32), [0], ["a"])
         assert forward_head(tiny_checkpoint().head, bundle.features).shape == (1, 4)
 
     def test_compare_float_binary_shapes_and_hit(self):
         rng = np.random.default_rng(9)
         feats = rng.standard_normal((12, 6)).astype(np.float32)
         labels = np.arange(12) % 3
-        q = FeatureBundle(feats[:6], labels[:6], ["a", "b", "c"], SPLIT_QUERY)
-        g = FeatureBundle(feats.copy(), labels, ["a", "b", "c"], SPLIT_GALLERY)
+        q = FeatureBundle(feats[:6], labels[:6], ["a", "b", "c"])
+        g = FeatureBundle(feats.copy(), labels, ["a", "b", "c"])
         fr, br = compare_float_binary(tiny_checkpoint(), EvalSplit(q, g), ks=[1, 5])
         assert fr.mode == MODE_FLOAT and br.mode == MODE_BINARY
         assert fr.recall[0] == 1.0  # exact duplicates in the gallery

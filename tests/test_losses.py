@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marginfit import losses
-from marginfit.errors import ConfigError, DimMismatch, InvalidLabel, MarginShapeMismatch
+from marginfit.errors import (
+    ConfigError,
+    DimMismatch,
+    InvalidLabel,
+    MarginShapeMismatch,
+    UnknownClass,
+)
 from marginfit.losses import (
     KIND_ADAPTIVE,
     KIND_LMCL,
@@ -19,6 +25,7 @@ from marginfit.losses import (
     loss_backward_check,
     max_relative_error,
 )
+from marginfit.margins import MarginMatrix
 
 # Scalar oracles, hand-computed: one positive at cos 1, one negative at cos 0,
 # sigma = 1 multiply mode.
@@ -383,3 +390,30 @@ class TestGradients:
                 xp[i, j] += h
                 xm[i, j] -= h
                 assert abs(f(xp) - f(xm)) / (2 * h) <= 1e-6
+
+
+class TestMarginAlignment:
+    """A MarginMatrix's rows are matched to the bank's class ids, not taken in file order."""
+
+    def instance(self):
+        x, bank, labels, dmat = random_instance(3, classes=6)
+        ids = [f"k{i}" for i in range(6)]
+        return x, ProxyBank(bank.proxies, ids), labels, dmat, ids
+
+    def test_permuted_ids_match_aligned(self):
+        x, bank, labels, dmat, ids = self.instance()
+        cfg = LossConfig(kind=KIND_ADAPTIVE)
+        perm = [4, 0, 5, 2, 1, 3]
+        permuted = MarginMatrix(dmat[np.ix_(perm, perm)], [ids[i] for i in perm])
+        want = compute_loss(x, bank, labels, cfg, dmat)
+        for margins in (MarginMatrix(dmat, ids), permuted):
+            got = compute_loss(x, bank, labels, cfg, margins)
+            assert got.mean_loss == want.mean_loss
+            for name in ("per_sample_loss", "grad_embeddings", "grad_proxies"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_other_ids_named(self):
+        x, bank, labels, _, ids = self.instance()
+        m = MarginMatrix(np.zeros((6, 6), np.float32), ids[:5] + ["zz"])
+        with pytest.raises(UnknownClass, match=r"missing \['k5'\], extra \['zz'\]"):
+            compute_loss(x, bank, labels, LossConfig(kind=KIND_ADAPTIVE), m)

@@ -199,6 +199,18 @@ class TestLookup:
         with pytest.raises(UnknownClass):
             align_margin_matrix(self.make(), ["a", "b", "zzz"])
 
+    def test_missing_and_extra_ids_named(self):
+        with pytest.raises(UnknownClass, match=r"missing \['y', 'z'\], extra \['c'\]"):
+            align_margin_matrix(self.make(), ["z", "a", "y", "b"])
+        with pytest.raises(UnknownClass, match=r"missing \[\], extra \['b'\]"):
+            align_margin_matrix(self.make(), ["c", "a"])
+
+    def test_permutation_follows_ids(self):
+        m = self.make()
+        aligned = align_margin_matrix(m, ["c", "a", "b"])
+        assert aligned.class_ids == ["c", "a", "b"]
+        np.testing.assert_array_equal(aligned.d, m.d[np.ix_([2, 0, 1], [2, 0, 1])])
+
     def test_identical_embeddings_zero_row(self):
         e = np.tile(np.array([[2.0, 1.0]], np.float32), (3, 1))
         m = build_margin_matrix(ClassTextEmbeddings(e, ["a", "b", "c"]))

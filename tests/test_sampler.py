@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from marginfit.data_io import FeatureBundle
-from marginfit.errors import ConfigError
+from marginfit.errors import ConfigError, InvariantViolation
 from marginfit.sampler import BalancedSampler, SamplerConfig
 
 
@@ -30,6 +30,18 @@ class TestConfig:
         b = bundle_with_counts([6, 6])
         with pytest.raises(ConfigError):
             BalancedSampler(b, SamplerConfig(batch_size=15, k=5, seed=0))
+
+    def test_class_without_rows(self):
+        # checked before the class count, which alone would be a ConfigError
+        b = bundle_with_counts([3, 0, 4, 0, 0, 0, 0, 2])
+        with pytest.raises(InvariantViolation, match=r"\['c1', 'c3', 'c4', 'c5', 'c6'\]"):
+            BalancedSampler(b, SamplerConfig(batch_size=20, k=2, seed=0))
+
+    @pytest.mark.parametrize("classes", [0, 50])
+    def test_empty_bundle(self, classes):
+        b = FeatureBundle(np.zeros((0, 4), np.float32), [], [f"c{i}" for i in range(classes)])
+        with pytest.raises(InvariantViolation, match="no rows"):
+            BalancedSampler(b, SamplerConfig(batch_size=75, k=5, seed=0))
 
 
 class TestBatchShape:

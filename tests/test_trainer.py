@@ -13,6 +13,7 @@ from marginfit.errors import (
     DimMismatch,
     DivergenceError,
     FormatError,
+    InvariantViolation,
     MarginShapeMismatch,
     NonFiniteData,
     ZeroNorm,
@@ -25,6 +26,7 @@ from marginfit.losses import (
     ProxyBank,
     max_relative_error,
 )
+from marginfit.margins import ClassTextEmbeddings, MarginMatrix, build_margin_matrix
 from marginfit.sampler import SamplerConfig
 from marginfit.trainer import (
     Checkpoint,
@@ -424,6 +426,25 @@ class TestTrainLoop:
         cfg = small_config(loss=LossConfig(kind=KIND_ADAPTIVE))
         with pytest.raises(MarginShapeMismatch):
             train(small_bundle(), cfg, margin_matrix=np.zeros((3, 3), np.float32))
+
+    def test_class_without_rows_rejected(self):
+        labels = np.repeat([0, 2], 8)
+        feats = np.random.default_rng(0).standard_normal((labels.size, 10)).astype(np.float32)
+        with pytest.raises(InvariantViolation, match=r"no samples: \['b'\]"):
+            train(FeatureBundle(feats, labels, ["a", "b", "c"]), small_config())
+
+    def test_margin_rows_follow_bundle_ids(self, tmp_path):
+        bundle = small_bundle()
+        text = np.random.default_rng(4).standard_normal((6, 5)).astype(np.float32)
+        m = build_margin_matrix(ClassTextEmbeddings(text, bundle.class_ids))
+        perm = [3, 1, 5, 0, 2, 4]
+        permuted = MarginMatrix(
+            m.d[np.ix_(perm, perm)], [m.class_ids[i] for i in perm], m.metric, m.norm_mode
+        )
+        cfg = small_config(loss=LossConfig(kind=KIND_ADAPTIVE, sigma=20.0, margin=0.4))
+        save_checkpoint(train(bundle, cfg, m), tmp_path / "aligned.ckpt")
+        save_checkpoint(train(bundle, cfg, permuted), tmp_path / "permuted.ckpt")
+        assert (tmp_path / "aligned.ckpt").read_bytes() == (tmp_path / "permuted.ckpt").read_bytes()
 
     def test_adaptive_training_runs(self):
         bundle = small_bundle()
