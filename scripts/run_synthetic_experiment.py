@@ -57,8 +57,7 @@ def main():
             head_init_seed=5,
         )
 
-    head0, bank0, _ = init(config(KIND_NORM_SOFTMAX), data.train.feature_dim,
-                           data.train.num_classes)
+    head0, bank0 = init(config(KIND_NORM_SOFTMAX), data.train.feature_dim, data.train.num_classes)
     base_float, base_binary = compare_float_binary(
         Checkpoint(head0, bank0, 0), data.split, ks
     )

@@ -154,7 +154,10 @@ def save_class_ids(class_ids: list[str], path) -> None:
 
 
 def load_class_ids(path) -> list[str]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     ids = [line.strip() for line in lines if line.strip()]
     return checked_class_ids(ids, len(ids), str(path))
 

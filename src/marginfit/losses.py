@@ -12,8 +12,10 @@ dtype-generic forward, ``_forward``, serves ``compute_loss`` (float64),
 the training step (float32, in buffers it allocates once; see
 ``marginfit.trainer``) and the finite-difference gradient check, which
 evaluates stacks of perturbed parameters in a single float64 broadcast
-call. Its B-length reductions always run in float64. Public outputs are
-float32. Gradients are with respect to the mean loss over the batch.
+call. Its B-length reductions always run in float64. The adaptive
+transform gathers the label rows of one C x C ``_slope_table``. Public
+outputs are float32. Gradients are with respect to the mean loss over
+the batch.
 """
 
 from __future__ import annotations
@@ -136,23 +138,16 @@ def margin_array(kind: str, margins, class_ids: list[str]) -> np.ndarray | None:
     return d
 
 
-def _slope_rows(d, labels: np.ndarray, out=None) -> np.ndarray:
-    """The (B, C) slope of the adaptive transform: 1 - d[y_i, :], 1 at the positive.
+def _slope_table(d, dtype) -> np.ndarray:
+    """The C x C slope of the adaptive transform, in ``dtype``: 1 - d, ones on the diagonal.
 
-    A negative cosine ``c`` becomes ``c + (1 - c) * d = 1 - (1 - c) * slope``,
-    and the backward pass multiplies by the same slope. Only the B label rows
-    are gathered, into ``out`` or a new float64 array, and transformed in
-    place, so no C x C copy is made.
+    Row y serves label y: a negative cosine ``c`` becomes
+    ``c + (1 - c) * d = 1 - (1 - c) * slope``, the positive keeps slope 1,
+    and the backward pass multiplies by the same slope.
     """
-    if out is None:
-        out = np.asarray(d[labels], dtype=np.float64)
-    else:
-        # the training step's labels come from a validated bundle; "clip"
-        # writes straight into ``out`` where the default mode buffers a copy
-        np.take(d, labels, axis=0, out=out, mode="clip")
-    np.subtract(1.0, out, out=out)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
+    table = np.subtract(1.0, np.asarray(d, dtype=dtype))
+    np.fill_diagonal(table, 1.0)
+    return table
 
 
 def _forward(x, p, labels, tau, margin, slope, out=None):
@@ -162,11 +157,11 @@ def _forward(x, p, labels, tau, margin, slope, out=None):
     in ``out`` when given, and the B-length reductions run in float64. ``x``
     is (..., B, D) and ``p`` is (..., C, D); the leading dimensions
     broadcast, so one call evaluates a stack of perturbed parameters.
-    ``slope`` is ``_slope_rows`` output, or None for the constant-margin /
-    plain kinds. Returns ``(e, ty, others, losses)``: ``e`` is the workspace
-    holding exp(u - max u) with the positive entries zeroed, ``ty`` the
-    shifted positive logit and ``others`` the sum of ``e``, all float64
-    except ``e``.
+    ``slope`` is the label rows of a ``_slope_table``, or None for the
+    constant-margin / plain kinds. Returns ``(e, ty, others, losses)``: ``e``
+    is the workspace holding exp(u - max u) with the positive entries
+    zeroed, ``ty`` the shifted positive logit and ``others`` the sum of
+    ``e``, all float64 except ``e``.
     """
     rows = np.arange(labels.shape[0])
     u = np.matmul(x, np.swapaxes(p, -1, -2), out=out)
@@ -239,7 +234,7 @@ def compute_loss(
     """
     x, lab = _check_inputs(x, bank, labels)
     d = margin_array(cfg.kind, margins, bank.class_ids)
-    slope = None if d is None else _slope_rows(d, lab)
+    slope = None if d is None else _slope_table(d, np.float64)[lab]
     losses, grad_x, grad_p = _forward_backward(
         x.astype(np.float64), bank.proxies.astype(np.float64), lab, cfg.tau, cfg.effective_margin, slope
     )
@@ -292,7 +287,7 @@ def loss_backward_check(
     tau = cfg.tau
     margin = cfg.effective_margin
     if cfg.kind == KIND_ADAPTIVE:
-        slope = _slope_rows(_random_margin_matrix(rng, classes), labels)
+        slope = _slope_table(_random_margin_matrix(rng, classes), np.float64)[labels]
     else:
         slope = None
 

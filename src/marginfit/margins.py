@@ -31,6 +31,7 @@ from .errors import (
     DegenerateRange,
     FormatError,
     InvariantViolation,
+    NonFiniteData,
     UnknownClass,
     ZeroNorm,
 )
@@ -85,6 +86,8 @@ class MarginMatrix:
             raise InvariantViolation(
                 f"unknown metric/norm combination ({self.metric!r}, {self.norm_mode!r})"
             )
+        if not np.all(np.isfinite(self.d)):
+            raise NonFiniteData("margin matrix has a NaN or Inf entry")
         if np.any(self.d < 0.0) or np.any(self.d > 1.0):
             raise InvariantViolation("margin entries must lie in [0, 1]")
         if np.any(np.diagonal(self.d) != 0.0):
@@ -190,6 +193,5 @@ def load_margin_matrix(path) -> MarginMatrix:
                 class_ids.append(read(length, f"class id {i}").decode("utf-8"))
             except UnicodeDecodeError:
                 raise FormatError(f"class id {i} is not valid UTF-8") from None
-        payload = read(c * c * 4, "margin payload")
-    d = np.frombuffer(payload, dtype="<f4").reshape(c, c).astype(np.float32)
-    return MarginMatrix(d, class_ids, metric_names[metric_code], norm_names[norm_code])
+        d = np.frombuffer(read(c * c * 4, "margin payload"), "<f4").reshape(c, c).astype(np.float32)
+        return MarginMatrix(d, class_ids, metric_names[metric_code], norm_names[norm_code])

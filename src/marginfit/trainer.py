@@ -7,12 +7,13 @@ per-iteration exponential decay. Proxies are kept unit-norm by projecting
 given the three seeds (sampler, head init, proxy init) at a fixed BLAS
 thread count, which ``MF_THREADS`` sets before numpy is imported.
 
-Precision: the training step runs in float32. W, b, P and their velocities
-are float32 master arrays updated in place, the head is computed once per
-iteration and its intermediates feed the head backward, and the loss runs
-in buffers allocated once per run. Only the loss's B-length reductions
-(the softmax sums and the log) are float64. The finite-difference
-gradient checks, ``embed`` and ``eval`` (``forward_head``) run in float64.
+Precision: training runs in float32, one ``_Step`` call per iteration.
+W, b, P and their velocities are float32 master arrays updated in place,
+the head is computed once per iteration and its intermediates feed the
+head backward, and the loss runs in buffers allocated once per run. Only
+the loss's B-length reductions (the softmax sums and the log) are
+float64. The finite-difference gradient checks, ``embed`` and ``eval``
+(``forward_head``) run in float64.
 
 Training objective, per iteration, for every loss kind:
 
@@ -57,7 +58,7 @@ from .data_io import (
     validate_bundle,
 )
 from .errors import ConfigError, DimMismatch, DivergenceError, FormatError, ZeroNorm
-from .losses import LossConfig, ProxyBank, _forward_backward, _slope_rows, margin_array
+from .losses import LossConfig, ProxyBank, _forward_backward, _slope_table, margin_array
 from .sampler import BalancedSampler, SamplerConfig
 
 MAGIC_CHECKPOINT = b"CKP1"
@@ -223,8 +224,8 @@ def _renormalize_rows(m) -> None:
 
 def init(
     cfg: TrainConfig, feature_dim: int, num_classes: int, class_ids: list[str] | None = None
-) -> tuple[EmbeddingHead, ProxyBank, dict[str, np.ndarray]]:
-    """Random head and proxies plus zeroed velocity buffers.
+) -> tuple[EmbeddingHead, ProxyBank]:
+    """Random head and proxies.
 
     Weight ~ uniform(-1/sqrt(F), 1/sqrt(F)), bias zero; proxy rows are
     standard normal draws rounded to float32, then L2-normalized in float64.
@@ -238,33 +239,26 @@ def init(
     draws = proxy_rng.standard_normal((num_classes, cfg.embed_dim))
     draws = draws.astype(np.float32).astype(np.float64)
     proxies = (draws / np.linalg.norm(draws, axis=1, keepdims=True)).astype(np.float32)
-    bank = ProxyBank(proxies, class_ids)
-
-    velocities = {
-        "weight": np.zeros_like(head.weight),
-        "bias": np.zeros_like(head.bias),
-        "proxies": np.zeros_like(bank.proxies),
-    }
-    return head, bank, velocities
+    return head, ProxyBank(proxies, class_ids)
 
 
 class _Step:
-    """The float32 training step over master arrays it updates in place.
+    """Training iterations in float32, over master arrays updated in place.
 
-    W, b and P are the head's and the bank's own arrays. Every (B, C) and
-    (C, D) intermediate, and the (F, D) weight gradient, lives in a buffer
-    allocated once here.
+    It owns W, b and P (the head's and the bank's arrays), their velocities
+    (zero at the start), the adaptive kind's slope table (built once) and
+    every (B, C), (C, D) and (F, D) buffer an iteration needs.
     """
 
-    def __init__(self, head, bank, velocities, cfg: TrainConfig, margins, batch_size: int):
+    def __init__(self, head, bank, cfg: TrainConfig, margins):
+        self.cfg = cfg
         self.w, self.b, self.p = head.weight, head.bias, bank.proxies
-        self.vel = velocities
-        self.momentum = cfg.momentum
+        self.velocities = [np.zeros_like(a) for a in (self.w, self.b, self.p)]
         self.tau, self.margin = cfg.loss.tau, cfg.loss.effective_margin
-        self.margins = None if margins is None else np.asarray(margins, dtype=np.float32)
-        self.logits = np.empty((batch_size, self.p.shape[0]), np.float32)
+        self.table = None if margins is None else _slope_table(margins, np.float32)
+        self.logits = np.empty((cfg.sampler.batch_size, self.p.shape[0]), np.float32)
         self.slope = None if margins is None else np.empty_like(self.logits)
-        self.grad_x = np.empty((batch_size, self.p.shape[1]), np.float32)
+        self.grad_x = np.empty((cfg.sampler.batch_size, self.p.shape[1]), np.float32)
         self.grad_w = np.empty_like(self.w)
         self.grad_p = np.empty_like(self.p)
         self.quant = np.empty_like(self.p)
@@ -272,26 +266,32 @@ class _Step:
     def gradients(self, feats, labels):
         """Per-sample float64 losses and the gradients of the mean loss in W, b and P."""
         t, tn, emb = _head_core(feats, self.w, self.b)
-        slope = None
-        if self.margins is not None:
-            slope = _slope_rows(self.margins, labels, out=self.slope)
+        slope = self.slope
+        if slope is not None:  # labels are in range; "clip" skips take's buffered copy
+            np.take(self.table, labels, axis=0, out=slope, mode="clip")
         losses, grad_x, grad_p = _forward_backward(
             emb, self.p, labels, self.tau, self.margin, slope, self.logits, self.grad_x, self.grad_p
         )
         grad_w, grad_b = _head_backward(feats, t, tn, grad_x, self.grad_w)
         return losses, grad_w, grad_b, grad_p
 
-    def update(self, grad_w, grad_b, grad_p, lr: float) -> None:
-        """Momentum step on W, b and P, then renormalize P's rows.
-
-        P's gradient gains the quantization term first.
-        """
+    def __call__(self, t: int, sampler: BalancedSampler, features) -> tuple[float, float]:
+        """Run iteration t (batch t, momentum, proxy renorm); returns (lr, mean loss)."""
+        sampler.counter = t
+        batch = sampler.next_batch()
+        feats = features[batch.sample_indices]
+        losses, grad_w, grad_b, grad_p = self.gradients(feats, batch.labels)
+        mean_loss = float(losses.mean())
+        if not np.isfinite(mean_loss):
+            raise DivergenceError(f"non-finite loss {mean_loss} at iteration {t}")
+        lr = lr_at(self.cfg, t)
         _, grad_q = quantization_penalty(self.p, out=self.quant)
         grad_q += grad_p
-        _momentum_step(self.w, grad_w, self.vel["weight"], lr, self.momentum)
-        _momentum_step(self.b, grad_b, self.vel["bias"], lr, self.momentum)
-        _momentum_step(self.p, grad_q, self.vel["proxies"], lr, self.momentum)
+        grads = (grad_w, grad_b, grad_q)
+        for param, grad, velocity in zip((self.w, self.b, self.p), grads, self.velocities):
+            _momentum_step(param, grad, velocity, lr, self.cfg.momentum)
         _renormalize_rows(self.p)
+        return lr, mean_loss
 
 
 def train(
@@ -301,7 +301,7 @@ def train(
     on_iteration=None,
     on_warning=None,
 ) -> Checkpoint:
-    """Run the sample/forward/loss/backward/step loop for cfg.total_iters.
+    """Run ``_Step`` for iterations 0 .. cfg.total_iters - 1.
 
     ``margin_matrix`` is required exactly when the loss kind is adaptive and
     is aligned to ``bundle.class_ids`` (``losses.margin_array``).
@@ -315,19 +315,11 @@ def train(
             on_warning(warning)
     sampler = BalancedSampler(bundle, cfg.sampler)
     dmat = margin_array(cfg.loss.kind, margin_matrix, bundle.class_ids)
-
-    head, bank, vel = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
-    step = _Step(head, bank, vel, cfg, dmat, cfg.sampler.batch_size)
+    head, bank = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
+    step = _Step(head, bank, cfg, dmat)
 
     for t in range(cfg.total_iters):
-        batch = sampler.next_batch()
-        feats = bundle.features[batch.sample_indices]
-        losses, grad_w, grad_b, grad_p = step.gradients(feats, batch.labels)
-        mean_loss = float(losses.mean())
-        if not np.isfinite(mean_loss):
-            raise DivergenceError(f"non-finite loss {mean_loss} at iteration {t}")
-        lr = lr_at(cfg, t)
-        step.update(grad_w, grad_b, grad_p, lr)
+        lr, mean_loss = step(t, sampler, bundle.features)
         if on_iteration is not None:
             on_iteration(t, lr, mean_loss)
 
@@ -407,4 +399,8 @@ def parse_train_config(text: str) -> TrainConfig:
 
 
 def load_train_config(path) -> TrainConfig:
-    return parse_train_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_train_config(text)

@@ -139,9 +139,11 @@ def test_criterion_3_margin_monotonicity():
         bumped[y, z] += 0.1
         bumped[z, y] += 0.1
 
-        base = losses._forward(x, p, labels, cfg.tau, cfg.margin, losses._slope_rows(d, labels))[3]
+        base = losses._forward(
+            x, p, labels, cfg.tau, cfg.margin, losses._slope_table(d, np.float64)[labels]
+        )[3]
         bump = losses._forward(
-            x, p, labels, cfg.tau, cfg.margin, losses._slope_rows(bumped, labels)
+            x, p, labels, cfg.tau, cfg.margin, losses._slope_table(bumped, np.float64)[labels]
         )[3]
         affected = labels == y
         strict = affected & (x @ p[z] < 1.0 - 1e-6)
@@ -176,9 +178,8 @@ def test_criterion_4_end_to_end_head_gradient():
     # the training step's float32 gradients: one head forward, the loss
     # forward/backward in its buffers, the head backward on the same t, ||t||
     head = EmbeddingHead(w.astype(np.float32), b.astype(np.float32))
-    train_cfg = TrainConfig(embed_dim=embed_dim, loss=cfg)
-    _, _, velocities = init(train_cfg, feat_dim, classes)
-    step = _Step(head, bank, velocities, train_cfg, None, batch)
+    train_cfg = TrainConfig(embed_dim=embed_dim, loss=cfg, sampler=SamplerConfig(batch, 1))
+    step = _Step(head, bank, train_cfg, None)
     _, gw, gb, _ = step.gradients(feats.astype(np.float32), labels)
 
     p64 = proxies.astype(np.float64)
@@ -242,7 +243,7 @@ def convergence_run():
         proxy_init_seed=4,
         head_init_seed=5,
     )
-    head0, bank0, _ = init(cfg, data.train.feature_dim, data.train.num_classes)
+    head0, bank0 = init(cfg, data.train.feature_dim, data.train.num_classes)
     base_float, _ = compare_float_binary(Checkpoint(head0, bank0, 0), data.split, ks=[1])
 
     curve = []
@@ -475,7 +476,7 @@ def test_criterion_10_format_round_trips(tmp_path):
             failures.append(f"MGN1 trial {trial}")
 
     cfg = TrainConfig(embed_dim=4, total_iters=0, warmup_iters=0)
-    head, bank, _ = init(cfg, 6, 3)
+    head, bank = init(cfg, 6, 3)
     ckpt = Checkpoint(head, bank, 0)
     k1, k2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(ckpt, k1)

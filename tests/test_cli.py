@@ -19,6 +19,7 @@ from marginfit.margins import (
     load_margin_matrix,
     save_margin_matrix,
     ClassTextEmbeddings,
+    MarginMatrix,
 )
 from marginfit.trainer import init, load_checkpoint, TrainConfig
 
@@ -291,6 +292,28 @@ class TestTrain:
         assert code == 3
         assert "missing ['cls0'], extra ['cls5']" in capsys.readouterr().err
 
+    def test_nan_margins_exit_2(self, dataset, capsys):
+        # a NaN pair fails no range comparison; it must fail at load, naming the file
+        path = dataset / "nan.mgn"
+        ids = [f"cls{i}" for i in range(5)]
+        save_margin_matrix(MarginMatrix(np.zeros((5, 5), np.float32), ids), path)
+        d = np.zeros((5, 5), "<f4")
+        d[0, 1] = d[1, 0] = np.nan
+        path.write_bytes(path.read_bytes()[: -d.nbytes] + d.tobytes())
+        code, _ = run_cli([
+            "train",
+            "--config", str(dataset / "adaptive.cfg"),
+            "--features", str(dataset / "train.emb"),
+            "--labels", str(dataset / "train.lbl"),
+            "--class-ids", str(dataset / "ids.txt"),
+            "--margins", str(path),
+            "--out", str(dataset / "x.ckpt"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("error:") == 1 and err.startswith(f"error: {path}: ")
+        assert not (dataset / "x.ckpt").exists()
+
     @pytest.mark.parametrize("classes", [50, 0])
     def test_empty_train_file_exit_3(self, dataset, capsys, classes):
         save_matrix(np.zeros((0, 12), np.float32), dataset / "empty.emb")
@@ -367,7 +390,7 @@ class TestTrain:
         assert code == 0
         ckpt = load_checkpoint(dataset / "z.ckpt")
         cfg = TrainConfig(embed_dim=6, total_iters=0, warmup_iters=0)
-        head, bank, _ = init(cfg, 12, 5)
+        head, bank = init(cfg, 12, 5)
         np.testing.assert_array_equal(ckpt.head.weight, head.weight)
         np.testing.assert_array_equal(ckpt.proxies.proxies, bank.proxies)
 
@@ -409,6 +432,29 @@ class TestEmbed:
             "--out", str(dataset / "we.emb"),
         ])
         assert code == 2
+
+
+def text_input_argv(command, data, bad):
+    """argv for ``command`` with the UTF-8 text input under test at ``bad``."""
+    bundle = ["--features", str(data / "train.emb"), "--labels", str(data / "train.lbl")]
+    argv = {
+        "train-config": ["train", "--config", str(bad), *bundle],
+        "train-class-ids": ["train", "--config", str(data / "train.cfg"), *bundle,
+                            "--class-ids", str(bad)],
+        "margins-build-class-ids": ["margins-build", "--class-text", str(data / "text.emb"),
+                                    "--class-ids", str(bad)],
+    }[command]
+    return argv + ["--out", str(data / "out.bin")]
+
+
+@pytest.mark.parametrize("command", ["train-config", "train-class-ids", "margins-build-class-ids"])
+def test_non_utf8_text_input_exit_2(dataset, capsys, command):
+    bad = dataset / "latin1.txt"
+    bad.write_bytes("embed_dim = 6\ncls\u00e9\n".encode("latin-1"))
+    code, _ = run_cli(text_input_argv(command, dataset, bad))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1 and err.startswith(f"error: {bad}: not UTF-8")
 
 
 class TestEval:

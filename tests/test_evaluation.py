@@ -247,7 +247,7 @@ class TestChunkBoundaries:
 def tiny_checkpoint(feature_dim=6, embed_dim=4, classes=3, seed=0):
     cfg = TrainConfig(embed_dim=embed_dim, total_iters=0, warmup_iters=0,
                       head_init_seed=seed, proxy_init_seed=seed + 1)
-    head, bank, _ = init(cfg, feature_dim, classes)
+    head, bank = init(cfg, feature_dim, classes)
     return Checkpoint(head, bank, 0)
 
 

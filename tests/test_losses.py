@@ -291,11 +291,11 @@ class TestProperties:
 
             base64 = losses._forward(
                 x.astype(np.float64), bank.proxies.astype(np.float64),
-                labels, cfg.tau, cfg.margin, losses._slope_rows(dmat, labels),
+                labels, cfg.tau, cfg.margin, losses._slope_table(dmat, np.float64)[labels],
             )[3]
             bump64 = losses._forward(
                 x.astype(np.float64), bank.proxies.astype(np.float64),
-                labels, cfg.tau, cfg.margin, losses._slope_rows(bumped, labels),
+                labels, cfg.tau, cfg.margin, losses._slope_table(bumped, np.float64)[labels],
             )[3]
 
             affected = labels == y
@@ -310,6 +310,24 @@ class TestProperties:
             assert np.all(
                 pub_bump.per_sample_loss[affected] >= pub_base.per_sample_loss[affected]
             )
+
+
+class TestSlopeTable:
+    @pytest.mark.parametrize("table_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("zero_diagonal", [True, False])
+    def test_label_rows_match_per_row_transform(self, table_dtype, d_dtype, zero_diagonal):
+        rng = np.random.default_rng(6)
+        d = rng.uniform(0.0, 1.0, size=(9, 9)).astype(d_dtype)
+        if zero_diagonal:
+            np.fill_diagonal(d, 0.0)
+        labels = rng.integers(0, 9, 40)
+        # oracle: 1 - d[y_i, :] in the table's dtype, then 1 at (i, y_i)
+        want = np.subtract(1.0, d[labels].astype(table_dtype))
+        want[np.arange(labels.size), labels] = 1.0
+        got = losses._slope_table(d, table_dtype)[labels]
+        assert got.dtype == table_dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGradients:
@@ -329,7 +347,7 @@ class TestGradients:
         p64 = bank.proxies.astype(np.float64)
         xs = x64 + 1e-3 * rng.standard_normal((6,) + x64.shape)
         ps = p64 + 1e-3 * rng.standard_normal((6,) + p64.shape)
-        for slope in (None, losses._slope_rows(dmat, labels)):
+        for slope in (None, losses._slope_table(dmat, np.float64)[labels]):
             for stacked_x, stacked_p in [(xs, p64[None]), (x64[None], ps)]:
                 stacked = losses._forward(stacked_x, stacked_p, labels, 20.0, 0.4, slope)
                 for i in range(6):
@@ -348,7 +366,7 @@ class TestGradients:
 
         x64 = x.astype(np.float64)
         p64 = bank.proxies.astype(np.float64)
-        slope = losses._slope_rows(dmat, labels)
+        slope = losses._slope_table(dmat, np.float64)[labels]
         h = 1e-3
 
         def f(xv, pv):

@@ -10,6 +10,7 @@ from marginfit.errors import (
     DegenerateRange,
     FormatError,
     InvariantViolation,
+    NonFiniteData,
     UnknownClass,
     ZeroNorm,
 )
@@ -286,4 +287,11 @@ class TestSerialization:
     def test_nonzero_diagonal_rejected(self):
         d = np.array([[0.1, 0.0], [0.0, 0.0]], np.float32)
         with pytest.raises(InvariantViolation):
+            MarginMatrix(d, ["a", "b"])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, value):
+        # NaN fails every range comparison, so only a finiteness check catches it
+        d = np.array([[0.0, value], [value, 0.0]], np.float32)
+        with pytest.raises(NonFiniteData):
             MarginMatrix(d, ["a", "b"])

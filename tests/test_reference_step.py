@@ -71,7 +71,7 @@ def reference_quant_grad(p):
 
 
 def reference_train(bundle, cfg, d=None, steps=STEPS):
-    head, bank, _ = init(cfg, bundle.feature_dim, bundle.num_classes)
+    head, bank = init(cfg, bundle.feature_dim, bundle.num_classes)
     params = [head.weight, head.bias, bank.proxies]
     velocities = [np.zeros_like(a) for a in params]
     sampler = BalancedSampler(bundle, cfg.sampler)
@@ -145,6 +145,6 @@ def test_float32_step_tracks_float64_reference(kind, shape):
     np.testing.assert_allclose(ckpt.head.bias, b, rtol=0, atol=ATOL)
     np.testing.assert_allclose(ckpt.proxies.proxies, p, rtol=0, atol=ATOL)
     # the parameters moved well beyond the tolerance, so the check has teeth
-    head0, bank0, _ = init(cfg, feature_dim, classes)
+    head0, bank0 = init(cfg, feature_dim, classes)
     assert np.max(np.abs(w - head0.weight)) > 100 * ATOL
     assert np.max(np.abs(p - bank0.proxies)) > 100 * ATOL

@@ -27,7 +27,7 @@ from marginfit.losses import (
     max_relative_error,
 )
 from marginfit.margins import ClassTextEmbeddings, MarginMatrix, build_margin_matrix
-from marginfit.sampler import SamplerConfig
+from marginfit.sampler import BalancedSampler, SamplerConfig
 from marginfit.trainer import (
     Checkpoint,
     EmbeddingHead,
@@ -318,7 +318,7 @@ class TestQuantizationPenalty:
 
 class TestInit:
     def test_proxies_unit_norm(self):
-        _, bank, _ = init(small_config(), feature_dim=10, num_classes=6)
+        _, bank = init(small_config(), feature_dim=10, num_classes=6)
         norms = np.linalg.norm(bank.proxies.astype(np.float64), axis=1)
         assert np.all(np.abs(norms - 1.0) <= 1e-5)
 
@@ -328,20 +328,20 @@ class TestInit:
         rng = np.random.Generator(np.random.Philox(key=cfg.proxy_init_seed))
         draws = rng.standard_normal((6, cfg.embed_dim)).astype(np.float32).astype(np.float64)
         want = (draws / np.linalg.norm(draws, axis=1, keepdims=True)).astype(np.float32)
-        _, bank, _ = init(cfg, feature_dim=10, num_classes=6)
+        _, bank = init(cfg, feature_dim=10, num_classes=6)
         np.testing.assert_array_equal(bank.proxies, want)
 
     def test_bias_exactly_zero(self):
-        head, _, _ = init(small_config(), feature_dim=10, num_classes=6)
+        head, _ = init(small_config(), feature_dim=10, num_classes=6)
         assert np.all(head.bias == 0.0)
 
     def test_weight_within_bound(self):
-        head, _, _ = init(small_config(), feature_dim=16, num_classes=6)
+        head, _ = init(small_config(), feature_dim=16, num_classes=6)
         assert np.max(np.abs(head.weight)) <= 1.0 / 4.0
 
     def test_same_seed_same_init(self):
-        a_head, a_bank, _ = init(small_config(), 10, 6)
-        b_head, b_bank, _ = init(small_config(), 10, 6)
+        a_head, a_bank = init(small_config(), 10, 6)
+        b_head, b_bank = init(small_config(), 10, 6)
         np.testing.assert_array_equal(a_head.weight, b_head.weight)
         np.testing.assert_array_equal(a_bank.proxies, b_bank.proxies)
 
@@ -351,7 +351,7 @@ class TestTrainLoop:
         bundle = small_bundle()
         cfg = small_config(total_iters=0, warmup_iters=0)
         ckpt = train(bundle, cfg)
-        head, bank, _ = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
+        head, bank = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
         np.testing.assert_array_equal(ckpt.head.weight, head.weight)
         np.testing.assert_array_equal(ckpt.proxies.proxies, bank.proxies)
         assert ckpt.iteration == 0
@@ -368,7 +368,7 @@ class TestTrainLoop:
         bundle = small_bundle()
         cfg = small_config(lr0=0.0, total_iters=8)
         ckpt = train(bundle, cfg)
-        head, bank, _ = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
+        head, bank = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
         np.testing.assert_array_equal(ckpt.head.weight, head.weight)
         np.testing.assert_array_equal(ckpt.head.bias, head.bias)
         np.testing.assert_array_equal(ckpt.proxies.proxies, bank.proxies)
@@ -454,6 +454,36 @@ class TestTrainLoop:
         ckpt = train(bundle, cfg, margin_matrix=dmat)
         assert ckpt.iteration == cfg.total_iters
 
+    def test_call_runs_iteration_t_on_batch_t(self):
+        # oracle: one manual gradients + momentum/renorm update on batch 3,
+        # from zero velocities, so v = g and each parameter moves by lr * g
+        bundle = small_bundle()
+        text = np.random.default_rng(4).standard_normal((6, 5)).astype(np.float32)
+        dmat = build_margin_matrix(ClassTextEmbeddings(text, bundle.class_ids)).d
+        cfg = small_config(loss=LossConfig(kind=KIND_ADAPTIVE, sigma=20.0, margin=0.4))
+
+        head, bank = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
+        sampler = BalancedSampler(bundle, cfg.sampler)
+        sampler.counter = 3
+        batch = sampler.next_batch()
+        manual = trainer._Step(head, bank, cfg, dmat)
+        losses, gw, gb, gp = manual.gradients(bundle.features[batch.sample_indices], batch.labels)
+        lr = lr_at(cfg, 3)
+        _, gq = trainer.quantization_penalty(bank.proxies)
+        gq += gp
+        for param, grad in ((head.weight, gw), (head.bias, gb), (bank.proxies, gq)):
+            param -= (cfg.momentum * np.zeros_like(grad) + grad) * lr
+        trainer._renormalize_rows(bank.proxies)
+
+        fresh_head, fresh_bank = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
+        step = trainer._Step(fresh_head, fresh_bank, cfg, dmat)
+        stale = BalancedSampler(bundle, cfg.sampler)
+        stale.counter = 8  # the step, not the sampler, picks the batch
+        assert step(3, stale, bundle.features) == (lr, float(losses.mean()))
+        np.testing.assert_array_equal(fresh_head.weight, head.weight)
+        np.testing.assert_array_equal(fresh_head.bias, head.bias)
+        np.testing.assert_array_equal(fresh_bank.proxies, bank.proxies)
+
     def test_divergence_detected(self, monkeypatch):
         real = trainer._forward_backward
 
@@ -481,9 +511,8 @@ class TestTrainLoop:
         cfg = LossConfig(kind=KIND_NORM_SOFTMAX, sigma=20.0)
 
         head = EmbeddingHead(w.astype(np.float32), b.astype(np.float32))
-        train_cfg = TrainConfig(embed_dim=embed_dim, loss=cfg)
-        _, _, velocities = init(train_cfg, feat_dim, classes)
-        step = trainer._Step(head, bank, velocities, train_cfg, None, batch)
+        train_cfg = TrainConfig(embed_dim=embed_dim, loss=cfg, sampler=SamplerConfig(batch, 1))
+        step = trainer._Step(head, bank, train_cfg, None)
         _, gw, _, _ = step.gradients(feats.astype(np.float32), labels)
 
         from marginfit import losses as losses_mod
