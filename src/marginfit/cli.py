@@ -24,7 +24,6 @@ from .evaluation import (
     machine_lines,
     recall_at_k,
 )
-from .losses import KIND_ADAPTIVE
 from .margins import (
     METRIC_COSINE,
     METRIC_EUCLIDEAN,
@@ -73,13 +72,7 @@ def _cmd_train(args) -> int:
     cfg = load_train_config(args.config)
     bundle = load_bundle(args.features, args.labels, args.class_ids)
 
-    margin_matrix = None
-    if cfg.loss.kind == KIND_ADAPTIVE:
-        if args.margins is None:
-            raise ConfigError("loss_kind is adaptive: --margins is required")
-        margin_matrix = load_margin_matrix(args.margins)
-    elif args.margins is not None:
-        raise ConfigError(f"loss_kind {cfg.loss.kind!r} does not take --margins")
+    margin_matrix = None if args.margins is None else load_margin_matrix(args.margins)
 
     def stream(t, lr, loss):
         if t % 100 == 0:

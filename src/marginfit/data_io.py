@@ -1,4 +1,4 @@
-"""Binary containers for features, labels and class ids, plus bundle validation.
+"""Binary containers for features, labels and class ids, and the feature bundle.
 
 All containers are little-endian with a 4-byte magic so files round-trip
 bit-exactly across machines and languages:
@@ -9,14 +9,16 @@ bit-exactly across machines and languages:
 Every container, MGN1 and CKP1 included, is read by ``read_container``:
 the payload length must equal what the header declares, exactly (trailing
 bytes, or a length the file cannot hold, are a FormatError), and every
-FormatError names the file. Class ids travel in a UTF-8 text sidecar, one
-id per line; ``checked_class_ids`` is their one rule. Native OSError
-(missing file, permissions) propagates untouched. ``as_matrix`` is the one
-float32 2-D coercion every module uses, and ``ZERO_NORM_THRESHOLD`` the one
-bound below which a row cannot be normalized.
+error raised while reading one names the file. Class ids travel in a UTF-8
+text sidecar, one id per line; ``checked_class_ids`` is their one rule.
+Native OSError (missing file, permissions) propagates untouched.
+``as_matrix`` is the one float32 2-D coercion every module uses, and
+``ZERO_NORM_THRESHOLD`` the one bound below which a row cannot be
+normalized.
 
 A ``FeatureBundle`` may be empty or miss classes: the sampler refuses those
-for training, and ``recall_at_k`` an empty query set or gallery.
+for training (and warns about classes with fewer than k rows), ``train``
+non-finite feature rows, and ``recall_at_k`` an empty query set or gallery.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import (
     FormatError,
     InvariantViolation,
     LabelOutOfRange,
+    MarginfitError,
     NonFiniteData,
 )
 
@@ -59,7 +62,7 @@ def read_container(path, magic: bytes):
     Yields ``read(n, what)``, which returns exactly n bytes or raises
     FormatError; in a regular file it raises before reading when fewer than
     n bytes are left. When the ``with`` block ends, the file must be at EOF.
-    Every FormatError and NonFiniteData raised inside names ``path``.
+    Every MarginfitError raised inside names ``path``, with its type kept.
     """
     with open(path, "rb") as f:
         st = os.fstat(f.fileno())
@@ -81,7 +84,7 @@ def read_container(path, magic: bytes):
             yield read
             if f.read(1):
                 raise FormatError("trailing bytes after declared payload")
-        except (FormatError, NonFiniteData) as exc:
+        except MarginfitError as exc:
             raise type(exc)(f"{path}: {exc}") from None
 
 
@@ -142,10 +145,9 @@ def load_labels(path) -> tuple[np.ndarray, int]:
     """Returns (labels, num_classes)."""
     with read_container(path, MAGIC_LABELS) as read:
         n, c = struct.unpack("<II", read(8, "count header"))
-        payload = read(n * 4, "label payload")
-    lab = np.frombuffer(payload, dtype="<u4").astype(np.int64)
-    if lab.size and lab.max() >= c:
-        raise LabelOutOfRange(f"{path}: label {lab.max()} >= declared class count {c}")
+        lab = np.frombuffer(read(n * 4, "label payload"), dtype="<u4").astype(np.int64)
+        if lab.size and lab.max() >= c:
+            raise LabelOutOfRange(f"label {lab.max()} >= declared class count {c}")
     return lab, c
 
 
@@ -225,27 +227,3 @@ def load_bundle(features_path, labels_path, class_ids_path=None) -> FeatureBundl
     class_ids = checked_class_ids(class_ids, num_classes, str(labels_path))
     return FeatureBundle(features, labels, class_ids)
 
-
-def validate_bundle(bundle: FeatureBundle, k: int = 5) -> list[str]:
-    """Sanity-check a loaded bundle.
-
-    Non-finite feature rows are a hard error. Returns warnings for classes
-    the sampler will have to draw with replacement (< k samples) and for
-    all-zero feature rows.
-    """
-    finite = np.isfinite(bundle.features).all(axis=1)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise NonFiniteData(f"feature row {bad} contains NaN or Inf")
-
-    warnings = []
-    counts = np.bincount(bundle.labels, minlength=bundle.num_classes)
-    for idx in np.flatnonzero((counts > 0) & (counts < k)):
-        warnings.append(
-            f"class {bundle.class_ids[idx]!r} has {counts[idx]} samples < k={k}; "
-            "sampler will draw with replacement"
-        )
-    zero_rows = np.flatnonzero(~bundle.features.any(axis=1))
-    for idx in zero_rows[:20]:
-        warnings.append(f"feature row {idx} is all zeros")
-    return warnings

@@ -69,7 +69,7 @@ class ClassTextEmbeddings:
 
 @dataclass
 class MarginMatrix:
-    """Symmetric class-pair distances in [0, 1], zero diagonal."""
+    """Symmetric class-pair distances in [0, 1], zero diagonal, at least one class."""
 
     d: np.ndarray  # (C, C) float32
     class_ids: list[str]
@@ -81,6 +81,8 @@ class MarginMatrix:
         c = self.d.shape[0]
         if self.d.shape != (c, c):
             raise InvariantViolation(f"margin matrix must be square, got {self.d.shape}")
+        if c == 0:
+            raise InvariantViolation("margin matrix has no classes")
         self.class_ids = checked_class_ids(self.class_ids, c, "margin matrix")
         if self.metric not in METRICS or self.norm_mode not in NORM_MODES:
             raise InvariantViolation(

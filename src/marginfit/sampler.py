@@ -3,7 +3,9 @@
 Every batch draws ``batch_size / k`` distinct classes uniformly without
 replacement, then ``k`` samples from each: without replacement when the
 class has at least k samples, with replacement otherwise, so small classes
-stay in the training distribution.
+stay in the training distribution. The sampler refuses a bundle with no
+rows or with a class that has none, and its ``warnings`` name every class
+it will draw with replacement.
 
 A batch costs a fixed handful of array operations, whatever its size: one
 class draw, one ``(k, batch_size / k)`` uniform draw, then Floyd's k-subset
@@ -59,7 +61,10 @@ class Batch:
 
 
 class BalancedSampler:
-    """Mutable sampler state: (seed, batch counter) plus the class-sorted row table."""
+    """Mutable sampler state: (seed, batch counter) plus the class-sorted row table.
+
+    ``warnings`` holds one message per class with fewer than k rows.
+    """
 
     def __init__(self, bundle: FeatureBundle, config: SamplerConfig):
         if bundle.labels.size == 0:
@@ -73,6 +78,11 @@ class BalancedSampler:
                 f"batch needs {config.classes_per_batch} classes but bundle has "
                 f"only {bundle.num_classes}"
             )
+        self.warnings = [
+            f"class {bundle.class_ids[i]!r} has {counts[i]} samples < k={config.k}; "
+            "sampler will draw with replacement"
+            for i in np.flatnonzero(counts < config.k)
+        ]
         self.config = config
         self.num_classes = bundle.num_classes
         # rows[starts[c] : starts[c] + counts[c]] are the rows of class c

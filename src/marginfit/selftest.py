@@ -84,11 +84,11 @@ def _check_margin_monotonicity():
         bumped[z, y] += 0.1
         base = losses._forward(
             x.astype(np.float64), bank.proxies.astype(np.float64),
-            labels, cfg.tau, cfg.margin, losses._slope_table(dmat, np.float64)[labels],
+            labels, cfg.tau, cfg.margin, losses._slope_rows(dmat, labels, np.float64),
         )[3]
         bump = losses._forward(
             x.astype(np.float64), bank.proxies.astype(np.float64),
-            labels, cfg.tau, cfg.margin, losses._slope_table(bumped, np.float64)[labels],
+            labels, cfg.tau, cfg.margin, losses._slope_rows(bumped, labels, np.float64),
         )[3]
         affected = labels == y
         if not np.all(bump[affected] >= base[affected]):

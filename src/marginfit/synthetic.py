@@ -63,10 +63,11 @@ def hierarchical_text_embeddings(
     num_classes: int = 50,
     num_groups: int = 5,
     text_dim: int = 16,
-    within_scale: float = 0.3,
     seed: int = 1,
 ) -> ClassTextEmbeddings:
     """Class text vectors clustered into super-groups: group direction + offset.
+
+    Offsets are standard normal draws scaled by 0.3.
 
     Classes land in groups round-robin (class i -> group i % num_groups).
     Group directions form a regular simplex (pairwise cosine -1/(G-1)), so
@@ -82,7 +83,7 @@ def hierarchical_text_embeddings(
     group_dirs = frame - frame.mean(axis=0)
     group_dirs /= np.linalg.norm(group_dirs, axis=1, keepdims=True)
     groups = np.arange(num_classes) % num_groups
-    offsets = rng.standard_normal((num_classes, text_dim)) * within_scale
+    offsets = rng.standard_normal((num_classes, text_dim)) * 0.3
     vecs = group_dirs[groups] + offsets
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     class_ids = [f"class{i:03d}" for i in range(num_classes)]

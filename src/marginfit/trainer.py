@@ -55,10 +55,9 @@ from .data_io import (
     matrix_to_bytes,
     read_container,
     read_matrix_block,
-    validate_bundle,
 )
-from .errors import ConfigError, DimMismatch, DivergenceError, FormatError, ZeroNorm
-from .losses import LossConfig, ProxyBank, _forward_backward, _slope_table, margin_array
+from .errors import ConfigError, DimMismatch, DivergenceError, FormatError, NonFiniteData, ZeroNorm
+from .losses import LossConfig, ProxyBank, _forward_backward, _slope_rows, margin_array
 from .sampler import BalancedSampler, SamplerConfig
 
 MAGIC_CHECKPOINT = b"CKP1"
@@ -229,7 +228,10 @@ def init(
 
     Weight ~ uniform(-1/sqrt(F), 1/sqrt(F)), bias zero; proxy rows are
     standard normal draws rounded to float32, then L2-normalized in float64.
+    DimMismatch when ``feature_dim`` is 0.
     """
+    if feature_dim < 1:
+        raise DimMismatch("features have no columns; the head needs at least one")
     head_rng = np.random.Generator(np.random.Philox(key=cfg.head_init_seed % (1 << 64)))
     bound = 1.0 / np.sqrt(feature_dim)
     weight = head_rng.uniform(-bound, bound, size=(feature_dim, cfg.embed_dim)).astype(np.float32)
@@ -255,7 +257,8 @@ class _Step:
         self.w, self.b, self.p = head.weight, head.bias, bank.proxies
         self.velocities = [np.zeros_like(a) for a in (self.w, self.b, self.p)]
         self.tau, self.margin = cfg.loss.tau, cfg.loss.effective_margin
-        self.table = None if margins is None else _slope_table(margins, np.float32)
+        classes = np.arange(self.p.shape[0])
+        self.table = None if margins is None else _slope_rows(margins, classes, np.float32)
         self.logits = np.empty((cfg.sampler.batch_size, self.p.shape[0]), np.float32)
         self.slope = None if margins is None else np.empty_like(self.logits)
         self.grad_x = np.empty((cfg.sampler.batch_size, self.p.shape[1]), np.float32)
@@ -304,19 +307,28 @@ def train(
     """Run ``_Step`` for iterations 0 .. cfg.total_iters - 1.
 
     ``margin_matrix`` is required exactly when the loss kind is adaptive and
-    is aligned to ``bundle.class_ids`` (``losses.margin_array``).
-    ``on_warning(message)``, if given, receives each ``validate_bundle``
-    warning before the first iteration.
+    is aligned to ``bundle.class_ids`` (``losses.margin_array``); that rule
+    is checked first. A feature row with NaN or Inf is NonFiniteData, and
+    the sampler refuses a bundle it cannot draw from.
+    ``on_warning(message)``, if given, receives before the first iteration
+    the sampler's warnings (classes with fewer than k rows), then one per
+    all-zero feature row (the first 20).
     ``on_iteration(t, lr, mean_loss)``, if given, fires every iteration; it
     is the one stream of the training loss.
     """
-    for warning in validate_bundle(bundle, cfg.sampler.k):
-        if on_warning is not None:
-            on_warning(warning)
-    sampler = BalancedSampler(bundle, cfg.sampler)
     dmat = margin_array(cfg.loss.kind, margin_matrix, bundle.class_ids)
+    finite = np.isfinite(bundle.features).all(axis=1)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise NonFiniteData(f"feature row {bad} contains NaN or Inf")
+    sampler = BalancedSampler(bundle, cfg.sampler)
     head, bank = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
     step = _Step(head, bank, cfg, dmat)
+    if on_warning is not None:
+        for warning in sampler.warnings:
+            on_warning(warning)
+        for i in np.flatnonzero(~bundle.features.any(axis=1))[:20]:
+            on_warning(f"feature row {i} is all zeros")
 
     for t in range(cfg.total_iters):
         lr, mean_loss = step(t, sampler, bundle.features)

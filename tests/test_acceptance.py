@@ -140,10 +140,10 @@ def test_criterion_3_margin_monotonicity():
         bumped[z, y] += 0.1
 
         base = losses._forward(
-            x, p, labels, cfg.tau, cfg.margin, losses._slope_table(d, np.float64)[labels]
+            x, p, labels, cfg.tau, cfg.margin, losses._slope_rows(d, labels, np.float64)
         )[3]
         bump = losses._forward(
-            x, p, labels, cfg.tau, cfg.margin, losses._slope_table(bumped, np.float64)[labels]
+            x, p, labels, cfg.tau, cfg.margin, losses._slope_rows(bumped, labels, np.float64)
         )[3]
         affected = labels == y
         strict = affected & (x @ p[z] < 1.0 - 1e-6)

@@ -18,7 +18,6 @@ from marginfit.data_io import (
     save_class_ids,
     save_labels,
     save_matrix,
-    validate_bundle,
 )
 from marginfit.errors import (
     DimMismatch,
@@ -238,32 +237,12 @@ class TestBundle:
         save_labels([], 2, tmp_path / "l.lbl")
         b = load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl")
         assert b.features.shape == (0, 3) and b.num_classes == 2
-        assert validate_bundle(b) == []
-
-    def test_clean_bundle_no_warnings(self):
-        assert validate_bundle(make_bundle([6, 7]), k=5) == []
-
-    def test_small_class_warns_replacement(self):
-        warnings = validate_bundle(make_bundle([3, 8]), k=5)
-        assert len(warnings) == 1
-        assert "replacement" in warnings[0]
-
-    def test_nan_row_is_hard_error(self):
-        b = make_bundle([5, 5])
-        b.features[2, 0] = np.nan
-        with pytest.raises(NonFiniteData):
-            validate_bundle(b)
-
-    def test_zero_row_warns(self):
-        b = make_bundle([5, 5])
-        b.features[1] = 0.0
-        assert any("all zeros" in w for w in validate_bundle(b))
 
     def test_query_bundle_may_miss_classes(self):
         # only the sampler needs a row of every class
         feats = np.ones((2, 3), np.float32)
         b = FeatureBundle(feats, [0, 0], ["a", "b"])
-        assert validate_bundle(b, k=2) == []
+        assert b.num_classes == 2
 
     def test_eval_split_namespace_check(self):
         q = make_bundle([2, 2])

@@ -291,11 +291,11 @@ class TestProperties:
 
             base64 = losses._forward(
                 x.astype(np.float64), bank.proxies.astype(np.float64),
-                labels, cfg.tau, cfg.margin, losses._slope_table(dmat, np.float64)[labels],
+                labels, cfg.tau, cfg.margin, losses._slope_rows(dmat, labels, np.float64),
             )[3]
             bump64 = losses._forward(
                 x.astype(np.float64), bank.proxies.astype(np.float64),
-                labels, cfg.tau, cfg.margin, losses._slope_table(bumped, np.float64)[labels],
+                labels, cfg.tau, cfg.margin, losses._slope_rows(bumped, labels, np.float64),
             )[3]
 
             affected = labels == y
@@ -325,9 +325,12 @@ class TestSlopeTable:
         # oracle: 1 - d[y_i, :] in the table's dtype, then 1 at (i, y_i)
         want = np.subtract(1.0, d[labels].astype(table_dtype))
         want[np.arange(labels.size), labels] = 1.0
-        got = losses._slope_table(d, table_dtype)[labels]
+        got = losses._slope_rows(d, labels, table_dtype)
         assert got.dtype == table_dtype
         assert got.tobytes() == want.tobytes()
+        # the training step gathers the same rows from its whole-table call
+        table = losses._slope_rows(d, np.arange(9), table_dtype)
+        assert table[labels].tobytes() == want.tobytes()
 
 
 class TestGradients:
@@ -347,7 +350,7 @@ class TestGradients:
         p64 = bank.proxies.astype(np.float64)
         xs = x64 + 1e-3 * rng.standard_normal((6,) + x64.shape)
         ps = p64 + 1e-3 * rng.standard_normal((6,) + p64.shape)
-        for slope in (None, losses._slope_table(dmat, np.float64)[labels]):
+        for slope in (None, losses._slope_rows(dmat, labels, np.float64)):
             for stacked_x, stacked_p in [(xs, p64[None]), (x64[None], ps)]:
                 stacked = losses._forward(stacked_x, stacked_p, labels, 20.0, 0.4, slope)
                 for i in range(6):
@@ -366,7 +369,7 @@ class TestGradients:
 
         x64 = x.astype(np.float64)
         p64 = bank.proxies.astype(np.float64)
-        slope = losses._slope_table(dmat, np.float64)[labels]
+        slope = losses._slope_rows(dmat, labels, np.float64)
         h = 1e-3
 
         def f(xv, pv):

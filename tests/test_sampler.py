@@ -44,6 +44,17 @@ class TestConfig:
             BalancedSampler(b, SamplerConfig(batch_size=75, k=5, seed=0))
 
 
+class TestWarnings:
+    def test_clean_bundle_no_warnings(self):
+        s = BalancedSampler(bundle_with_counts([6, 7]), SamplerConfig(batch_size=10, k=5))
+        assert s.warnings == []
+
+    def test_small_class_warns_replacement(self):
+        s = BalancedSampler(bundle_with_counts([3, 8]), SamplerConfig(batch_size=10, k=5))
+        assert len(s.warnings) == 1
+        assert "replacement" in s.warnings[0]
+
+
 class TestBatchShape:
     def test_paper_scale_shape(self):
         b = bundle_with_counts([8] * 20)

@@ -399,6 +399,24 @@ class TestTrainLoop:
         with pytest.raises(NonFiniteData):
             train(bundle, small_config())
 
+    def test_zero_row_warns(self):
+        # small classes warn first, then all-zero rows; a zero row drawn in a
+        # batch collapses the head (ZeroNorm), so no iteration runs here
+        labels = np.array([0] * 8 + [1] * 8 + [2])
+        feats = np.random.default_rng(0).standard_normal((labels.size, 10)).astype(np.float32)
+        feats[1] = 0.0
+        warnings = []
+        train(
+            FeatureBundle(feats, labels, ["a", "b", "c"]),
+            small_config(total_iters=0, warmup_iters=0),
+            on_warning=warnings.append,
+        )
+        assert any("all zeros" in w for w in warnings)
+        assert warnings == [
+            "class 'c' has 1 samples < k=2; sampler will draw with replacement",
+            "feature row 1 is all zeros",
+        ]
+
     def test_warnings_reach_callback_before_first_iteration(self):
         labels = np.array([0] * 8 + [1] * 8 + [2])
         feats = np.random.default_rng(0).standard_normal((labels.size, 10)).astype(np.float32)
@@ -417,6 +435,12 @@ class TestTrainLoop:
         cfg = small_config(loss=LossConfig(kind=KIND_ADAPTIVE))
         with pytest.raises(ConfigError):
             train(small_bundle(), cfg)
+
+    def test_margin_rule_checked_before_the_data(self):
+        bundle = small_bundle()
+        bundle.features[3, 1] = np.nan
+        with pytest.raises(ConfigError, match="requires a margin matrix"):
+            train(bundle, small_config(loss=LossConfig(kind=KIND_ADAPTIVE)))
 
     def test_margins_rejected_for_plain_loss(self):
         with pytest.raises(ConfigError):
