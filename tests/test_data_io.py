@@ -26,8 +26,9 @@ from marginfit.errors import (
     LabelOutOfRange,
     NonFiniteData,
 )
-from marginfit.losses import ProxyBank
+from marginfit.losses import KIND_NORM_SOFTMAX, LossConfig, ProxyBank
 from marginfit.margins import ClassTextEmbeddings, MarginMatrix
+from marginfit.trainer import TrainConfig, train
 
 
 class TestMatrixContainer:
@@ -237,6 +238,20 @@ class TestBundle:
         save_labels([], 2, tmp_path / "l.lbl")
         b = load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl")
         assert b.features.shape == (0, 3) and b.num_classes == 2
+
+    def test_nan_row_is_hard_error(self):
+        # a bundle holds a NaN row; train, the code that relies on finite
+        # rows, refuses it before any draw and names the row
+        b = make_bundle([5, 5])
+        b.features[2, 0] = np.nan
+        cfg = TrainConfig(
+            embed_dim=2,
+            total_iters=0,
+            warmup_iters=0,
+            loss=LossConfig(kind=KIND_NORM_SOFTMAX),
+        )
+        with pytest.raises(NonFiniteData, match="feature row 2"):
+            train(b, cfg)
 
     def test_query_bundle_may_miss_classes(self):
         # only the sampler needs a row of every class
