@@ -13,9 +13,16 @@ class MarginfitError(Exception):
 
 
 class ZeroNorm(MarginfitError):
-    """A vector that must be normalized has (numerically) zero norm."""
+    """A vector that must be normalized has (numerically) zero or non-finite norm.
+
+    ``row``, when given, is the vector's row in the array being normalized.
+    """
 
     exit_code = 3
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class DimMismatch(MarginfitError):

@@ -2,8 +2,9 @@
 
 Each check is named and independent; the runner reports PASS/FAIL per check
 and an overall verdict. Gradient checks compare analytic gradients to central
-finite differences; the recall check compares the evaluator to a full-sort
-oracle with the same tie rule.
+finite differences; the recall checks compare the evaluator to a full-sort
+oracle with the same tie rule, once on random galleries and once on
+galleries whose near-ties float32 cannot order.
 """
 
 from __future__ import annotations
@@ -116,6 +117,16 @@ def _brute_force_recall(q, qlab, g, glab, ks, mode):
     return [hits[k] / q64.shape[0] for k in ks]
 
 
+def _recall_mismatch(q, qlab, g, glab, ks):
+    """None if both modes match the full-sort oracle, else what differs."""
+    for mode in (MODE_FLOAT, MODE_BINARY):
+        got = recall_at_k(q, qlab, g, glab, ks=ks, mode=mode).recall
+        want = _brute_force_recall(q, qlab, g, glab, ks, mode)
+        if got != want:
+            return f"mode {mode}: {got} vs {want}"
+    return None
+
+
 def _check_recall_oracle():
     ks = [1, 5, 10]
     for seed in range(10):
@@ -124,12 +135,34 @@ def _check_recall_oracle():
         g = rng.standard_normal((int(rng.integers(10, 60)), 6)).astype(np.float32)
         qlab = rng.integers(0, 5, q.shape[0])
         glab = rng.integers(0, 5, g.shape[0])
-        for mode in (MODE_FLOAT, MODE_BINARY):
-            got = recall_at_k(q, qlab, g, glab, ks=ks, mode=mode).recall
-            want = _brute_force_recall(q, qlab, g, glab, ks, mode)
-            if got != want:
-                return False, f"mismatch at seed {seed} mode {mode}: {got} vs {want}"
+        mismatch = _recall_mismatch(q, qlab, g, glab, ks)
+        if mismatch:
+            return False, f"mismatch at seed {seed} {mismatch}"
     return True, "float and binary recall match full-sort oracle on 10 instances"
+
+
+def _near_tie_instance(seed):
+    """Queries, labels and a gallery whose rows come in pairs one float32 ulp apart.
+
+    Each query is a gallery row, and the two rows of a pair have different
+    classes, so float32 scores cannot order the pair and the float64
+    re-rank decides every query.
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((12, 8)).astype(np.float32)
+    gallery = np.concatenate([base, np.nextafter(base, np.float32(np.inf))])
+    gallery_labels = np.concatenate([np.arange(12) % 4, (np.arange(12) + 1) % 4])
+    pick = rng.permutation(gallery.shape[0])[:10]
+    return gallery[pick], gallery_labels[pick], gallery, gallery_labels
+
+
+def _check_recall_near_ties():
+    ks = [1, 2, 3, 5]
+    for seed in range(5):
+        mismatch = _recall_mismatch(*_near_tie_instance(seed), ks)
+        if mismatch:
+            return False, f"mismatch at seed {seed} {mismatch}"
+    return True, "recall matches full-sort oracle on 5 galleries of rows one float32 ulp apart"
 
 
 def all_checks():
@@ -137,6 +170,7 @@ def all_checks():
     checks.append(("reduction_identities", _check_reduction_identities))
     checks.append(("margin_monotonicity", _check_margin_monotonicity))
     checks.append(("recall_oracle", _check_recall_oracle))
+    checks.append(("recall_near_ties", _check_recall_near_ties))
     return checks
 
 

@@ -147,14 +147,20 @@ def forward_head(head: EmbeddingHead, features: np.ndarray) -> np.ndarray:
 
 
 def _head_core(feats, w, b):
-    """Returns (centred t, row norms of t, unit output) in the operands' dtype."""
-    t = feats @ w
-    t += b
-    t -= t.mean(axis=1, keepdims=True)
-    tn = np.linalg.norm(t, axis=1, keepdims=True)
-    if np.any(tn < ZERO_NORM_THRESHOLD):
-        bad = int(np.argmin(tn))
-        raise ZeroNorm(f"row {bad} collapsed to zero after centring")
+    """Returns (centred t, row norms of t, unit output) in the operands' dtype.
+
+    ZeroNorm names the first row whose norm is below ZERO_NORM_THRESHOLD or
+    not finite (a huge feature can overflow float32); no numpy warning escapes.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = feats @ w
+        t += b
+        t -= t.mean(axis=1, keepdims=True)
+        tn = np.linalg.norm(t, axis=1, keepdims=True)
+    ok = np.isfinite(tn) & (tn >= ZERO_NORM_THRESHOLD)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        raise ZeroNorm(f"row {bad} has norm {tn[bad, 0]:.3e} after centring", row=bad)
     return t, tn, t / tn
 
 
@@ -283,7 +289,13 @@ class _Step:
         sampler.counter = t
         batch = sampler.next_batch()
         feats = features[batch.sample_indices]
-        losses, grad_w, grad_b, grad_p = self.gradients(feats, batch.labels)
+        try:
+            losses, grad_w, grad_b, grad_p = self.gradients(feats, batch.labels)
+        except ZeroNorm as exc:  # name the bundle row, not its place in the batch
+            raise ZeroNorm(
+                f"feature row {batch.sample_indices[exc.row]} cannot be normalized by the head"
+                f" at iteration {t}: batch {exc}"
+            ) from None
         mean_loss = float(losses.mean())
         if not np.isfinite(mean_loss):
             raise DivergenceError(f"non-finite loss {mean_loss} at iteration {t}")

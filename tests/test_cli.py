@@ -21,7 +21,8 @@ from marginfit.margins import (
     ClassTextEmbeddings,
     MarginMatrix,
 )
-from marginfit.trainer import init, load_checkpoint, TrainConfig
+from marginfit.sampler import BalancedSampler
+from marginfit.trainer import init, load_checkpoint, load_train_config, TrainConfig
 
 
 def child_env(**extra):
@@ -400,6 +401,26 @@ class TestTrain:
         ])
         assert code == 3
         assert "classes with no samples: ['cls4']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("huge", [False, True], ids=["zero_row", "3e38"])
+    def test_row_the_head_cannot_normalize_exit_3(self, dataset, capsys, huge):
+        bundle = data_io.load_bundle(dataset / "train.emb", dataset / "train.lbl")
+        cfg = load_train_config(dataset / "train.cfg")
+        row = int(BalancedSampler(bundle, cfg.sampler).next_batch().sample_indices[0])
+        feats = bundle.features.copy()
+        if huge:
+            feats[row, 0] = 3e38
+        else:
+            feats[row] = 0.0
+        save_matrix(feats, dataset / "train.emb")
+        code, _ = run_cli(train_argv(dataset, "train.cfg"))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert [l for l in err if not l.startswith("warning: ")] == [
+            f"error: feature row {row} cannot be normalized by the head at iteration 0: "
+            f"batch row 0 has norm {'inf' if huge else '0.000e+00'} after centring"
+        ]
+        assert not (dataset / "x.ckpt").exists()
 
     def test_validates_once_and_warns_before_streaming(self, dataset):
         # class cls4 has one row, fewer than k = 2

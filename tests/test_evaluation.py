@@ -1,5 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from marginfit import evaluation
 from marginfit.data_io import EvalSplit, FeatureBundle
@@ -20,27 +25,9 @@ from marginfit.evaluation import (
     recall_at_k,
     sign_codes,
 )
+from marginfit.selftest import _brute_force_recall as brute_force_recall
+from marginfit.selftest import _near_tie_instance
 from marginfit.trainer import Checkpoint, forward_head, init, TrainConfig
-
-
-def brute_force_recall(query_e, query_labels, gallery_e, gallery_labels, ks, mode):
-    """Full-sort oracle in float64 with the ascending-index tie rule."""
-    hits = {k: 0 for k in ks}
-    q64 = np.asarray(query_e, dtype=np.float64)
-    g64 = np.asarray(gallery_e, dtype=np.float64)
-    for qi in range(q64.shape[0]):
-        if mode == MODE_FLOAT:
-            sims = [float(q64[qi] @ g64[gi]) for gi in range(g64.shape[0])]
-            order = sorted(range(len(sims)), key=lambda gi: (-sims[gi], gi))
-        else:
-            qb = q64[qi] > 0
-            dists = [int(np.sum(qb != (g64[gi] > 0))) for gi in range(g64.shape[0])]
-            order = sorted(range(len(dists)), key=lambda gi: (dists[gi], gi))
-        ranked = [gallery_labels[gi] for gi in order]
-        for k in ks:
-            if query_labels[qi] in ranked[:k]:
-                hits[k] += 1
-    return [hits[k] / q64.shape[0] for k in ks]
 
 
 class TestBinarize:
@@ -61,6 +48,14 @@ class TestBinarize:
 def all_ranks(gallery_size):
     """Every K up to two past the gallery size, so a report pins each first-hit rank."""
     return list(range(1, gallery_size + 3))
+
+
+def assert_matches_oracle(q, qlab, g, glab):
+    """Both modes pin every first-hit rank to the full-sort oracle's."""
+    ks = all_ranks(len(glab))
+    for mode in (MODE_FLOAT, MODE_BINARY):
+        report = recall_at_k(q, qlab, g, glab, ks=ks, mode=mode)
+        assert report.recall == brute_force_recall(q, qlab, g, glab, ks, mode), mode
 
 
 class TestHamming:
@@ -208,40 +203,141 @@ class TestChunkBoundaries:
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(evaluation, "CHUNK_ROWS", 3)
 
-    def check(self, q, qlab, g, glab):
-        ks = all_ranks(len(glab))
-        for mode in (MODE_FLOAT, MODE_BINARY):
-            report = recall_at_k(q, qlab, g, glab, ks=ks, mode=mode)
-            assert report.recall == brute_force_recall(q, qlab, g, glab, ks, mode), mode
-
     @pytest.mark.parametrize("num_queries", [1, 3, 6, 11])
     def test_whole_and_remainder_chunks(self, num_queries):
         rng = np.random.default_rng(num_queries)
         q = rng.standard_normal((num_queries, 5)).astype(np.float32)
         g = rng.standard_normal((17, 5)).astype(np.float32)
-        self.check(q, rng.integers(0, 4, num_queries), g, rng.integers(0, 4, 17))
+        assert_matches_oracle(q, rng.integers(0, 4, num_queries), g, rng.integers(0, 4, 17))
 
     def test_duplicated_gallery_rows_tie(self):
         rng = np.random.default_rng(10)
         base = rng.standard_normal((4, 6)).astype(np.float32)
         g = base[rng.integers(0, 4, 20)]
         q = np.concatenate([base, rng.standard_normal((6, 6)).astype(np.float32)])
-        self.check(q, rng.integers(0, 3, 10), g, rng.integers(0, 3, 20))
+        assert_matches_oracle(q, rng.integers(0, 3, 10), g, rng.integers(0, 3, 20))
 
     def test_sign_vectors_tie(self):
         rng = np.random.default_rng(11)
         q = rng.choice([-1.0, 1.0], size=(10, 4)).astype(np.float32)
         g = rng.choice([-1.0, 1.0], size=(25, 4)).astype(np.float32)
-        self.check(q, rng.integers(0, 3, 10), g, rng.integers(0, 3, 25))
+        assert_matches_oracle(q, rng.integers(0, 3, 10), g, rng.integers(0, 3, 25))
 
     def test_query_class_absent_from_gallery(self):
         rng = np.random.default_rng(12)
         q = rng.standard_normal((8, 5)).astype(np.float32)
         g = rng.standard_normal((9, 5)).astype(np.float32)
         qlab = np.array([0, 5, 1, 5, 2, 5, 5, 0])
-        self.check(q, qlab, g, rng.integers(0, 3, 9))
+        assert_matches_oracle(q, qlab, g, rng.integers(0, 3, 9))
         report = recall_at_k(q, np.full(8, 5), g, np.zeros(9, int), ks=[1, 100])
         assert report.recall == [0.0, 0.0]
+
+
+def deferred(q, qlab, g, glab):
+    """How many queries the float32 ranking leaves to the float64 re-rank."""
+    band = evaluation._rounding_band(q, g)
+    return int(np.sum(evaluation._first_hit_ranks(q, g, np.asarray(qlab), np.asarray(glab), band) < 0))
+
+
+@pytest.fixture(params=[evaluation.CHUNK_ROWS, 3], ids=["default_chunks", "3_row_chunks"])
+def chunk_rows(request, monkeypatch):
+    monkeypatch.setattr(evaluation, "CHUNK_ROWS", request.param)
+
+
+@pytest.mark.usefixtures("chunk_rows")
+class TestFloat32Guard:
+    """Float mode ranks in float32 and re-ranks in float64 what it cannot order."""
+
+    def test_last_bit_near_ties_all_re_ranked(self):
+        for seed in range(3):
+            q, qlab, g, glab = _near_tie_instance(seed)
+            assert deferred(q, qlab, g, glab) == len(qlab)
+            assert_matches_oracle(q, qlab, g, glab)
+
+    def test_exact_duplicates(self):
+        rng = np.random.default_rng(20)
+        base = rng.standard_normal((5, 6)).astype(np.float32)
+        g, q = base[rng.integers(0, 5, 24)], base[rng.integers(0, 5, 9)]
+        qlab, glab = rng.integers(0, 3, 9), rng.integers(0, 3, 24)
+        assert deferred(q, qlab, g, glab) > 0
+        assert_matches_oracle(q, qlab, g, glab)
+
+    def test_one_query_over_equal_gallery_rows(self):
+        # all scores tie exactly, and a single query is a one-row product,
+        # which must still score equal rows alike wherever they sit
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            g = np.tile(rng.standard_normal(18).astype(np.float32), (43, 1))
+            q = rng.standard_normal((1, 18)).astype(np.float32)
+            assert_matches_oracle(q, [1], g, (np.arange(43) >= 40).astype(int))
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e18, 1e20])
+    def test_rows_scaled_to_float32_extremes(self, scale):
+        # queries and every other gallery row scaled: 1e-20 sends their
+        # float32 products below the normal range, 1e20 past float32 max
+        rng = np.random.default_rng(21)
+        q = (rng.standard_normal((10, 6)) * scale).astype(np.float32)
+        g = rng.standard_normal((30, 6)).astype(np.float32)
+        g[::2] *= np.float32(scale)
+        qlab, glab = rng.integers(0, 3, 10), rng.integers(0, 3, 30)
+        with np.errstate(over="ignore"):
+            products = np.abs(q @ g.T)
+        if scale < 1:
+            assert np.any((products > 0) & (products < np.finfo(np.float32).tiny))
+        elif scale > 1e19:
+            assert not np.isfinite(products).all()
+            assert deferred(q, qlab, g, glab) == len(qlab)
+        assert_matches_oracle(q, qlab, g, glab)
+
+    @pytest.mark.parametrize("gap", [1e-7, 1.5e-7, 3e-7])
+    def test_scores_next_to_float32_max(self, gap):
+        # squares just under float32 max: the band's edges may pass it
+        s = np.float32(np.sqrt(float(np.finfo(np.float32).max) * (1 - gap)))
+        q = np.array([[s, 0.0], [0.0, s]], np.float32)
+        g = np.array([[s, 0.0], [0.0, s], [s, 0.0]], np.float32)
+        assert_matches_oracle(q, [1, 0], g, [0, 0, 1])
+
+    def test_query_classes_absent_from_gallery(self):
+        rng = np.random.default_rng(22)
+        q = rng.standard_normal((12, 5)).astype(np.float32)
+        g = rng.standard_normal((20, 5)).astype(np.float32)
+        qlab = np.array([0, 7, 1, 9, 2, 7, 0, 1, 9, 2, 2, 7])
+        assert_matches_oracle(q, qlab, g, rng.integers(0, 3, 20))
+
+    def test_one_class_far_larger_than_the_rest(self):
+        rng = np.random.default_rng(23)
+        q = rng.standard_normal((14, 5)).astype(np.float32)
+        g = rng.standard_normal((70, 5)).astype(np.float32)
+        glab = np.zeros(70, int)
+        glab[rng.permutation(70)[:6]] = [1, 2, 3, 3, 4, 5]
+        assert_matches_oracle(q, rng.integers(0, 6, 14), g, glab)
+
+
+@st.composite
+def retrieval_instances(draw):
+    """Small galleries with duplicate, last-bit-perturbed and extreme-scale rows."""
+    dim = draw(st.integers(1, 6))
+    ng = draw(st.integers(1, 12))
+    g = draw(hnp.arrays(np.float32, (ng, dim), elements=st.floats(-4, 4, width=32)))
+    g *= np.float32(draw(st.sampled_from([1.0, 1e-20, 1e18, 1e20])))
+    twins = draw(st.lists(st.integers(0, ng - 1), max_size=ng))
+    g = np.concatenate([g, np.nextafter(g[twins], np.float32(np.inf))])
+    ng = len(g)
+    picks = draw(st.lists(st.integers(0, ng - 1), min_size=1, max_size=8))
+    nudge = draw(st.lists(st.booleans(), min_size=len(picks), max_size=len(picks)))
+    q = g[picks]
+    q[nudge] = np.nextafter(q[nudge], np.float32(np.inf))
+    q = np.concatenate([q, g[: draw(st.integers(0, ng))]])
+    glab = np.array(draw(st.lists(st.integers(0, 3), min_size=ng, max_size=ng)))
+    qlab = np.array(draw(st.lists(st.integers(0, 4), min_size=len(q), max_size=len(q))))
+    return q, qlab, g, glab
+
+
+@settings(max_examples=80, deadline=None)
+@given(retrieval_instances(), st.sampled_from([evaluation.CHUNK_ROWS, 3]))
+def test_kernel_matches_oracle(instance, chunk_rows):
+    with mock.patch.object(evaluation, "CHUNK_ROWS", chunk_rows):
+        assert_matches_oracle(*instance)
 
 
 def tiny_checkpoint(feature_dim=6, embed_dim=4, classes=3, seed=0):

@@ -173,6 +173,22 @@ class TestForwardHead:
         with pytest.raises(ZeroNorm):
             forward_head(head, np.zeros((2, 4), np.float32))
 
+    def test_float32_norm_overflow_refused_without_warning(self):
+        # 3e38 squared overflows float32, so the row's norm is inf; pytest
+        # turns any numpy warning into an error
+        feats = np.arange(12, dtype=np.float32).reshape(3, 4)
+        feats[1, 0] = 3e38
+        eye = np.eye(4, dtype=np.float32)
+        with pytest.raises(ZeroNorm, match="row 1 has norm inf") as info:
+            trainer._head_core(feats, eye, np.zeros(4, np.float32))
+        assert info.value.row == 1
+
+    def test_float64_head_normalizes_a_huge_row(self):
+        feats = np.zeros((1, 4), np.float32)
+        feats[0, 0] = 3e38
+        out = forward_head(EmbeddingHead(np.eye(4, dtype=np.float32), np.zeros(4, np.float32)), feats)
+        assert abs(np.linalg.norm(out.astype(np.float64)) - 1.0) <= 1e-6
+
 
 def identity_head(m):
     """The embedding head with an identity weight and zero bias: centring, then L2."""
@@ -416,6 +432,23 @@ class TestTrainLoop:
             "class 'c' has 1 samples < k=2; sampler will draw with replacement",
             "feature row 1 is all zeros",
         ]
+
+    @pytest.mark.parametrize("huge", [False, True], ids=["zero_row", "3e38"])
+    def test_row_the_head_cannot_normalize_named_in_the_bundle(self, huge):
+        # the batch row the head refuses is reported as its bundle row and
+        # the iteration that drew it
+        bundle, cfg = small_bundle(), small_config()
+        batch = BalancedSampler(bundle, cfg.sampler).next_batch()
+        pos, row = 3, int(batch.sample_indices[3])
+        if huge:
+            bundle.features[row, 0] = 3e38
+        else:
+            bundle.features[row] = 0.0
+        with pytest.raises(ZeroNorm) as info:
+            train(bundle, cfg)
+        assert str(info.value).startswith(
+            f"feature row {row} cannot be normalized by the head at iteration 0: batch row {pos} "
+        )
 
     def test_warnings_reach_callback_before_first_iteration(self):
         labels = np.array([0] * 8 + [1] * 8 + [2])
