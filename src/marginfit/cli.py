@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -89,9 +90,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_embed(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    features = load_matrix(args.features)
-    save_matrix(forward_head(ckpt.head, features), args.out)
-    print(f"embedded={features.shape[0]} dim={ckpt.head.weight.shape[1]} out={args.out}")
+    embeddings = load_matrix(args.features, partial(forward_head, ckpt.head))
+    save_matrix(embeddings, args.out)
+    print(f"embedded={embeddings.shape[0]} dim={ckpt.head.weight.shape[1]} out={args.out}")
     return EXIT_OK
 
 
@@ -101,14 +102,14 @@ def _cmd_eval(args) -> int:
     except ValueError:
         raise ConfigError(f"--ks must be comma-separated integers, got {args.ks!r}") from None
     ckpt = load_checkpoint(args.ckpt)
-    query = load_bundle(args.query_features, args.query_labels)
-    gallery = load_bundle(args.gallery_features, args.gallery_labels)
+    head = partial(forward_head, ckpt.head)  # bundles hold embeddings, never the features
+    query = load_bundle(args.query_features, args.query_labels, map_rows=head)
+    gallery = load_bundle(args.gallery_features, args.gallery_labels, map_rows=head)
     split = EvalSplit(query, gallery)
 
     mode = MODE_BINARY if args.binary else MODE_FLOAT
-    query_e = forward_head(ckpt.head, split.query.features)
-    gallery_e = forward_head(ckpt.head, split.gallery.features)
-    report = recall_at_k(query_e, split.query.labels, gallery_e, split.gallery.labels, ks, mode)
+    q, g = split.query, split.gallery
+    report = recall_at_k(q.features, q.labels, g.features, g.labels, ks, mode)
 
     print(format_report(report))
     for line in machine_lines(report):

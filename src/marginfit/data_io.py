@@ -9,16 +9,22 @@ bit-exactly across machines and languages:
 Every container, MGN1 and CKP1 included, is read by ``read_container``:
 the payload length must equal what the header declares, exactly (trailing
 bytes, or a length the file cannot hold, are a FormatError), and every
-error raised while reading one names the file. Class ids travel in a UTF-8
-text sidecar, one id per line; ``checked_class_ids`` is their one rule.
-Native OSError (missing file, permissions) propagates untouched.
-``as_matrix`` is the one float32 2-D coercion every module uses, and
-``ZERO_NORM_THRESHOLD`` the one bound below which a row cannot be
-normalized.
+error raised while reading one names the file. Every float32 payload (an
+EMB1 matrix, CKP1's blocks, the MGN1 matrix) is read by ``read_rows`` in
+blocks of about ``BLOCK_BYTES``, each checked for NaN and Inf and written
+straight into an output allocated once; given ``map_rows``, each block is
+mapped as it is read, so ``load_matrix(path, map_rows)`` never holds the
+whole input matrix. Class ids travel in a UTF-8 text sidecar, one id per
+line; ``checked_class_ids`` is their one rule. Native OSError (missing
+file, permissions) propagates untouched. ``as_matrix`` is the one float32
+2-D coercion every module uses, and ``ZERO_NORM_THRESHOLD`` the one bound
+below which a row cannot be normalized.
 
-A ``FeatureBundle`` may be empty or miss classes: the sampler refuses those
-for training (and warns about classes with fewer than k rows), ``train``
-non-finite feature rows, and ``recall_at_k`` an empty query set or gallery.
+A ``FeatureBundle`` holds features, or the head's embeddings of them when
+``load_bundle`` is given ``map_rows``. It may be empty or miss classes: the
+sampler refuses those for training (and warns about classes with fewer
+than k rows), ``train`` non-finite feature rows, and ``recall_at_k`` an
+empty query set or gallery.
 """
 
 from __future__ import annotations
@@ -39,9 +45,18 @@ from .errors import (
     LabelOutOfRange,
     MarginfitError,
     NonFiniteData,
+    ZeroNorm,
 )
 
 ZERO_NORM_THRESHOLD = 1e-12  # a row with a smaller L2 norm raises ZeroNorm
+
+# Payload bytes per read block. On the train-manyclass perfbench inputs
+# (8 MB query and gallery feature files, F = 512, one BLAS thread), blocks of
+# 128 KiB / 256 KiB / 512 KiB / 1 / 2 / 4 / 8 MiB give eval a peak RSS of
+# 46.3 / 46.6 / 46.8 / 48.0 / 46.0 / 51.6 / 65.1 MB (up to 2 MiB the ranking
+# sets it) and embed 37.0 / 37.5 / 37.7 / 37.1 / 40.6 / 48.9 / 61.9 MB; blocks
+# under 1 MiB map the query file through the head up to 1.6x slower.
+BLOCK_BYTES = 1 << 20
 
 MAGIC_MATRIX = b"EMB1"
 MAGIC_LABELS = b"LBL1"
@@ -59,26 +74,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def read_container(path, magic: bytes):
     """Open the container at ``path`` and check its 4-byte ``magic``.
 
-    Yields ``read(n, what)``, which returns exactly n bytes or raises
-    FormatError; in a regular file it raises before reading when fewer than
-    n bytes are left. When the ``with`` block ends, the file must be at EOF.
-    Every MarginfitError raised inside names ``path``, with its type kept.
+    Yields a ``_Reader``. When the ``with`` block ends, the file must be at
+    EOF. Every MarginfitError raised inside names ``path``, with its type kept.
     """
     with open(path, "rb") as f:
-        st = os.fstat(f.fileno())
-        size = st.st_size if stat.S_ISREG(st.st_mode) else None  # a pipe has no size
-
-        def read(n: int, what: str) -> bytes:
-            # f.read(n) allocates n bytes up front, so a regular file's size bounds n first
-            if size is not None and n > size - f.tell():
-                raise FormatError(
-                    f"truncated file: expected {n} bytes for {what}, got {size - f.tell()}"
-                )
-            buf = f.read(n)
-            if len(buf) != n:
-                raise FormatError(f"truncated file: expected {n} bytes for {what}, got {len(buf)}")
-            return buf
-
+        read = _Reader(f)
         try:
             _expect_magic(read, magic, "file")
             yield read
@@ -86,6 +86,35 @@ def read_container(path, magic: bytes):
                 raise FormatError("trailing bytes after declared payload")
         except MarginfitError as exc:
             raise type(exc)(f"{path}: {exc}") from None
+
+
+class _Reader:
+    """``read(n, what)`` returns the next n bytes; ``read.blocks(n, step, what)`` yields them.
+
+    ``blocks`` yields ``step`` bytes at a time. A short file is a FormatError
+    giving n and the bytes there were, raised in a regular file before any
+    of the n is read (f.read allocates its size up front).
+    """
+
+    def __init__(self, f):
+        st = os.fstat(f.fileno())
+        self._f = f
+        self._size = st.st_size if stat.S_ISREG(st.st_mode) else None  # a pipe has no size
+
+    def __call__(self, n: int, what: str) -> bytes:
+        return b"".join(self.blocks(n, max(n, 1), what))  # one block: joined without a copy
+
+    def blocks(self, n: int, step: int, what: str):
+        left = None if self._size is None else self._size - self._f.tell()
+        if left is not None and n > left:
+            raise FormatError(f"truncated file: expected {n} bytes for {what}, got {left}")
+        for start in range(0, n, step):
+            buf = self._f.read(min(step, n - start))
+            if len(buf) != min(step, n - start):
+                raise FormatError(
+                    f"truncated file: expected {n} bytes for {what}, got {start + len(buf)}"
+                )
+            yield buf
 
 
 def _expect_magic(read, magic: bytes, what: str) -> None:
@@ -109,14 +138,43 @@ def read_matrix_block(read, what: str) -> np.ndarray:
     return _read_matrix(read, what)
 
 
-def _read_matrix(read, what: str) -> np.ndarray:
+def _read_matrix(read, what: str, map_rows=None) -> np.ndarray:
     """Parse the EMB1 shape header and payload that follow the magic."""
     rows, cols = struct.unpack("<II", read(8, f"{what} shape header"))
-    payload = read(rows * cols * 4, f"{what} payload")
-    m = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float32)
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteData(f"{what} payload contains NaN or Inf")
-    return m
+    return read_rows(read, rows, cols, what, map_rows)
+
+
+def read_rows(read, rows: int, cols: int, what: str, map_rows=None) -> np.ndarray:
+    """Read a (rows, cols) float32 payload in blocks of about BLOCK_BYTES.
+
+    Each block is checked for NaN and Inf, passed through ``map_rows`` when
+    given, and copied into the float32 output, which is allocated once.
+    ``map_rows`` must map each row on its own; it is called at least once,
+    on a (0, cols) or (rows, 0) block when the payload is empty. A ZeroNorm
+    it raises for a row of its block is re-raised naming the payload row.
+    """
+    row_bytes = 4 * cols
+    step = max(1, BLOCK_BYTES // max(row_bytes, 1))
+    out, start = None, 0
+    for buf in read.blocks(rows * row_bytes, max(step * row_bytes, 1), f"{what} payload"):
+        block = np.frombuffer(buf, dtype="<f4").reshape(-1, cols)
+        if not np.isfinite(block).all():
+            raise NonFiniteData(f"{what} payload contains NaN or Inf")
+        if map_rows is not None:
+            try:
+                block = map_rows(block)
+            except ZeroNorm as exc:  # name the payload row, not its place in the block
+                row = start + exc.row
+                raise ZeroNorm(f"row {row} cannot be mapped: block {exc}", row=row) from None
+        if out is None:
+            out = np.empty((rows, block.shape[1]), np.float32)
+        out[start : start + len(block)] = block
+        start += len(block)
+    if out is None:  # an empty payload reads no block
+        out = np.empty((rows, cols), np.float32)
+        if map_rows is not None:
+            out = map_rows(out)
+    return out
 
 
 def save_matrix(m: np.ndarray, path) -> None:
@@ -124,9 +182,10 @@ def save_matrix(m: np.ndarray, path) -> None:
         f.write(matrix_to_bytes(m))
 
 
-def load_matrix(path) -> np.ndarray:
+def load_matrix(path, map_rows=None) -> np.ndarray:
+    """Read an EMB1 matrix, or its rows through ``map_rows`` (see ``read_rows``)."""
     with read_container(path, MAGIC_MATRIX) as read:
-        return _read_matrix(read, "matrix")
+        return _read_matrix(read, "matrix", map_rows)
 
 
 def save_labels(labels, num_classes: int, path) -> None:
@@ -182,7 +241,7 @@ def checked_class_ids(class_ids, count: int, owner: str) -> list[str]:
 class FeatureBundle:
     """Precomputed pooled features with dense integer labels."""
 
-    features: np.ndarray  # (N, F) float32
+    features: np.ndarray  # (N, F) float32, or (N, D) embeddings
     labels: np.ndarray  # (N,) int
     class_ids: list[str]
 
@@ -219,11 +278,13 @@ class EvalSplit:
             raise InvariantViolation("query and gallery must share the same class ids")
 
 
-def load_bundle(features_path, labels_path, class_ids_path=None) -> FeatureBundle:
-    """Read a feature matrix, its labels and, if given, the class-id sidecar."""
-    features = load_matrix(features_path)
+def load_bundle(features_path, labels_path, class_ids_path=None, map_rows=None) -> FeatureBundle:
+    """Read a feature matrix, its labels and, if given, the class-id sidecar.
+
+    Given ``map_rows``, the bundle holds the mapped rows (``read_rows``).
+    """
+    features = load_matrix(features_path, map_rows)
     labels, num_classes = load_labels(labels_path)
     class_ids = None if class_ids_path is None else load_class_ids(class_ids_path)
     class_ids = checked_class_ids(class_ids, num_classes, str(labels_path))
     return FeatureBundle(features, labels, class_ids)
-

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import ZERO_NORM_THRESHOLD, as_matrix, checked_class_ids, read_container
+from .data_io import ZERO_NORM_THRESHOLD, as_matrix, checked_class_ids, read_container, read_rows
 from .errors import (
     ConfigError,
     DegenerateRange,
@@ -195,5 +195,5 @@ def load_margin_matrix(path) -> MarginMatrix:
                 class_ids.append(read(length, f"class id {i}").decode("utf-8"))
             except UnicodeDecodeError:
                 raise FormatError(f"class id {i} is not valid UTF-8") from None
-        d = np.frombuffer(read(c * c * 4, "margin payload"), "<f4").reshape(c, c).astype(np.float32)
+        d = read_rows(read, c, c, "margin")
         return MarginMatrix(d, class_ids, metric_names[metric_code], norm_names[norm_code])

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -22,7 +23,14 @@ from marginfit.margins import (
     MarginMatrix,
 )
 from marginfit.sampler import BalancedSampler
-from marginfit.trainer import init, load_checkpoint, load_train_config, TrainConfig
+from marginfit.trainer import (
+    Checkpoint,
+    TrainConfig,
+    init,
+    load_checkpoint,
+    load_train_config,
+    save_checkpoint,
+)
 
 
 def child_env(**extra):
@@ -590,9 +598,9 @@ class TestEval:
         reads = []
         load_matrix = data_io.load_matrix
 
-        def counted(path):
+        def counted(path, *args, **kwargs):
             reads.append(path)
-            return load_matrix(path)
+            return load_matrix(path, *args, **kwargs)
 
         monkeypatch.setattr(data_io, "load_matrix", counted)
         monkeypatch.setattr(cli, "load_matrix", counted)
@@ -607,6 +615,54 @@ class TestEval:
         args[args.index("--query-features") + 1] = str(dataset / "badq.emb")
         code, _ = run_cli(args)
         assert code == 2
+
+
+class TestStreamedHead:
+    """eval and embed map feature files through the head block by block."""
+
+    @pytest.mark.parametrize("command", ["eval", "embed"])
+    def test_row_the_head_cannot_normalize_names_the_file_row(
+        self, dataset, monkeypatch, capsys, command
+    ):
+        head, bank = init(TrainConfig(embed_dim=6), 12, 5)  # bias 0: a zero row stays zero
+        save_checkpoint(Checkpoint(head, bank, 0), dataset / "zero_bias.ckpt")
+        feats = data_io.load_matrix(dataset / "q.emb")
+        feats[7] = 0.0
+        save_matrix(feats, dataset / "q.emb")
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 3 * 12 * 4)  # row 7 is row 1 of block 3
+        if command == "eval":
+            args = TestEval().eval_args(dataset, dataset / "zero_bias.ckpt")
+        else:
+            args = ["embed", "--ckpt", str(dataset / "zero_bias.ckpt"),
+                    "--features", str(dataset / "q.emb"), "--out", str(dataset / "qe.emb")]
+        code, out = run_cli(args)
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {dataset / 'q.emb'}: row 7 cannot be mapped: "
+            "block row 1 has norm 0.000e+00 after centring"
+        ]
+        assert not (dataset / "qe.emb").exists()
+
+    def test_eval_peak_allocation_below_the_query_file(self, dataset):
+        # the query payload is 8 blocks; eval never holds it, nor its float64 copy
+        rows = 8 * data_io.BLOCK_BYTES // (256 * 4)
+        rng = np.random.default_rng(5)
+        save_matrix(rng.standard_normal((rows, 256)).astype(np.float32), dataset / "bigq.emb")
+        save_labels(np.arange(rows) % 5, 5, dataset / "bigq.lbl")
+        save_matrix(rng.standard_normal((15, 256)).astype(np.float32), dataset / "g.emb")
+        head, bank = init(TrainConfig(embed_dim=6), 256, 5)
+        save_checkpoint(Checkpoint(head, bank, 0), dataset / "wide.ckpt")
+        args = TestEval().eval_args(dataset, dataset / "wide.ckpt")
+        args[args.index("--query-features") + 1] = str(dataset / "bigq.emb")
+        args[args.index("--query-labels") + 1] = str(dataset / "bigq.lbl")
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < rows * 256 * 4
 
 
 class TestSelftest:

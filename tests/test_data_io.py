@@ -27,8 +27,21 @@ from marginfit.errors import (
     NonFiniteData,
 )
 from marginfit.losses import KIND_NORM_SOFTMAX, LossConfig, ProxyBank
-from marginfit.margins import ClassTextEmbeddings, MarginMatrix
-from marginfit.trainer import TrainConfig, train
+from marginfit.margins import (
+    ClassTextEmbeddings,
+    MarginMatrix,
+    build_margin_matrix,
+    load_margin_matrix,
+    save_margin_matrix,
+)
+from marginfit.trainer import (
+    Checkpoint,
+    TrainConfig,
+    init,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
 
 
 class TestMatrixContainer:
@@ -115,6 +128,98 @@ class TestMatrixContainer:
         path = tmp_path_factory.mktemp("fuzz") / "m.emb"
         save_matrix(m, path)
         np.testing.assert_array_equal(load_matrix(path), m)
+
+
+class TestBlockReads:
+    """Float32 payloads read in blocks of BLOCK_BYTES, set here to a few rows."""
+
+    @staticmethod
+    def recorder(calls):
+        def map_rows(block):
+            calls.append(block.shape)
+            return np.asarray(block, np.float64) * 2.0 + 1.0  # rows stay independent
+
+        return map_rows
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 7, 36, 37, 1000])
+    def test_multi_block_read_equals_one_shot(self, tmp_path, monkeypatch, block_rows):
+        m = np.random.default_rng(0).standard_normal((37, 5)).astype(np.float32)
+        save_matrix(m, tmp_path / "m.emb")
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", block_rows * 5 * 4)
+        np.testing.assert_array_equal(load_matrix(tmp_path / "m.emb"), m)
+        calls = []
+        mapped = load_matrix(tmp_path / "m.emb", self.recorder(calls))
+        assert mapped.dtype == np.float32
+        np.testing.assert_array_equal(mapped, (m.astype(np.float64) * 2.0 + 1.0).astype(np.float32))
+        assert sum(rows for rows, _ in calls) == 37 and len(calls) == -(-37 // block_rows)
+
+    def test_last_block_of_one_row(self, tmp_path, monkeypatch):
+        m = np.arange(21, dtype=np.float32).reshape(7, 3)
+        save_matrix(m, tmp_path / "m.emb")
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 2 * 3 * 4)
+        calls = []
+        mapped = load_matrix(tmp_path / "m.emb", self.recorder(calls))
+        assert calls == [(2, 3), (2, 3), (2, 3), (1, 3)]
+        np.testing.assert_array_equal(mapped, m * 2 + 1)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
+    def test_empty_payload_maps_one_empty_block(self, tmp_path, monkeypatch, shape):
+        save_matrix(np.zeros(shape, np.float32), tmp_path / "m.emb")
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 4)
+        assert load_matrix(tmp_path / "m.emb").shape == shape
+        calls = []
+        assert load_matrix(tmp_path / "m.emb", self.recorder(calls)).shape == shape
+        assert calls == [shape]
+
+    def test_nan_in_a_later_block_names_the_file(self, tmp_path, monkeypatch):
+        m = np.ones((9, 4), np.float32)
+        m[7, 2] = np.nan
+        path = tmp_path / "m.emb"
+        path.write_bytes(b"EMB1" + struct.pack("<II", 9, 4) + m.astype("<f4").tobytes())
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 2 * 4 * 4)
+        calls = []
+        with pytest.raises(NonFiniteData) as info:
+            load_matrix(path, self.recorder(calls))
+        assert str(info.value) == f"{path}: matrix payload contains NaN or Inf"
+        assert calls == [(2, 4)] * 3  # the blocks before the bad one
+
+    def test_truncated_payload_refused_before_mapping(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.emb"
+        path.write_bytes(b"EMB1" + struct.pack("<II", 10, 5) + b"\x00" * 120)
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 4 * 5)
+        calls = []
+        with pytest.raises(FormatError) as info:
+            load_matrix(path, self.recorder(calls))
+        assert str(info.value) == (
+            f"{path}: truncated file: expected 200 bytes for matrix payload, got 120"
+        )
+        assert calls == []
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_short_pipe_counts_the_whole_payload(self, tmp_path, monkeypatch):
+        save_matrix(np.arange(6, dtype=np.float32).reshape(3, 2), tmp_path / "m.emb")
+        data = (tmp_path / "m.emb").read_bytes()
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 8)
+        r, w = os.pipe()
+        os.write(w, data[:-3])
+        os.close(w)
+        try:
+            with pytest.raises(FormatError, match="expected 24 bytes for matrix payload, got 21"):
+                load_matrix(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+
+    def test_margin_and_checkpoint_round_trips(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 12)
+        rng = np.random.default_rng(3)
+        text = ClassTextEmbeddings(rng.standard_normal((5, 4)).astype(np.float32))
+        save_margin_matrix(build_margin_matrix(text), tmp_path / "a.mgn")
+        save_margin_matrix(load_margin_matrix(tmp_path / "a.mgn"), tmp_path / "b.mgn")
+        assert (tmp_path / "a.mgn").read_bytes() == (tmp_path / "b.mgn").read_bytes()
+        head, bank = init(TrainConfig(embed_dim=4), 7, 5)
+        save_checkpoint(Checkpoint(head, bank, 3), tmp_path / "a.ckpt")
+        save_checkpoint(load_checkpoint(tmp_path / "a.ckpt"), tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 class TestLabelContainer:
