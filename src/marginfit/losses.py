@@ -7,15 +7,16 @@ logit ``c`` is inflated toward 1 as ``c + (1 - c) * d`` using a per-class-pair
 margin ``d`` in [0, 1]. Setting ``d = 0`` everywhere recovers the
 constant-margin loss, and ``margin = 0`` on top recovers the plain softmax.
 
-``compute_loss`` is the one entry point for all three kinds. One
-dtype-generic forward, ``_forward``, serves ``compute_loss`` (float64),
-the training step (float32, in buffers it allocates once; see
-``marginfit.trainer``) and the finite-difference gradient check, which
-evaluates stacks of perturbed parameters in a single float64 broadcast
-call. Its B-length reductions always run in float64. The adaptive
-transform reads the label rows of ``1 - d`` from ``_slope_rows``. Public
-outputs are float32. Gradients are with respect to the mean loss over
-the batch.
+Up to a per-row shift the softmax ignores, every kind's logits are
+``slope * (cos - 1)`` less ``tau * margin`` at the positive; the kinds
+differ only in the slope, the scalar ``tau`` or the adaptive kind's label
+rows of ``tau * (1 - d)`` (``_slope_rows``). So one branch-free,
+dtype-generic kernel, ``_forward``, serves ``compute_loss`` (float64), the
+training step (float32, in buffers it allocates once; it calls
+``_forward_backward``, not ``compute_loss``) and the finite-difference
+check, which evaluates stacks of perturbed parameters in one float64
+broadcast call. Its B-length reductions run in float64. Public outputs
+are float32; gradients are of the mean loss over the batch.
 """
 
 from __future__ import annotations
@@ -138,17 +139,18 @@ def margin_array(kind: str, margins, class_ids: list[str]) -> np.ndarray | None:
     return d
 
 
-def _slope_rows(d, rows, dtype) -> np.ndarray:
-    """The adaptive transform's slope at ``rows``, in ``dtype``: 1 - d[rows], 1 at (i, rows[i]).
+def _slope_rows(d, rows, tau, dtype) -> np.ndarray:
+    """The logit slope at ``rows``, in ``dtype``: tau * (1 - d[rows]), tau at (i, rows[i]).
 
-    Row i serves label rows[i]: a negative cosine ``c`` becomes
-    ``c + (1 - c) * d = 1 - (1 - c) * slope``, the positive keeps slope 1,
-    and the backward pass multiplies by the same slope. ``rows = arange(C)``
-    gives the whole C x C table.
+    Row i serves label rows[i]: a negative cosine ``c`` gets the logit
+    ``tau * (c + (1 - c) * d) - tau = slope * (c - 1)``, the positive slope
+    tau, and the backward pass multiplies by the same slope.
+    ``rows = arange(C)`` gives the whole C x C table.
     """
     slope = np.asarray(d)[rows].astype(dtype, copy=False)
     np.subtract(1.0, slope, out=slope)
-    slope[np.arange(len(rows)), rows] = 1.0
+    slope *= tau
+    slope[np.arange(len(rows)), rows] = tau
     return slope
 
 
@@ -159,8 +161,9 @@ def _forward(x, p, labels, tau, margin, slope, out=None):
     in ``out`` when given, and the B-length reductions run in float64. ``x``
     is (..., B, D) and ``p`` is (..., C, D); the leading dimensions
     broadcast, so one call evaluates a stack of perturbed parameters.
-    ``slope`` is ``_slope_rows`` at the labels, or None for the
-    constant-margin / plain kinds. Returns ``(e, ty, others, losses)``: ``e``
+    The logits are ``slope * (cos - 1)`` less ``tau * margin`` at the
+    positives; ``slope`` is the scalar ``tau``, or ``_slope_rows`` at the
+    labels for the adaptive kind. Returns ``(e, ty, others, losses)``: ``e``
     is the workspace holding exp(u - max u) with the positive entries
     zeroed, ``ty`` the shifted positive logit and ``others`` the sum of
     ``e``, all float64 except ``e``.
@@ -168,13 +171,9 @@ def _forward(x, p, labels, tau, margin, slope, out=None):
     rows = np.arange(labels.shape[0])
     u = np.matmul(x, np.swapaxes(p, -1, -2), out=out)
     np.clip(u, -1.0, 1.0, out=u)
-    positive = u[..., rows, labels] - margin
-    if slope is not None:
-        np.subtract(1.0, u, out=u)
-        u *= slope
-        np.subtract(1.0, u, out=u)
-    u[..., rows, labels] = positive
-    u *= tau
+    u -= 1.0
+    u *= slope
+    u[..., rows, labels] -= tau * margin
     u -= u.max(axis=-1)[..., None]
     ty = u[..., rows, labels].astype(np.float64)
     e = np.exp(u, out=u)
@@ -194,15 +193,14 @@ def _forward_backward(x, p, labels, tau, margin, slope, out=None, grad_x=None, g
     """
     batch = labels.shape[0]
     e, ty, others, losses = _forward(x, p, labels, tau, margin, slope, out)
-    # dl/du = softmax - onehot, times tau / B for the mean loss. The positive
+    # dl/du = softmax - onehot, divided by B for the mean loss. The positive
     # entry, softmax - 1 = -others / sumexp, keeps its precision when the
     # target dominates.
-    scale = (tau / batch) / (others + np.exp(ty))
+    scale = (1.0 / batch) / (others + np.exp(ty))
     e *= scale.astype(e.dtype)[:, None]
     e[np.arange(batch), labels] = -others * scale
-    # Chain through the logit transform; the cosine clamp is treated as identity.
-    if slope is not None:
-        e *= slope
+    # Chain through the logit slope; the cosine clamp is treated as identity.
+    e *= slope
     grad_x = np.matmul(e, p, out=grad_x)
     grad_p = np.matmul(e.T, x, out=grad_p)
     return losses, grad_x, grad_p
@@ -236,7 +234,7 @@ def compute_loss(
     """
     x, lab = _check_inputs(x, bank, labels)
     d = margin_array(cfg.kind, margins, bank.class_ids)
-    slope = None if d is None else _slope_rows(d, lab, np.float64)
+    slope = cfg.tau if d is None else _slope_rows(d, lab, cfg.tau, np.float64)
     losses, grad_x, grad_p = _forward_backward(
         x.astype(np.float64), bank.proxies.astype(np.float64), lab, cfg.tau, cfg.effective_margin, slope
     )
@@ -281,12 +279,9 @@ def loss_backward_check(cfg: LossConfig, seed: int) -> float:
     x = _random_unit_rows(rng, batch, dim)
     p = _random_unit_rows(rng, classes, dim)
     labels = rng.integers(0, classes, size=batch)
-    tau = cfg.tau
-    margin = cfg.effective_margin
+    tau, margin, slope = cfg.tau, cfg.effective_margin, cfg.tau
     if cfg.kind == KIND_ADAPTIVE:
-        slope = _slope_rows(_random_margin_matrix(rng, classes), labels, np.float64)
-    else:
-        slope = None
+        slope = _slope_rows(_random_margin_matrix(rng, classes), labels, tau, np.float64)
 
     _, grad_x, grad_p = _forward_backward(x, p, labels, tau, margin, slope)
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import ZERO_NORM_THRESHOLD, as_matrix, checked_class_ids, read_container, read_rows
+from .data_io import BLOCK_BYTES, ZERO_NORM_THRESHOLD, as_matrix, checked_class_ids
+from .data_io import read_container, read_rows
 from .errors import (
     ConfigError,
     DegenerateRange,
@@ -88,14 +89,19 @@ class MarginMatrix:
             raise InvariantViolation(
                 f"unknown metric/norm combination ({self.metric!r}, {self.norm_mode!r})"
             )
-        if not np.all(np.isfinite(self.d)):
+        lo, hi = self.d.min(), self.d.max()  # NaN propagates to both
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NonFiniteData("margin matrix has a NaN or Inf entry")
-        if np.any(self.d < 0.0) or np.any(self.d > 1.0):
+        if lo < 0.0 or hi > 1.0:
             raise InvariantViolation("margin entries must lie in [0, 1]")
         if np.any(np.diagonal(self.d) != 0.0):
             raise InvariantViolation("margin diagonal must be exactly zero")
-        if np.max(np.abs(self.d - self.d.T)) > 1e-6:
-            raise InvariantViolation("margin matrix must be symmetric")
+        # row blocks of about BLOCK_BYTES keep the check's memory off O(C^2)
+        step = max(1, BLOCK_BYTES // (4 * c))
+        for i in range(0, c, step):
+            gap = self.d[i : i + step] - self.d[:, i : i + step].T
+            if np.max(np.abs(gap, out=gap)) > 1e-6:
+                raise InvariantViolation("margin matrix must be symmetric")
 
     @property
     def num_classes(self) -> int:

@@ -83,18 +83,17 @@ def _check_margin_monotonicity():
         bumped = dmat.astype(np.float64)
         bumped[y, z] += 0.1
         bumped[z, y] += 0.1
-        base = losses._forward(
-            x.astype(np.float64), bank.proxies.astype(np.float64),
-            labels, cfg.tau, cfg.margin, losses._slope_rows(dmat, labels, np.float64),
-        )[3]
-        bump = losses._forward(
-            x.astype(np.float64), bank.proxies.astype(np.float64),
-            labels, cfg.tau, cfg.margin, losses._slope_rows(bumped, labels, np.float64),
-        )[3]
+        x64, p64 = x.astype(np.float64), bank.proxies.astype(np.float64)
+
+        def losses_at(d):
+            slope = losses._slope_rows(d, labels, cfg.tau, np.float64)
+            return losses._forward(x64, p64, labels, cfg.tau, cfg.margin, slope)[3]
+
+        base, bump = losses_at(dmat), losses_at(bumped)
         affected = labels == y
         if not np.all(bump[affected] >= base[affected]):
             return False, f"loss decreased at seed {seed}"
-        cos_xz = x.astype(np.float64) @ bank.proxies[z].astype(np.float64)
+        cos_xz = x64 @ p64[z]
         strict = affected & (cos_xz < 1.0 - 1e-6)
         if not np.all(bump[strict] > base[strict]):
             return False, f"no strict increase at seed {seed}"

@@ -254,8 +254,9 @@ class _Step:
     """Training iterations in float32, over master arrays updated in place.
 
     It owns W, b and P (the head's and the bank's arrays), their velocities
-    (zero at the start), the adaptive kind's slope table (built once) and
-    every (B, C), (C, D) and (F, D) buffer an iteration needs.
+    (zero at the start), the loss's slope (tau, or the adaptive kind's
+    whole ``_slope_rows`` table, built once, whose label rows each batch
+    gathers) and every (B, C), (C, D) and (F, D) buffer an iteration needs.
     """
 
     def __init__(self, head, bank, cfg: TrainConfig, margins):
@@ -264,9 +265,9 @@ class _Step:
         self.velocities = [np.zeros_like(a) for a in (self.w, self.b, self.p)]
         self.tau, self.margin = cfg.loss.tau, cfg.loss.effective_margin
         classes = np.arange(self.p.shape[0])
-        self.table = None if margins is None else _slope_rows(margins, classes, np.float32)
+        self.table = None if margins is None else _slope_rows(margins, classes, self.tau, np.float32)
         self.logits = np.empty((cfg.sampler.batch_size, self.p.shape[0]), np.float32)
-        self.slope = None if margins is None else np.empty_like(self.logits)
+        self.slope = self.tau if margins is None else np.empty_like(self.logits)
         self.grad_x = np.empty((cfg.sampler.batch_size, self.p.shape[1]), np.float32)
         self.grad_w = np.empty_like(self.w)
         self.grad_p = np.empty_like(self.p)
@@ -275,11 +276,10 @@ class _Step:
     def gradients(self, feats, labels):
         """Per-sample float64 losses and the gradients of the mean loss in W, b and P."""
         t, tn, emb = _head_core(feats, self.w, self.b)
-        slope = self.slope
-        if slope is not None:  # labels are in range; "clip" skips take's buffered copy
-            np.take(self.table, labels, axis=0, out=slope, mode="clip")
+        if self.table is not None:  # labels are in range; "clip" skips take's buffered copy
+            np.take(self.table, labels, axis=0, out=self.slope, mode="clip")
         losses, grad_x, grad_p = _forward_backward(
-            emb, self.p, labels, self.tau, self.margin, slope, self.logits, self.grad_x, self.grad_p
+            emb, self.p, labels, self.tau, self.margin, self.slope, self.logits, self.grad_x, self.grad_p
         )
         grad_w, grad_b = _head_backward(feats, t, tn, grad_x, self.grad_w)
         return losses, grad_w, grad_b, grad_p

@@ -140,10 +140,12 @@ def test_criterion_3_margin_monotonicity():
         bumped[z, y] += 0.1
 
         base = losses._forward(
-            x, p, labels, cfg.tau, cfg.margin, losses._slope_rows(d, labels, np.float64)
+            x, p, labels, cfg.tau, cfg.margin,
+            losses._slope_rows(d, labels, cfg.tau, np.float64),
         )[3]
         bump = losses._forward(
-            x, p, labels, cfg.tau, cfg.margin, losses._slope_rows(bumped, labels, np.float64)
+            x, p, labels, cfg.tau, cfg.margin,
+            losses._slope_rows(bumped, labels, cfg.tau, np.float64),
         )[3]
         affected = labels == y
         strict = affected & (x @ p[z] < 1.0 - 1e-6)
@@ -186,7 +188,7 @@ def test_criterion_4_end_to_end_head_gradient():
 
     def f(wv, bv):
         emb = _head_core(feats, wv, bv)[2]
-        return float(losses._forward(emb, p64, labels, cfg.tau, 0.0, None)[3].mean())
+        return float(losses._forward(emb, p64, labels, cfg.tau, 0.0, cfg.tau)[3].mean())
 
     h = 1e-3
     fd_w = np.zeros_like(w)

@@ -291,11 +291,13 @@ class TestProperties:
 
             base64 = losses._forward(
                 x.astype(np.float64), bank.proxies.astype(np.float64),
-                labels, cfg.tau, cfg.margin, losses._slope_rows(dmat, labels, np.float64),
+                labels, cfg.tau, cfg.margin,
+                losses._slope_rows(dmat, labels, cfg.tau, np.float64),
             )[3]
             bump64 = losses._forward(
                 x.astype(np.float64), bank.proxies.astype(np.float64),
-                labels, cfg.tau, cfg.margin, losses._slope_rows(bumped, labels, np.float64),
+                labels, cfg.tau, cfg.margin,
+                losses._slope_rows(bumped, labels, cfg.tau, np.float64),
             )[3]
 
             affected = labels == y
@@ -322,15 +324,16 @@ class TestSlopeTable:
         if zero_diagonal:
             np.fill_diagonal(d, 0.0)
         labels = rng.integers(0, 9, 40)
-        # oracle: 1 - d[y_i, :] in the table's dtype, then 1 at (i, y_i)
-        want = np.subtract(1.0, d[labels].astype(table_dtype))
-        want[np.arange(labels.size), labels] = 1.0
-        got = losses._slope_rows(d, labels, table_dtype)
-        assert got.dtype == table_dtype
-        assert got.tobytes() == want.tobytes()
-        # the training step gathers the same rows from its whole-table call
-        table = losses._slope_rows(d, np.arange(9), table_dtype)
-        assert table[labels].tobytes() == want.tobytes()
+        for tau in (20.0, 1.0 / 20.0):
+            # oracle: tau * (1 - d[y_i, :]) in the table's dtype, then tau at (i, y_i)
+            want = np.subtract(1.0, d[labels].astype(table_dtype)) * tau
+            want[np.arange(labels.size), labels] = tau
+            got = losses._slope_rows(d, labels, tau, table_dtype)
+            assert got.dtype == table_dtype
+            assert got.tobytes() == want.tobytes()
+            # the training step gathers the same rows from its whole-table call
+            table = losses._slope_rows(d, np.arange(9), tau, table_dtype)
+            assert table[labels].tobytes() == want.tobytes()
 
 
 class TestGradients:
@@ -350,7 +353,7 @@ class TestGradients:
         p64 = bank.proxies.astype(np.float64)
         xs = x64 + 1e-3 * rng.standard_normal((6,) + x64.shape)
         ps = p64 + 1e-3 * rng.standard_normal((6,) + p64.shape)
-        for slope in (None, losses._slope_rows(dmat, labels, np.float64)):
+        for slope in (20.0, losses._slope_rows(dmat, labels, 20.0, np.float64)):
             for stacked_x, stacked_p in [(xs, p64[None]), (x64[None], ps)]:
                 stacked = losses._forward(stacked_x, stacked_p, labels, 20.0, 0.4, slope)
                 for i in range(6):
@@ -369,7 +372,7 @@ class TestGradients:
 
         x64 = x.astype(np.float64)
         p64 = bank.proxies.astype(np.float64)
-        slope = losses._slope_rows(dmat, labels, np.float64)
+        slope = losses._slope_rows(dmat, labels, cfg.tau, np.float64)
         h = 1e-3
 
         def f(xv, pv):
@@ -403,7 +406,7 @@ class TestGradients:
         h = 1e-3
 
         def f(xv):
-            return float(losses._forward(xv, p64, labels, 20.0, 0.0, None)[3].mean())
+            return float(losses._forward(xv, p64, labels, 20.0, 0.0, 20.0)[3].mean())
 
         for i in range(3):
             for j in range(4):

@@ -289,6 +289,25 @@ class TestSerialization:
         with pytest.raises(InvariantViolation):
             MarginMatrix(d, ["a", "b"])
 
+    def test_checks_need_less_memory_than_the_matrix(self):
+        c = 1000
+        d = np.random.default_rng(8).uniform(0.0, 1.0, (c, c)).astype(np.float32)
+        d += d.T
+        d /= 2.0
+        np.fill_diagonal(d, 0.0)
+        ids = [f"c{i}" for i in range(c)]
+        tracemalloc.start()
+        try:
+            MarginMatrix(d, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d.nbytes
+        # the symmetry check reaches a pair that only the last row block holds
+        d[c - 1, c - 2] += 0.5 if d[c - 1, c - 2] < 0.5 else -0.5
+        with pytest.raises(InvariantViolation, match="symmetric"):
+            MarginMatrix(d, ids)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, value):
         # NaN fails every range comparison, so only a finiteness check catches it

@@ -21,7 +21,10 @@ from marginfit.errors import (
 from marginfit.evaluation import sign_codes
 from marginfit.losses import (
     KIND_ADAPTIVE,
+    KIND_LMCL,
     KIND_NORM_SOFTMAX,
+    MODE_DIVIDE,
+    MODE_MULTIPLY,
     LossConfig,
     ProxyBank,
     max_relative_error,
@@ -578,7 +581,7 @@ class TestTrainLoop:
 
         def f(wv):
             emb64 = trainer._head_core(feats, wv, b)[2]
-            per = losses_mod._forward(emb64, p64, labels, cfg.tau, 0.0, None)[3]
+            per = losses_mod._forward(emb64, p64, labels, cfg.tau, 0.0, cfg.tau)[3]
             return float(per.mean())
 
         h = 1e-3
@@ -590,6 +593,32 @@ class TestTrainLoop:
                 wm[i, j] -= h
                 fd_w[i, j] = (f(wp) - f(wm)) / (2 * h)
         assert max_relative_error(gw.astype(np.float64), fd_w) <= 1e-4
+
+
+    @pytest.mark.parametrize("mode", [MODE_MULTIPLY, MODE_DIVIDE])
+    def test_adaptive_with_zero_margins_is_lmcl_bit_for_bit(self, mode):
+        # d = 0 makes every adaptive logit the constant-margin one, so the
+        # float32 step must run the very same arithmetic for both kinds
+        batch, feat_dim, embed_dim, classes = 12, 10, 6, 7
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            feats = rng.standard_normal((batch, feat_dim)).astype(np.float32)
+            labels = rng.integers(0, classes, batch)
+            head = EmbeddingHead(
+                rng.standard_normal((feat_dim, embed_dim)).astype(np.float32),
+                rng.standard_normal(embed_dim).astype(np.float32),
+            )
+            proxies = rng.standard_normal((classes, embed_dim))
+            bank = ProxyBank(proxies / np.linalg.norm(proxies, axis=1, keepdims=True))
+            got = {}
+            zero_d = np.zeros((classes, classes))
+            for kind, margins in ((KIND_LMCL, None), (KIND_ADAPTIVE, zero_d)):
+                loss = LossConfig(kind=kind, sigma=20.0, margin=0.4, temperature_mode=mode)
+                cfg = TrainConfig(embed_dim=embed_dim, loss=loss, sampler=SamplerConfig(batch, 1))
+                step = trainer._Step(head, bank, cfg, margins)
+                got[kind] = [a.copy() for a in step.gradients(feats, labels)]
+            for want, have in zip(got[KIND_LMCL], got[KIND_ADAPTIVE]):
+                assert have.tobytes() == want.tobytes()
 
 
 class TestCheckpointFile:
