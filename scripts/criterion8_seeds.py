@@ -16,6 +16,9 @@ Every run is fixed-seed, so the output reproduces exactly.
 
 from __future__ import annotations
 
+# marginfit first: it sets the BLAS thread count from MF_THREADS, which
+# works only before numpy is loaded
+import marginfit  # noqa: F401
 import numpy as np
 from scipy.stats import spearmanr
 

@@ -10,6 +10,9 @@ how much of the text-modality structure each run's proxies absorbed
 import argparse
 import time
 
+# marginfit first: it sets the BLAS thread count from MF_THREADS, which
+# works only before numpy is loaded
+import marginfit  # noqa: F401
 import numpy as np
 from scipy.stats import spearmanr
 

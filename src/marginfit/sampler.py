@@ -7,22 +7,25 @@ stay in the training distribution. The sampler refuses a bundle with no
 rows or with a class that has none, and its ``warnings`` name every class
 it will draw with replacement.
 
-A batch costs a fixed handful of array operations, whatever its size: one
-class draw, one ``(k, batch_size / k)`` uniform draw, then Floyd's k-subset
-algorithm (Bentley & Floyd, CACM 1987) on every drawn class at once. Draw j
-of a class with n rows picks uniformly from ``[0, n - k + j]`` and takes
-``n - k + j`` instead when the pick repeats an earlier draw; the k picks are
-a uniform k-subset of the class. A class with fewer than k rows scales the
-same uniforms to ``[0, n)`` and draws with replacement. The rows of each
-class are found through one stable argsort of the labels. The layout is
-draw-major: slot ``j * (batch_size / k) + i`` holds draw j of class i.
+Batches are drawn in blocks: ``batches(t0, n)`` makes batches t0 .. t0 + n - 1.
+Per batch it makes only the stream calls, one class draw and one
+``(k, batch_size / k)`` uniform draw. The rest is a fixed handful of array
+operations over the whole block, whatever n and the batch size: Floyd's
+k-subset algorithm (Bentley & Floyd, CACM 1987) runs on every drawn class
+of every batch at once. Draw j of a class with n rows picks uniformly from
+``[0, n - k + j]`` and takes ``n - k + j`` instead when the pick repeats an
+earlier draw; the k picks are a uniform k-subset of the class. A class with
+fewer than k rows scales the same uniforms to ``[0, n)`` and draws with
+replacement. The rows of each class are found through one stable argsort of
+the labels. The layout is draw-major: slot ``j * (batch_size / k) + i``
+holds draw j of class i. ``next_batch`` is a block of one.
 
 Batch t is generated from a Philox stream keyed by (seed, t), so the whole
-batch sequence is a pure function of (seed, config, bundle): two samplers
-built with the same seed give the same batch at the same call index, and a
-sampler whose ``counter`` is set to t resumes at batch t. The specific
-generator is an implementation detail; only the determinism contract is
-stable.
+batch sequence is a pure function of (seed, config, bundle), whatever block
+a batch is drawn in: two samplers built with the same seed give the same
+batch t, and a sampler whose ``counter`` is set to t resumes ``next_batch``
+at batch t. The specific generator is an implementation detail; only the
+determinism contract is stable.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class SamplerConfig:
 
 
 @dataclass
-class Batch:
+class Batch:  # a block of n batches holds (n, batch_size) arrays
     sample_indices: np.ndarray  # (batch_size,) row indices into the bundle
     labels: np.ndarray  # (batch_size,) class indices
 
@@ -95,19 +98,30 @@ class BalancedSampler:
         self._rng = np.random.Generator(np.random.Philox(key=key))
         self._rewind = self._rng.bit_generator.state  # counter 0, empty buffer
 
-    def next_batch(self) -> Batch:
-        self._rewind["state"]["key"][1] = self.counter
-        self._rng.bit_generator.state = self._rewind
-        self.counter += 1
-        k = self.config.k
-        classes = self._rng.choice(self.num_classes, self.config.classes_per_batch, replace=False)
-        u = self._rng.random((k, classes.size))
-        n = self.counts[classes]
-        top = n - k + np.arange(k)[:, None]  # draw j picks from [0, top[j]]
+    def batches(self, t0: int, n: int) -> Batch:
+        """Batches t0 .. t0 + n - 1 as one Batch of (n, batch_size) arrays.
+
+        Leaves ``counter`` alone; each batch is keyed by (seed, t) alone.
+        """
+        k, m = self.config.k, self.config.classes_per_batch
+        classes = np.empty((n, m), np.int64)
+        u = np.empty((n, k, m))
+        for i in range(n):
+            self._rewind["state"]["key"][1] = t0 + i
+            self._rng.bit_generator.state = self._rewind
+            classes[i] = self._rng.choice(self.num_classes, m, replace=False)
+            self._rng.random(out=u[i])
+        size = self.counts[classes][:, None]  # (n, 1, m)
+        top = size - k + np.arange(k)[:, None]  # draw j picks from [0, top[:, j]]
         pick = (u * (top + 1)).astype(np.int64)
         for j in range(1, k):
-            seen = (pick[:j] == pick[j]).any(axis=0)
-            np.copyto(pick[j], top[j], where=seen)
-        pick = np.where(n >= k, pick, (u * n).astype(np.int64))
-        indices = self.rows[self.starts[classes] + pick].ravel()
+            seen = (pick[:, :j] == pick[:, j, None]).any(axis=1)
+            np.copyto(pick[:, j], top[:, j], where=seen)
+        pick = np.where(size >= k, pick, (u * size).astype(np.int64))
+        indices = self.rows[self.starts[classes][:, None] + pick].reshape(n, -1)
         return Batch(indices, np.tile(classes, k))
+
+    def next_batch(self) -> Batch:
+        block = self.batches(self.counter, 1)
+        self.counter += 1
+        return Batch(block.sample_indices[0], block.labels[0])

@@ -5,7 +5,7 @@ import pytest
 
 from marginfit.data_io import FeatureBundle
 from marginfit.errors import ConfigError, InvariantViolation
-from marginfit.sampler import BalancedSampler, SamplerConfig
+from marginfit.sampler import BalancedSampler, Batch, SamplerConfig
 
 
 def bundle_with_counts(counts, dim=4, seed=0):
@@ -151,6 +151,18 @@ class TestDeterminism:
         s2.counter = 6
         assert batches_equal(s2.next_batch(), expected)
         assert batches_equal(s2.next_batch(), s1.next_batch())
+
+    @pytest.mark.parametrize("counts", [[40] * 50, [10] * 1000, [3] * 50])
+    def test_block_equals_successive_batches(self, counts):
+        # 40 and 10 rows per class draw k-subsets, 3 rows draw with replacement
+        b = bundle_with_counts(counts)
+        cfg = SamplerConfig(batch_size=75, k=5, seed=3)
+        one_by_one = BalancedSampler(b, cfg)
+        one_by_one.counter = 21  # not a multiple of the trainer's block
+        block = BalancedSampler(b, cfg).batches(21, 16)
+        assert block.sample_indices.shape == block.labels.shape == (16, 75)
+        for indices, labels in zip(block.sample_indices, block.labels):
+            assert batches_equal(Batch(indices, labels), one_by_one.next_batch())
 
     def test_golden_batches_at_seed_0(self):
         # a deliberate pin: any change to the batch stream shows up here

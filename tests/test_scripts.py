@@ -10,6 +10,8 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 import marginfit
 from marginfit import cli
 
@@ -73,3 +75,18 @@ def test_criterion8_seeds_imports():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main) and list(module.DATA_SEEDS) == list(range(1, 11))
+
+
+@pytest.mark.parametrize("name", ["criterion8_seeds.py", "run_synthetic_experiment.py"])
+def test_script_imports_apply_mf_threads(name):
+    # marginfit warns (here: raises) when numpy was imported before it
+    load = (
+        "import importlib.util, sys; "
+        "spec = importlib.util.spec_from_file_location('script', sys.argv[1]); "
+        "spec.loader.exec_module(importlib.util.module_from_spec(spec))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", load, str(SCRIPTS / name)],
+        env=dict(child_env(), MF_THREADS="1"), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -543,6 +543,38 @@ class TestTrainLoop:
         np.testing.assert_array_equal(fresh_head.weight, head.weight)
         np.testing.assert_array_equal(fresh_head.bias, head.bias)
         np.testing.assert_array_equal(fresh_bank.proxies, bank.proxies)
+        assert stale.counter == 8  # the step leaves its sampler as it was
+
+    def test_blocks_and_resume_match_single_iterations(self):
+        # batch t is keyed by (seed, t) alone, so the block a batch comes from
+        # must not matter: one step across two block boundaries, a fresh step
+        # per iteration, and a fresh step resumed mid-block at t = 19 agree bit
+        # for bit. Each fresh step starts from copies of the running parameters
+        # and velocities.
+        bundle = small_bundle()
+        text = np.random.default_rng(4).standard_normal((6, 5)).astype(np.float32)
+        dmat = build_margin_matrix(ClassTextEmbeddings(text, bundle.class_ids)).d
+        cfg = small_config(loss=LossConfig(kind=KIND_ADAPTIVE, sigma=20.0, margin=0.4))
+        sampler = BalancedSampler(bundle, cfg.sampler)
+        end = 2 * trainer.BATCH_BLOCK + 3
+
+        def run(fresh_at):
+            head, bank = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
+            step = trainer._Step(head, bank, cfg, dmat)
+            for t in range(end):
+                if t in fresh_at:
+                    params = [a.copy() for a in (step.w, step.b, step.p)]
+                    velocities = [v.copy() for v in step.velocities]
+                    head = EmbeddingHead(params[0], params[1])
+                    step = trainer._Step(head, ProxyBank(params[2], bank.class_ids), cfg, dmat)
+                    step.velocities = velocities
+                step(t, sampler, bundle.features)
+            return [a.tobytes() for a in (step.w, step.b, step.p)]
+
+        whole = run(set())
+        assert run(set(range(end))) == whole
+        assert run({19}) == whole
+        assert sampler.counter == 0
 
     def test_divergence_detected(self, monkeypatch):
         real = trainer._forward_backward
