@@ -15,8 +15,8 @@ from functools import partial
 
 import numpy as np
 
-from .data_io import EvalSplit, load_bundle, load_class_ids, load_matrix, save_matrix
-from .errors import ConfigError, MarginfitError
+from .data_io import load_bundle, load_class_ids, load_labels, load_matrix, save_matrix
+from .errors import ConfigError, InvariantViolation, MarginfitError
 from .evaluation import (
     DEFAULT_KS,
     MODE_BINARY,
@@ -96,20 +96,35 @@ def _cmd_embed(args) -> int:
     return EXIT_OK
 
 
+def _eval_side(features_path, labels_path, head):
+    """Embeddings of a feature file through ``head``, its labels and its class count."""
+    embeddings = load_matrix(features_path, head)
+    labels, num_classes = load_labels(labels_path)
+    if labels.shape[0] != embeddings.shape[0]:
+        raise InvariantViolation(
+            f"{labels.shape[0]} labels for {embeddings.shape[0]} feature rows"
+        )
+    return embeddings, labels, num_classes
+
+
 def _cmd_eval(args) -> int:
     try:
         ks = [int(k) for k in args.ks.split(",")] if args.ks else list(DEFAULT_KS)
     except ValueError:
         raise ConfigError(f"--ks must be comma-separated integers, got {args.ks!r}") from None
     ckpt = load_checkpoint(args.ckpt)
-    head = partial(forward_head, ckpt.head)  # bundles hold embeddings, never the features
-    query = load_bundle(args.query_features, args.query_labels, map_rows=head)
-    gallery = load_bundle(args.gallery_features, args.gallery_labels, map_rows=head)
-    split = EvalSplit(query, gallery)
+    head = partial(forward_head, ckpt.head)  # the features themselves are never held
+    # Labels are only ints here, so no class ids are built: query and gallery
+    # need only declare the same class count.
+    query, query_labels, query_classes = _eval_side(args.query_features, args.query_labels, head)
+    gallery, gallery_labels, gallery_classes = _eval_side(
+        args.gallery_features, args.gallery_labels, head
+    )
+    if query_classes != gallery_classes:
+        raise InvariantViolation("query and gallery must share the same class ids")
 
     mode = MODE_BINARY if args.binary else MODE_FLOAT
-    q, g = split.query, split.gallery
-    report = recall_at_k(q.features, q.labels, g.features, g.labels, ks, mode)
+    report = recall_at_k(query, query_labels, gallery, gallery_labels, ks, mode)
 
     print(format_report(report))
     for line in machine_lines(report):

@@ -20,11 +20,10 @@ file, permissions) propagates untouched. ``as_matrix`` is the one float32
 2-D coercion every module uses, and ``ZERO_NORM_THRESHOLD`` the one bound
 below which a row cannot be normalized.
 
-A ``FeatureBundle`` holds features, or the head's embeddings of them when
-``load_bundle`` is given ``map_rows``. It may be empty or miss classes: the
-sampler refuses those for training (and warns about classes with fewer
-than k rows), ``train`` non-finite feature rows, and ``recall_at_k`` an
-empty query set or gallery.
+A ``FeatureBundle`` holds features, labels and class ids. It may be empty
+or miss classes: the sampler refuses those for training (and warns about
+classes with fewer than k rows), ``train`` non-finite feature rows, and
+``recall_at_k`` an empty query set or gallery.
 """
 
 from __future__ import annotations
@@ -50,12 +49,13 @@ from .errors import (
 
 ZERO_NORM_THRESHOLD = 1e-12  # a row with a smaller L2 norm raises ZeroNorm
 
-# Payload bytes per read block. On the train-manyclass perfbench inputs
+# Payload bytes per read block, and float32 bytes per score block of the
+# ranking (``evaluation.BLOCK_COLS``). On the train-manyclass perfbench inputs
 # (8 MB query and gallery feature files, F = 512, one BLAS thread), blocks of
-# 128 KiB / 256 KiB / 512 KiB / 1 / 2 / 4 / 8 MiB give eval a peak RSS of
-# 46.3 / 46.6 / 46.8 / 48.0 / 46.0 / 51.6 / 65.1 MB (up to 2 MiB the ranking
-# sets it) and embed 37.0 / 37.5 / 37.7 / 37.1 / 40.6 / 48.9 / 61.9 MB; blocks
-# under 1 MiB map the query file through the head up to 1.6x slower.
+# 256 KiB / 512 KiB / 1 / 2 / 4 MiB give eval a peak RSS of 36.9 / 37.2 /
+# 40.3 / 44.0 / 52.0 MB, float and binary alike, and embed 37.5 / 37.7 / 37.1
+# / 40.6 / 48.9 MB; blocks under 1 MiB map the query file through the head
+# up to 1.6x slower.
 BLOCK_BYTES = 1 << 20
 
 MAGIC_MATRIX = b"EMB1"
@@ -241,7 +241,7 @@ def checked_class_ids(class_ids, count: int, owner: str) -> list[str]:
 class FeatureBundle:
     """Precomputed pooled features with dense integer labels."""
 
-    features: np.ndarray  # (N, F) float32, or (N, D) embeddings
+    features: np.ndarray  # (N, F) float32
     labels: np.ndarray  # (N,) int
     class_ids: list[str]
 
@@ -278,12 +278,9 @@ class EvalSplit:
             raise InvariantViolation("query and gallery must share the same class ids")
 
 
-def load_bundle(features_path, labels_path, class_ids_path=None, map_rows=None) -> FeatureBundle:
-    """Read a feature matrix, its labels and, if given, the class-id sidecar.
-
-    Given ``map_rows``, the bundle holds the mapped rows (``read_rows``).
-    """
-    features = load_matrix(features_path, map_rows)
+def load_bundle(features_path, labels_path, class_ids_path=None) -> FeatureBundle:
+    """Read a feature matrix, its labels and, if given, the class-id sidecar."""
+    features = load_matrix(features_path)
     labels, num_classes = load_labels(labels_path)
     class_ids = None if class_ids_path is None else load_class_ids(class_ids_path)
     class_ids = checked_class_ids(class_ids, num_classes, str(labels_path))

@@ -12,12 +12,15 @@ Ranking is sort-free. Recall@K needs only the rank of each query's first
 same-class gallery item: the number of items that score strictly higher
 than its best same-class item, plus the items that tie that score at a
 lower gallery index. One kernel computes it for both modes, scoring
-``CHUNK_ROWS`` queries at a time against the whole gallery, so memory is
-O(CHUNK_ROWS * G) rather than O(Q * G), in the manner of the tiled
-brute-force k-NN of Johnson et al. (arXiv:1702.08734). The gallery is
-sorted by class once (a stable argsort), so each query's best same-class
-score is a max over one run of columns of its score block, and its rank is
-counts on that block.
+``CHUNK_ROWS`` queries against ``BLOCK_COLS`` gallery rows at a time, so
+ranking holds one block of scores (``data_io.BLOCK_BYTES`` of float32) and
+O(Q + G) indices, whatever the gallery size, in the manner of the tiled
+brute-force k-NN of Johnson et al. (arXiv:1702.08734). Queries and gallery
+are taken in class order (stable argsorts), each chunk and block gathered
+and coded as it is scored, so no copy of the gallery is made. A chunk's
+classes then own one range of gallery columns; scored first, it gives
+each query's best same-class score as a max over its class's run, and the
+rank is counts added over every block, that range included.
 
 Float mode scores in float32 and keeps a query's rank only when no other
 gallery item scores within float32's rounding band of that best score
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import EvalSplit, as_matrix
+from .data_io import BLOCK_BYTES, EvalSplit, as_matrix
 from .errors import ConfigError, DimMismatch, EmptyGallery, InvariantViolation, NonFiniteData
 from .trainer import Checkpoint, forward_head
 
@@ -42,8 +45,11 @@ REPORT_MODES = (MODE_FLOAT, MODE_BINARY)
 
 DEFAULT_KS = (1, 5, 10, 20, 30, 40, 50)
 
-# Queries scored per block; a block holds CHUNK_ROWS x G scores.
+# Queries scored per block, against BLOCK_COLS gallery rows: a block holds
+# CHUNK_ROWS x BLOCK_COLS scores, BLOCK_BYTES of them in float32 (twice that
+# in the float64 re-rank).
 CHUNK_ROWS = 256
+BLOCK_COLS = BLOCK_BYTES // (4 * CHUNK_ROWS)
 
 
 @dataclass
@@ -88,73 +94,142 @@ def _rounding_band(query: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     return band
 
 
+def _as_float64(e: np.ndarray) -> np.ndarray:
+    return e.astype(np.float64)
+
+
+def _scores(rows: np.ndarray, block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``rows @ block.T`` into ``out``.
+
+    BLAS may sum an edge tile's column in another order than the rest of
+    the product, so equal gallery rows can score unequally (1025 equal rows
+    at D = 16, float64). The float64 re-rank decides exact ties, so its
+    scores come from einsum, whose sum over one pair depends only on the
+    pair's two rows. Sign-code products are exact in any order, and the
+    float32 band covers any order. A float32 product may overflow; such a
+    row has a NaN band (re-ranked).
+    """
+    if out.dtype == np.float64:
+        return np.einsum("ij,kj->ik", rows, block, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.matmul(rows, block.T, out=out)
+
+
+def _run_max(scores: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row i, the max of ``scores[i, lo[i]:hi[i]]``; -inf where that run is empty."""
+    rows, cols = scores.shape
+    offsets = cols * np.arange(rows)
+    # the maxima over the gaps between runs are dropped
+    bounds = np.stack([offsets + np.minimum(lo, cols - 1), offsets + hi], axis=1).ravel()
+    top = np.maximum.reduceat(scores.ravel(), bounds[bounds < scores.size])[::2]
+    return np.where(hi > lo, top, -np.inf)
+
+
 def _first_hit_ranks(
     query: np.ndarray,
     gallery: np.ndarray,
     query_labels: np.ndarray,
     gallery_labels: np.ndarray,
     band: np.ndarray | None = None,
+    codes=None,
 ) -> np.ndarray:
     """Rank (0-based) of the first same-class gallery item per query.
 
-    Scores are ``query @ gallery.T`` in the operands' dtype, higher first.
-    Without ``band``, ties break by ascending gallery index. With ``band``
-    (one width per query), a rank is kept only where exactly one gallery
-    item, the query's best same-class one, scores within the band of that
-    best score; every other query with a same-class item gets -1.
+    Scores are the products of ``codes`` of the query and gallery rows (the
+    rows themselves when None), higher first. Without ``band``, ties break
+    by ascending gallery index. With ``band`` (one width per query), a rank
+    is kept only where exactly one gallery item, the query's best
+    same-class one, scores within the band of that best score; every other
+    query with a same-class item gets -1.
+
+    Queries are taken CHUNK_ROWS at a time and gallery rows BLOCK_COLS at a
+    time, both in class order (stable argsorts, so a class's gallery items
+    keep ascending index), and ``codes`` maps each chunk and block as it is
+    gathered: memory is O(CHUNK_ROWS * BLOCK_COLS + Q + G), and no copy of
+    the whole gallery is made. A chunk's classes own one range of columns
+    of the class-sorted gallery, which is scored first: each row's best
+    same-class score is the max over its class's run there. Counts then
+    add over every block, that range included, so the best score is one of
+    the counted scores. A range wider than a block is scored twice, once
+    for the best scores and once for the counts.
     """
+    codes = codes or (lambda e: e)
     # no-hit sentinel must exceed any K, including K > gallery size
     no_hit = np.iinfo(np.int64).max
     ranks = np.empty(query.shape[0], dtype=np.int64)
-    # Class-sorted gallery: each class present is one run of columns, in
-    # ascending gallery index (the sort is stable).
     order = np.argsort(gallery_labels, kind="stable")
-    classes, starts, sizes = np.unique(
-        gallery_labels[order], return_index=True, return_counts=True
-    )
-    slot = np.minimum(np.searchsorted(classes, query_labels), classes.size - 1)
-    run_start = starts[slot]
-    run_size = np.where(classes[slot] == query_labels, sizes[slot], 0)
-    gallery = gallery[order]
-    cols = gallery.shape[0]
+    sorted_labels = gallery_labels[order]
+    run_start = np.searchsorted(sorted_labels, query_labels, "left")
+    run_end = np.searchsorted(sorted_labels, query_labels, "right")
+    by_class = np.argsort(query_labels, kind="stable")
+    cols, width = gallery.shape[0], BLOCK_COLS
+    # every block's scores, in the codes' dtype; one buffer, so no chunk
+    # holds two
+    buf = np.empty(min(CHUNK_ROWS, len(query)) * min(width, cols), codes(query[:0]).dtype)
     for lo in range(0, query.shape[0], CHUNK_ROWS):
-        chunk = slice(lo, lo + CHUNK_ROWS)
-        rows = query[chunk]
-        # A one-row product goes to BLAS gemv, whose float64 sum for a column
-        # can depend on the column's place, so equal gallery rows could score
-        # unequally; a doubled row goes to gemm, which scores them alike. A
-        # float32 product may overflow; such a row has a NaN band (re-ranked).
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores = (rows if len(rows) > 1 else np.repeat(rows, 2, axis=0)) @ gallery.T
-        scores = scores[: len(rows)]
-        start = run_start[chunk] + cols * np.arange(scores.shape[0])
-        size = run_size[chunk]
-        # Each row's best same-class score is the max over its class run; the
-        # maxima over the gaps between runs are dropped. A row with no run
-        # gets +inf, which no score reaches.
-        bounds = np.stack([start, start + size], axis=1).ravel()
-        top = np.maximum.reduceat(scores.ravel(), bounds[bounds < scores.size])[::2]
-        top[size == 0] = np.inf
+        chunk = by_class[lo : lo + CHUNK_ROWS]
+        rows = codes(query[chunk])
+        start, end = run_start[chunk], run_end[chunk]
+        top = np.full(len(chunk), -np.inf, rows.dtype)
+        anchor = np.zeros(len(chunk), dtype=np.intp)
+
+        def score(items):
+            out = buf[: len(chunk) * len(items)].reshape(len(chunk), len(items))
+            return _scores(rows, codes(gallery[items]), out)
+
+        # The chunk's classes own columns [a, b): a block at least, so the
+        # rest of the gallery takes as few blocks as it can.
+        a, b = start[0], end[-1]
+        if b - a < width:
+            a = min(a, max(cols - width, 0))
+            b = min(a + width, cols)
+        own = [order[c : min(c + width, b)] for c in range(a, b, width)]
+        for c0, items in zip(range(a, b, width), own):
+            scores = score(items)
+            lo_run = np.clip(start - c0, 0, len(items))
+            hi_run = np.clip(end - c0, 0, len(items))
+            block_top = _run_max(scores, lo_run, hi_run)
+            better = block_top > top
+            top[better] = block_top[better]
+            if band is None:
+                # The tie rule's anchor: the first same-class item at the
+                # best score, the first in its run. Runs lie in [s0, s1).
+                s0, s1 = lo_run.min(), hi_run.max()
+                equal = np.flatnonzero(scores[:, s0:s1] == block_top[:, None])
+                r, c = np.divmod(equal, max(s1 - s0, 1))
+                c += s0
+                in_run = (c >= lo_run[r]) & (c < hi_run[r]) & better[r]
+                hit, first = np.unique(r[in_run], return_index=True)
+                anchor[hit] = items[c[in_run][first]]
+        top[start == end] = np.inf  # no run: no score reaches it
         if band is None:
-            # The tie rule: items at the best score count if they come
-            # before the first same-class one there, the first in its run.
-            r, c = np.divmod(np.flatnonzero(scores == top[:, None]), cols)
-            run = run_start[lo + r]
-            in_run = (c >= run) & (c < run + run_size[lo + r])
-            hit_rows, at = np.unique(r[in_run], return_index=True)
-            first = np.zeros(top.size, dtype=np.intp)
-            first[hit_rows] = order[c[in_run][at]]
-            rank = np.count_nonzero(scores > top[:, None], axis=1)
-            rank += np.bincount(r[order[c] < first[r]], minlength=top.size)
+            floor = top
         else:
             # bounds rounded outward, so float32 never narrows the band
-            width = band[chunk]
-            lower = np.nextafter((top - width).astype(scores.dtype), -np.inf)
-            upper = np.nextafter((top + width).astype(scores.dtype), np.inf)
-            above = np.count_nonzero(scores > upper[:, None], axis=1)
-            near = np.count_nonzero(scores >= lower[:, None], axis=1) - above
-            rank = np.where(near == 1, above, -1)
-        ranks[chunk] = np.where(size > 0, rank, no_hit)
+            floor = np.nextafter((top - band[chunk]).astype(rows.dtype), -np.inf)
+            upper = np.nextafter((top + band[chunk]).astype(rows.dtype), np.inf)
+        rest = np.concatenate([order[:a], order[b:]])
+        ahead = np.zeros(len(chunk), dtype=np.intp)
+        near = np.zeros(len(chunk), dtype=np.intp)
+        # the last own block is still in ``scores``
+        blocks = own[::-1] + [rest[c : c + width] for c in range(0, len(rest), width)]
+        for k, items in enumerate(blocks):
+            if k:
+                scores = score(items)
+            # only the few items at or above a row's floor are looked at
+            at = np.flatnonzero(scores >= floor[:, None])
+            r, c = np.divmod(at, len(items))
+            value = scores.ravel()[at]
+            if band is None:
+                # an item at the best score is ahead if it precedes the anchor
+                is_ahead = (value > top[r]) | (value == top[r]) & (items[c] < anchor[r])
+                ahead += np.bincount(r[is_ahead], minlength=len(chunk))
+            else:
+                ahead += np.bincount(r[value > upper[r]], minlength=len(chunk))
+                near += np.bincount(r, minlength=len(chunk))
+        if band is not None:
+            ahead = np.where(near - ahead == 1, ahead, -1)
+        ranks[chunk] = np.where(start < end, ahead, no_hit)
     return ranks
 
 
@@ -200,11 +275,10 @@ def recall_at_k(
         unsure = np.flatnonzero(first < 0)
         if unsure.size:
             first[unsure] = _first_hit_ranks(
-                query_e[unsure].astype(np.float64), gallery_e.astype(np.float64),
-                qlab[unsure], glab,
+                query_e[unsure], gallery_e, qlab[unsure], glab, codes=_as_float64
             )
     else:
-        first = _first_hit_ranks(sign_codes(query_e), sign_codes(gallery_e), qlab, glab)
+        first = _first_hit_ranks(query_e, gallery_e, qlab, glab, codes=sign_codes)
     recall = [float(np.mean(first < k)) for k in ks]
     return RetrievalReport(ks, recall, mode, query_e.shape[0])
 

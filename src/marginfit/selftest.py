@@ -3,8 +3,8 @@
 Each check is named and independent; the runner reports PASS/FAIL per check
 and an overall verdict. Gradient checks compare analytic gradients to central
 finite differences; the recall checks compare the evaluator to a full-sort
-oracle with the same tie rule, once on random galleries and once on
-galleries whose near-ties float32 cannot order.
+oracle with the same tie rule: on random galleries, on galleries whose
+near-ties float32 cannot order, and on a gallery over two score blocks wide.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import losses
-from .evaluation import MODE_BINARY, MODE_FLOAT, recall_at_k
+from .evaluation import BLOCK_COLS, MODE_BINARY, MODE_FLOAT, recall_at_k
 from .losses import (
     KIND_ADAPTIVE,
     KIND_LMCL,
@@ -164,12 +164,35 @@ def _check_recall_near_ties():
     return True, "recall matches full-sort oracle on 5 galleries of rows one float32 ulp apart"
 
 
+def _check_recall_gallery_blocks():
+    """Recall on a gallery three score blocks and 15 columns wide.
+
+    It holds each of its rows three times, exactly twice and once one
+    float32 ulp away, shuffled, so equal and near-equal rows sit on both
+    sides of block edges. Two fifths of the rows are class 20, whose run
+    spans two blocks; the queries come from classes 20 and 21.
+    """
+    rng = np.random.default_rng(0)
+    base = rng.standard_normal((BLOCK_COLS + 5, 8)).astype(np.float32)
+    gallery = np.concatenate([base, base, np.nextafter(base, np.float32(np.inf))])
+    gallery = gallery[rng.permutation(len(gallery))]
+    labels = np.where(rng.random(len(gallery)) < 0.4, 20, rng.integers(0, 50, len(gallery)))
+    pick = np.concatenate(
+        [rng.choice(np.flatnonzero(labels == c), n, replace=False) for c, n in ((20, 8), (21, 4))]
+    )
+    mismatch = _recall_mismatch(gallery[pick], labels[pick], gallery, labels, [1, 2, 3, 10, 100])
+    if mismatch:
+        return False, f"mismatch {mismatch}"
+    return True, f"recall matches full-sort oracle on {len(gallery)} rows in {BLOCK_COLS}-row blocks"
+
+
 def all_checks():
     checks = [_check_gradients(kind, mode) for kind in LOSS_KINDS for mode in TEMPERATURE_MODES]
     checks.append(("reduction_identities", _check_reduction_identities))
     checks.append(("margin_monotonicity", _check_margin_monotonicity))
     checks.append(("recall_oracle", _check_recall_oracle))
     checks.append(("recall_near_ties", _check_recall_near_ties))
+    checks.append(("recall_gallery_blocks", _check_recall_gallery_blocks))
     return checks
 
 

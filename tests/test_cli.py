@@ -616,6 +616,44 @@ class TestEval:
         code, _ = run_cli(args)
         assert code == 2
 
+    def test_class_count_mismatch_exit_3(self, dataset, capsys):
+        ckpt = train_checkpoint(dataset)
+        save_labels(np.repeat(np.arange(5), 3), 6, dataset / "g6.lbl")
+        args = self.eval_args(dataset, ckpt)
+        args[args.index("--gallery-labels") + 1] = str(dataset / "g6.lbl")
+        code, out = run_cli(args)
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.splitlines() == [
+            "error: query and gallery must share the same class ids"
+        ]
+
+    def test_huge_declared_class_count_builds_no_ids(self, dataset):
+        # 40 bytes: 7 labels under a declared class count of 0x8c000006;
+        # eval uses labels as ints, so it must not build one id per class
+        rows = np.random.default_rng(3).standard_normal((7, 12)).astype(np.float32)
+        save_matrix(rows, dataset / "seven.emb")
+        payload = struct.pack("<II", 7, 0x8C000006) + np.arange(7, dtype="<u4").tobytes()
+        (dataset / "huge.lbl").write_bytes(b"LBL1" + payload)
+        assert (dataset / "huge.lbl").stat().st_size == 40
+        args = self.eval_args(dataset, train_checkpoint(dataset))
+        for flag in ("--query-features", "--gallery-features"):
+            args[args.index(flag) + 1] = str(dataset / "seven.emb")
+        for flag in ("--query-labels", "--gallery-labels"):
+            args[args.index(flag) + 1] = str(dataset / "huge.lbl")
+        cap = 2_000_000_000  # bytes of address space, in the child only
+        probe = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+            "from marginfit import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *args], capture_output=True, text=True,
+            env=child_env(MF_THREADS="1"), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "recall@1=1.000000" in proc.stdout.splitlines()
+
 
 class TestStreamedHead:
     """eval and embed map feature files through the head block by block."""

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -197,11 +198,12 @@ class TestRecallAtK:
 
 
 class TestChunkBoundaries:
-    """The chunked kernel against the full-sort oracle with 3-query chunks."""
+    """The blocked kernel against the full-sort oracle: 3-query chunks, 4-column blocks."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(evaluation, "CHUNK_ROWS", 3)
+        monkeypatch.setattr(evaluation, "BLOCK_COLS", 4)
 
     @pytest.mark.parametrize("num_queries", [1, 3, 6, 11])
     def test_whole_and_remainder_chunks(self, num_queries):
@@ -232,6 +234,53 @@ class TestChunkBoundaries:
         report = recall_at_k(q, np.full(8, 5), g, np.zeros(9, int), ks=[1, 100])
         assert report.recall == [0.0, 0.0]
 
+    def test_class_run_split_across_blocks(self):
+        # class 1 has 11 gallery items, so its run spans three 4-column blocks
+        rng = np.random.default_rng(13)
+        glab = rng.permutation(np.repeat([0, 1, 2], [3, 11, 5]))
+        g = rng.standard_normal((19, 5)).astype(np.float32)
+        q = rng.standard_normal((7, 5)).astype(np.float32)
+        assert_matches_oracle(q, np.array([1, 1, 1, 1, 0, 2, 1]), g, glab)
+
+    def test_binary_tie_with_an_earlier_item_in_an_earlier_block(self):
+        # Items 0 and 9 share the query's code. Item 9 (class 2, the
+        # query's) is in the query's own block, the last four columns of the
+        # class-sorted gallery; item 0 (class 0) leads the gallery, in a
+        # block counted after it. The tie still puts item 0 ahead: rank 1.
+        codes = np.array([[1, -1, 1], [1, 1, 1], [-1, -1, 1]], np.float32)
+        g = codes[[0, 1, 1, 1, 1, 2, 2, 2, 2, 0, 2]]
+        glab = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2])
+        q = codes[[0]]
+        for mode in (MODE_FLOAT, MODE_BINARY):
+            assert recall_at_k(q, [2], g, glab, ks=[1, 2], mode=mode).recall == [0.0, 1.0]
+        assert_matches_oracle(q, np.array([2]), g, glab)
+
+    def test_float64_re_rank_ties_duplicates_across_a_block_edge(self):
+        # each query's row is in the gallery twice, in two classes eight or
+        # more columns apart in the class-sorted order, so 4-column blocks
+        # score the two copies apart, and every query is re-ranked
+        rng = np.random.default_rng(14)
+        base = rng.standard_normal((6, 5)).astype(np.float32)
+        g = np.concatenate([base, base, rng.standard_normal((6, 5)).astype(np.float32)])
+        glab = np.concatenate([np.arange(6) % 3, (np.arange(6) + 1) % 3, np.arange(6) % 3])
+        q, qlab = base, np.arange(6) % 3
+        assert deferred(q, qlab, g, glab) == 6
+        assert_matches_oracle(q, qlab, g, glab)
+
+    @pytest.mark.parametrize("gallery_size", [5, 9, 13])
+    def test_last_block_of_one_column(self, gallery_size):
+        # Equal rows, the last one alone in class 1. The first chunk
+        # (classes 0 and 1) owns all G = 4k + 1 columns, the second (class 1)
+        # the last 4, widened, so each chunk's last block holds one column;
+        # all rows must tie.
+        rng = np.random.default_rng(gallery_size)
+        g = np.tile(rng.standard_normal(6).astype(np.float32), (gallery_size, 1))
+        glab = (np.arange(gallery_size) == gallery_size - 1).astype(int)
+        q = rng.standard_normal((5, 6)).astype(np.float32)
+        qlab = np.array([1, 1, 0, 1, 0])
+        assert deferred(q, qlab, g, glab) == 5
+        assert_matches_oracle(q, qlab, g, glab)
+
 
 def deferred(q, qlab, g, glab):
     """How many queries the float32 ranking leaves to the float64 re-rank."""
@@ -239,9 +288,13 @@ def deferred(q, qlab, g, glab):
     return int(np.sum(evaluation._first_hit_ranks(q, g, np.asarray(qlab), np.asarray(glab), band) < 0))
 
 
-@pytest.fixture(params=[evaluation.CHUNK_ROWS, 3], ids=["default_chunks", "3_row_chunks"])
+@pytest.fixture(
+    params=[(evaluation.CHUNK_ROWS, evaluation.BLOCK_COLS), (3, evaluation.BLOCK_COLS), (3, 4)],
+    ids=["default_chunks", "3_row_chunks", "3x4_blocks"],
+)
 def chunk_rows(request, monkeypatch):
-    monkeypatch.setattr(evaluation, "CHUNK_ROWS", request.param)
+    monkeypatch.setattr(evaluation, "CHUNK_ROWS", request.param[0])
+    monkeypatch.setattr(evaluation, "BLOCK_COLS", request.param[1])
 
 
 @pytest.mark.usefixtures("chunk_rows")
@@ -312,6 +365,16 @@ class TestFloat32Guard:
         glab[rng.permutation(70)[:6]] = [1, 2, 3, 3, 4, 5]
         assert_matches_oracle(q, rng.integers(0, 6, 14), g, glab)
 
+    def test_equal_rows_past_a_gemm_edge_tile(self):
+        # 1025 equal rows: a BLAS product can round the 1025th column
+        # otherwise, and the float64 re-rank must still tie them all
+        rng = np.random.default_rng(24)
+        g = np.tile(rng.standard_normal(16).astype(np.float32), (1025, 1))
+        glab = (np.arange(1025) == 1024).astype(int)
+        q = rng.standard_normal((40, 16)).astype(np.float32)
+        report = recall_at_k(q, np.ones(40, int), g, glab, ks=[1, 1024, 1025])
+        assert report.recall == [0.0, 0.0, 1.0]
+
 
 @st.composite
 def retrieval_instances(draw):
@@ -334,10 +397,41 @@ def retrieval_instances(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(retrieval_instances(), st.sampled_from([evaluation.CHUNK_ROWS, 3]))
-def test_kernel_matches_oracle(instance, chunk_rows):
-    with mock.patch.object(evaluation, "CHUNK_ROWS", chunk_rows):
+@given(
+    retrieval_instances(),
+    st.sampled_from([evaluation.CHUNK_ROWS, 3]),
+    st.sampled_from([evaluation.BLOCK_COLS, 1, 2, 3]),
+)
+def test_kernel_matches_oracle(instance, chunk_rows, block_cols):
+    with mock.patch.multiple(evaluation, CHUNK_ROWS=chunk_rows, BLOCK_COLS=block_cols):
         assert_matches_oracle(*instance)
+
+
+@pytest.mark.parametrize("mode", [MODE_FLOAT, MODE_BINARY])
+@pytest.mark.parametrize("gallery_size", [40_000, 80_000])
+def test_ranking_memory_does_not_grow_with_the_gallery(mode, gallery_size):
+    # Exact duplicate pairs in two classes: every float query ties its
+    # duplicate, so the float64 re-rank runs over all of them. Beyond the
+    # caller's own arrays, ranking may hold blocks and O(G) indices only.
+    dim, nq = 16, 300
+    rng = np.random.default_rng(25)
+    base = rng.standard_normal((gallery_size // 2, dim)).astype(np.float32)
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    g = np.repeat(base, 2, axis=0)
+    glab = 2 * rng.integers(0, 500, gallery_size) + np.arange(gallery_size) % 2
+    pick = rng.choice(gallery_size // 2, nq, replace=False)
+    q, qlab = base[pick], glab[2 * pick]
+    if mode == MODE_FLOAT:
+        assert deferred(q, qlab, g, glab) == nq
+    tracemalloc.start()
+    try:
+        report = recall_at_k(q, qlab, g, glab, ks=[1], mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if mode == MODE_FLOAT:
+        assert report.recall == [1.0]
+    assert peak - 2 * gallery_size * dim * 4 < 4 * 2**20
 
 
 def tiny_checkpoint(feature_dim=6, embed_dim=4, classes=3, seed=0):
