@@ -8,8 +8,8 @@ bit-exactly across machines and languages:
 
 Every container, MGN1 and CKP1 included, is read by ``read_container``:
 the payload length must equal what the header declares, exactly (trailing
-bytes, or a length the file cannot hold, are a FormatError), and every
-error raised while reading one names the file. Every float32 payload (an
+bytes, or a length the file or pipe does not hold, are a FormatError), and
+every error raised while reading one names the file. Every float32 payload (an
 EMB1 matrix, CKP1's blocks, the MGN1 matrix) is read by ``read_rows`` in
 blocks of about ``BLOCK_BYTES``, each checked for NaN and Inf and written
 straight into an output allocated once; given ``map_rows``, each block is
@@ -93,19 +93,22 @@ class _Reader:
 
     ``blocks`` yields ``step`` bytes at a time. A short file is a FormatError
     giving n and the bytes there were, raised in a regular file before any
-    of the n is read (f.read allocates its size up front).
+    of the n is read (f.read allocates its size up front); a stream with no
+    size (a pipe) is read in BLOCK_BYTES steps, so it fails when its bytes end.
     """
 
     def __init__(self, f):
         st = os.fstat(f.fileno())
         self._f = f
-        self._size = st.st_size if stat.S_ISREG(st.st_mode) else None  # a pipe has no size
+        self.sized = stat.S_ISREG(st.st_mode)
+        self._size = st.st_size
 
     def __call__(self, n: int, what: str) -> bytes:
-        return b"".join(self.blocks(n, max(n, 1), what))  # one block: joined without a copy
+        step = max(n, 1) if self.sized else BLOCK_BYTES
+        return b"".join(self.blocks(n, step, what))  # one block: joined without a copy
 
     def blocks(self, n: int, step: int, what: str):
-        left = None if self._size is None else self._size - self._f.tell()
+        left = self._size - self._f.tell() if self.sized else None
         if left is not None and n > left:
             raise FormatError(f"truncated file: expected {n} bytes for {what}, got {left}")
         for start in range(0, n, step):
@@ -148,14 +151,15 @@ def read_rows(read, rows: int, cols: int, what: str, map_rows=None) -> np.ndarra
     """Read a (rows, cols) float32 payload in blocks of about BLOCK_BYTES.
 
     Each block is checked for NaN and Inf, passed through ``map_rows`` when
-    given, and copied into the float32 output, which is allocated once.
+    given, and copied into the float32 output, which is allocated once (from
+    a stream with no size, the blocks are joined once all of them are read).
     ``map_rows`` must map each row on its own; it is called at least once,
     on a (0, cols) or (rows, 0) block when the payload is empty. A ZeroNorm
     it raises for a row of its block is re-raised naming the payload row.
     """
     row_bytes = 4 * cols
     step = max(1, BLOCK_BYTES // max(row_bytes, 1))
-    out, start = None, 0
+    out, start, streamed = None, 0, []
     for buf in read.blocks(rows * row_bytes, max(step * row_bytes, 1), f"{what} payload"):
         block = np.frombuffer(buf, dtype="<f4").reshape(-1, cols)
         if not np.isfinite(block).all():
@@ -166,10 +170,15 @@ def read_rows(read, rows: int, cols: int, what: str, map_rows=None) -> np.ndarra
             except ZeroNorm as exc:  # name the payload row, not its place in the block
                 row = start + exc.row
                 raise ZeroNorm(f"row {row} cannot be mapped: block {exc}", row=row) from None
-        if out is None:
-            out = np.empty((rows, block.shape[1]), np.float32)
-        out[start : start + len(block)] = block
+        if read.sized:
+            if out is None:
+                out = np.empty((rows, block.shape[1]), np.float32)
+            out[start : start + len(block)] = block
+        else:  # a stream may end early: hold the blocks read, never the declared length
+            streamed.append(block)
         start += len(block)
+    if streamed:
+        out = np.concatenate(streamed, dtype=np.float32)
     if out is None:  # an empty payload reads no block
         out = np.empty((rows, cols), np.float32)
         if map_rows is not None:
@@ -282,6 +291,9 @@ def load_bundle(features_path, labels_path, class_ids_path=None) -> FeatureBundl
     """Read a feature matrix, its labels and, if given, the class-id sidecar."""
     features = load_matrix(features_path)
     labels, num_classes = load_labels(labels_path)
+    if 0 < labels.size < num_classes:  # refused before C default ids are built
+        rule = f"{num_classes} classes for {labels.size} labels leave a class with no rows"
+        raise InvariantViolation(f"{labels_path}: {rule}")
     class_ids = None if class_ids_path is None else load_class_ids(class_ids_path)
     class_ids = checked_class_ids(class_ids, num_classes, str(labels_path))
     return FeatureBundle(features, labels, class_ids)

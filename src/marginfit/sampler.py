@@ -18,13 +18,12 @@ earlier draw; the k picks are a uniform k-subset of the class. A class with
 fewer than k rows scales the same uniforms to ``[0, n)`` and draws with
 replacement. The rows of each class are found through one stable argsort of
 the labels. The layout is draw-major: slot ``j * (batch_size / k) + i``
-holds draw j of class i. ``next_batch`` is a block of one.
+holds draw j of class i.
 
 Batch t is generated from a Philox stream keyed by (seed, t), so the whole
 batch sequence is a pure function of (seed, config, bundle), whatever block
 a batch is drawn in: two samplers built with the same seed give the same
-batch t, and a sampler whose ``counter`` is set to t resumes ``next_batch``
-at batch t. The specific generator is an implementation detail; only the
+batch t. The specific generator is an implementation detail; only the
 determinism contract is stable.
 """
 
@@ -58,13 +57,13 @@ class SamplerConfig:
 
 
 @dataclass
-class Batch:  # a block of n batches holds (n, batch_size) arrays
-    sample_indices: np.ndarray  # (batch_size,) row indices into the bundle
-    labels: np.ndarray  # (batch_size,) class indices
+class Batch:  # a block of n batches
+    sample_indices: np.ndarray  # (n, batch_size) row indices into the bundle
+    labels: np.ndarray  # (n, batch_size) class indices
 
 
 class BalancedSampler:
-    """Mutable sampler state: (seed, batch counter) plus the class-sorted row table.
+    """The batch stream of one (bundle, config): batch t is a function of (seed, t).
 
     ``warnings`` holds one message per class with fewer than k rows.
     """
@@ -92,17 +91,13 @@ class BalancedSampler:
         self.rows = np.argsort(bundle.labels, kind="stable")
         self.counts = counts
         self.starts = np.cumsum(counts) - counts
-        self.counter = 0
         # one Generator per sampler; each batch rewinds its Philox to key (seed, t)
         key = np.array([config.seed % (1 << 64), 0], np.uint64)
         self._rng = np.random.Generator(np.random.Philox(key=key))
         self._rewind = self._rng.bit_generator.state  # counter 0, empty buffer
 
     def batches(self, t0: int, n: int) -> Batch:
-        """Batches t0 .. t0 + n - 1 as one Batch of (n, batch_size) arrays.
-
-        Leaves ``counter`` alone; each batch is keyed by (seed, t) alone.
-        """
+        """Batches t0 .. t0 + n - 1 as one Batch of (n, batch_size) arrays."""
         k, m = self.config.k, self.config.classes_per_batch
         classes = np.empty((n, m), np.int64)
         u = np.empty((n, k, m))
@@ -121,7 +116,3 @@ class BalancedSampler:
         indices = self.rows[self.starts[classes][:, None] + pick].reshape(n, -1)
         return Batch(indices, np.tile(classes, k))
 
-    def next_batch(self) -> Batch:
-        block = self.batches(self.counter, 1)
-        self.counter += 1
-        return Batch(block.sample_indices[0], block.labels[0])

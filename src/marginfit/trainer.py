@@ -67,9 +67,9 @@ MAGIC_CHECKPOINT = b"CKP1"
 # (23.1 without the term), and the criterion-6 Spearman correlation falls
 # from 0.38 at weight 2 to 0.31 at 4 and 0.23 at 10.
 QUANT_WEIGHT = 2.0
-# Batches ``_Step`` draws per sampler call; a block shares the sampler's
-# array work. On a 2-vCPU host a batch costs 44-51 us alone, 14-16 in a
-# block of 16 and 12-14 in one of 64, whose temporaries are 4x larger.
+# Batches the ``train`` loop draws per sampler call; a block shares the
+# sampler's array work. On a 2-vCPU host a batch costs 44-51 us alone, 14-16
+# in a block of 16 and 12-14 in one of 64, whose temporaries are 4x larger.
 BATCH_BLOCK = 16
 
 
@@ -263,14 +263,12 @@ class _Step:
     (zero at the start), the loss's slope (tau, or the adaptive kind's
     whole ``_slope_rows`` table, built once, whose label rows each batch
     gathers) and every (B, C), (C, D) and (F, D) buffer an iteration needs.
-    Iteration t runs on batch t of the sampler, which it takes from a block
-    of BATCH_BLOCK batches drawn from t on and refills when t leaves it.
-    Batch t depends on (seed, t) alone, so a step can start at any t; the
-    sampler is not modified.
+    ``step(t, rows, labels)`` runs iteration t on the batch of ``features``
+    rows ``rows``; it holds no batch state, so a step can run from any t.
     """
 
-    def __init__(self, head, bank, cfg: TrainConfig, margins):
-        self.cfg = cfg
+    def __init__(self, head, bank, cfg: TrainConfig, margins, features):
+        self.cfg, self.features = cfg, features
         self.w, self.b, self.p = head.weight, head.bias, bank.proxies
         self.velocities = [np.zeros_like(a) for a in (self.w, self.b, self.p)]
         self.tau, self.margin = cfg.loss.tau, cfg.loss.effective_margin
@@ -282,7 +280,6 @@ class _Step:
         self.grad_w = np.empty_like(self.w)
         self.grad_p = np.empty_like(self.p)
         self.quant = np.empty_like(self.p)
-        self.block, self.block_t0, self.block_of = None, 0, None
 
     def gradients(self, feats, labels):
         """Per-sample float64 losses and the gradients of the mean loss in W, b and P."""
@@ -295,15 +292,10 @@ class _Step:
         grad_w, grad_b = _head_backward(feats, t, tn, grad_x, self.grad_w)
         return losses, grad_w, grad_b, grad_p
 
-    def __call__(self, t: int, sampler: BalancedSampler, features) -> tuple[float, float]:
-        """Run iteration t (batch t, momentum, proxy renorm); returns (lr, mean loss)."""
-        i = t - self.block_t0
-        if sampler is not self.block_of or not 0 <= i < BATCH_BLOCK:
-            self.block_of, self.block_t0, i = sampler, t, 0
-            self.block = sampler.batches(t, BATCH_BLOCK)
-        rows = self.block.sample_indices[i]
+    def __call__(self, t: int, rows, labels) -> tuple[float, float]:
+        """Run iteration t (the batch, momentum, proxy renorm); returns (lr, mean loss)."""
         try:
-            losses, grad_w, grad_b, grad_p = self.gradients(features[rows], self.block.labels[i])
+            losses, grad_w, grad_b, grad_p = self.gradients(self.features[rows], labels)
         except ZeroNorm as exc:  # name the bundle row, not its place in the batch
             raise ZeroNorm(
                 f"feature row {rows[exc.row]} cannot be normalized by the head"
@@ -329,7 +321,9 @@ def train(
     on_iteration=None,
     on_warning=None,
 ) -> Checkpoint:
-    """Run ``_Step`` for iterations 0 .. cfg.total_iters - 1.
+    """Run ``_Step`` for iterations 0 .. cfg.total_iters - 1, iteration t on batch t.
+
+    The loop draws the batches BATCH_BLOCK at a time, the last block cut short.
 
     ``margin_matrix`` is required exactly when the loss kind is adaptive and
     is aligned to ``bundle.class_ids`` (``losses.margin_array``); that rule
@@ -348,17 +342,19 @@ def train(
         raise NonFiniteData(f"feature row {bad} contains NaN or Inf")
     sampler = BalancedSampler(bundle, cfg.sampler)
     head, bank = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
-    step = _Step(head, bank, cfg, dmat)
+    step = _Step(head, bank, cfg, dmat, bundle.features)
     if on_warning is not None:
         for warning in sampler.warnings:
             on_warning(warning)
         for i in np.flatnonzero(~bundle.features.any(axis=1))[:20]:
             on_warning(f"feature row {i} is all zeros")
 
-    for t in range(cfg.total_iters):
-        lr, mean_loss = step(t, sampler, bundle.features)
-        if on_iteration is not None:
-            on_iteration(t, lr, mean_loss)
+    for t0 in range(0, cfg.total_iters, BATCH_BLOCK):
+        block = sampler.batches(t0, min(BATCH_BLOCK, cfg.total_iters - t0))
+        for t, rows, labels in zip(range(t0, cfg.total_iters), block.sample_indices, block.labels):
+            lr, mean_loss = step(t, rows, labels)
+            if on_iteration is not None:
+                on_iteration(t, lr, mean_loss)
 
     # the bank's invariant check (unit-norm rows) runs once, on the result
     return Checkpoint(head, ProxyBank(bank.proxies, bank.class_ids), cfg.total_iters)

@@ -181,7 +181,7 @@ def test_criterion_4_end_to_end_head_gradient():
     # forward/backward in its buffers, the head backward on the same t, ||t||
     head = EmbeddingHead(w.astype(np.float32), b.astype(np.float32))
     train_cfg = TrainConfig(embed_dim=embed_dim, loss=cfg, sampler=SamplerConfig(batch, 1))
-    step = _Step(head, bank, train_cfg, None)
+    step = _Step(head, bank, train_cfg, None, feats.astype(np.float32))
     _, gw, gb, _ = step.gradients(feats.astype(np.float32), labels)
 
     p64 = proxies.astype(np.float64)

@@ -40,6 +40,36 @@ def child_env(**extra):
     return dict(os.environ, PYTHONPATH=path, **extra)
 
 
+CAP = 2_000_000_000  # bytes of address space, set in the child only
+CAPPED_CLI = (
+    "import time\n"
+    "from marginfit import cli\n"
+    "start = time.perf_counter()\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(f'main_s={time.perf_counter() - start:.3f}')\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_capped(body, args=(), stdin=b""):
+    """Run the Python ``body`` in a child under the CAP address-space limit."""
+    probe = f"import resource, sys\nresource.setrlimit(resource.RLIMIT_AS, ({CAP}, {CAP}))\n{body}"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *args], input=stdin, capture_output=True,
+        env=child_env(MF_THREADS="1"), timeout=60,
+    )
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def huge_class_count_files(dataset):
+    """seven.emb and the 40-byte huge.lbl: 7 labels under a class count of 0x8c000006."""
+    rows = np.random.default_rng(3).standard_normal((7, 12)).astype(np.float32)
+    save_matrix(rows, dataset / "seven.emb")
+    payload = struct.pack("<II", 7, 0x8C000006) + np.arange(7, dtype="<u4").tobytes()
+    (dataset / "huge.lbl").write_bytes(b"LBL1" + payload)
+    assert (dataset / "huge.lbl").stat().st_size == 40
+
+
 def run_cli(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -185,6 +215,42 @@ class TestOversizedHeader:
         ])
         assert code == 2
         assert f"error: {path}: truncated file" in capsys.readouterr().err
+
+    # A pipe has no size to check a claim against up front, so it is read in
+    # BLOCK_BYTES steps and fails when its bytes run out, before any
+    # allocation of the claimed length.
+    PIPES = {
+        "labels": (
+            "data_io.load_labels",
+            b"LBL1" + struct.pack("<II", 0xFFFFFFF0, 3) + bytes(64),
+            "expected 17179869120 bytes for label payload, got 64",
+        ),
+        "matrix": (
+            "data_io.load_matrix",
+            b"EMB1" + struct.pack("<II", 0xFFFFFFF0, 256) + bytes(2 << 20),
+            "expected 4398046494720 bytes for matrix payload, got 2097152",
+        ),
+        "margins": (
+            "margins.load_margin_matrix",
+            b"MGN1" + struct.pack("<IBBI", 2, 0, 0, 0xFFFFFFF0) + b"abc",
+            "expected 4294967280 bytes for class id 0, got 3",
+        ),
+    }
+
+    @pytest.mark.parametrize("container", PIPES)
+    def test_pipe_allocates_no_claimed_length(self, container):
+        reader, data, message = self.PIPES[container]
+        body = (
+            "from marginfit import data_io, margins\n"
+            "from marginfit.errors import FormatError\n"
+            "try:\n"
+            f"    {reader}('/dev/stdin')\n"
+            "except FormatError as exc:\n"
+            "    print(exc)\n"
+        )
+        code, out, err = run_capped(body, stdin=data)
+        assert code == 0, err
+        assert out == f"/dev/stdin: truncated file: {message}\n"
 
 
 def train_argv(dataset, config, *extra):
@@ -397,6 +463,22 @@ class TestTrain:
         assert code == 3
         assert "no rows" in capsys.readouterr().err
 
+    def test_huge_declared_class_count_exit_3(self, dataset):
+        # no class can have a row past the label count, so the file is
+        # refused before one default id per declared class is built
+        huge_class_count_files(dataset)
+        args = train_argv(dataset, "train.cfg")
+        args[args.index("--features") + 1] = str(dataset / "seven.emb")
+        args[args.index("--labels") + 1] = str(dataset / "huge.lbl")
+        del args[args.index("--class-ids") : args.index("--class-ids") + 2]
+        code, out, err = run_capped(CAPPED_CLI, args)
+        assert code == 3, err
+        assert err.splitlines() == [
+            f"error: {dataset / 'huge.lbl'}: 2348810246 classes for 7 labels leave a class"
+            " with no rows"
+        ]
+        assert float(out.split("main_s=")[1]) < 1.0
+
     def test_class_without_rows_exit_3(self, dataset, capsys):
         save_labels(np.repeat(np.arange(4), 10), 5, dataset / "four.lbl")
         code, _ = run_cli([
@@ -414,7 +496,7 @@ class TestTrain:
     def test_row_the_head_cannot_normalize_exit_3(self, dataset, capsys, huge):
         bundle = data_io.load_bundle(dataset / "train.emb", dataset / "train.lbl")
         cfg = load_train_config(dataset / "train.cfg")
-        row = int(BalancedSampler(bundle, cfg.sampler).next_batch().sample_indices[0])
+        row = int(BalancedSampler(bundle, cfg.sampler).batches(0, 1).sample_indices[0, 0])
         feats = bundle.features.copy()
         if huge:
             feats[row, 0] = 3e38
@@ -628,31 +710,27 @@ class TestEval:
         ]
 
     def test_huge_declared_class_count_builds_no_ids(self, dataset):
-        # 40 bytes: 7 labels under a declared class count of 0x8c000006;
         # eval uses labels as ints, so it must not build one id per class
-        rows = np.random.default_rng(3).standard_normal((7, 12)).astype(np.float32)
-        save_matrix(rows, dataset / "seven.emb")
-        payload = struct.pack("<II", 7, 0x8C000006) + np.arange(7, dtype="<u4").tobytes()
-        (dataset / "huge.lbl").write_bytes(b"LBL1" + payload)
-        assert (dataset / "huge.lbl").stat().st_size == 40
+        huge_class_count_files(dataset)
         args = self.eval_args(dataset, train_checkpoint(dataset))
         for flag in ("--query-features", "--gallery-features"):
             args[args.index(flag) + 1] = str(dataset / "seven.emb")
         for flag in ("--query-labels", "--gallery-labels"):
             args[args.index(flag) + 1] = str(dataset / "huge.lbl")
-        cap = 2_000_000_000  # bytes of address space, in the child only
-        probe = (
-            "import resource, sys\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
-            "from marginfit import cli\n"
-            "sys.exit(cli.main(sys.argv[1:]))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", probe, *args], capture_output=True, text=True,
-            env=child_env(MF_THREADS="1"), timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "recall@1=1.000000" in proc.stdout.splitlines()
+        code, out, err = run_capped(CAPPED_CLI, args)
+        assert code == 0, err
+        assert "recall@1=1.000000" in out.splitlines()
+
+    def test_labels_pipe_longer_than_its_bytes_exit_2(self, dataset):
+        # a pipe has no size to check a declared length against up front
+        args = self.eval_args(dataset, train_checkpoint(dataset))
+        args[args.index("--query-labels") + 1] = "/dev/stdin"
+        lie = b"LBL1" + struct.pack("<II", 0xFFFFFFF0, 5) + bytes(40)
+        code, _, err = run_capped(CAPPED_CLI, args, stdin=lie)
+        assert code == 2, err
+        assert err.splitlines() == [
+            "error: /dev/stdin: truncated file: expected 17179869120 bytes for label payload, got 40"
+        ]
 
 
 class TestStreamedHead:

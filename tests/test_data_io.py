@@ -337,6 +337,13 @@ class TestBundle:
         loaded = load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl")
         assert loaded.class_ids == ["0", "1"]
 
+    def test_more_classes_than_labels_refused(self, tmp_path):
+        # some class would have no row; no default id is built for any
+        save_matrix(np.eye(2, dtype=np.float32), tmp_path / "f.emb")
+        save_labels([0, 1], 3, tmp_path / "l.lbl")
+        with pytest.raises(InvariantViolation, match="3 classes for 2 labels leave a class"):
+            load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl")
+
     def test_zero_row_file_loads(self, tmp_path):
         # the sampler and recall_at_k refuse an empty bundle; loading it is no error
         save_matrix(np.zeros((0, 3), np.float32), tmp_path / "f.emb")

@@ -74,15 +74,14 @@ def reference_train(bundle, cfg, d=None, steps=STEPS):
     head, bank = init(cfg, bundle.feature_dim, bundle.num_classes)
     params = [head.weight, head.bias, bank.proxies]
     velocities = [np.zeros_like(a) for a in params]
-    sampler = BalancedSampler(bundle, cfg.sampler)
+    block = BalancedSampler(bundle, cfg.sampler).batches(0, steps)
     d = None if d is None else d.astype(np.float64)
     curve = []
-    for t in range(steps):
-        batch = sampler.next_batch()
-        feats = bundle.features[batch.sample_indices].astype(np.float64)
+    for t, rows, labels in zip(range(steps), block.sample_indices, block.labels):
+        feats = bundle.features[rows].astype(np.float64)
         w, b, p = (a.astype(np.float64) for a in params)
         ht, hs, htn, emb = reference_head(feats, w, b, LN_EPS)
-        losses, grad_x, grad_p = reference_loss(emb, p, batch.labels, cfg.loss, d)
+        losses, grad_x, grad_p = reference_loss(emb, p, labels, cfg.loss, d)
         curve.append(float(losses.mean()))
         grad_w, grad_b = reference_head_backward(feats, ht, hs, htn, grad_x)
         grads = [grad_w, grad_b, grad_p + reference_quant_grad(p)]

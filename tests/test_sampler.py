@@ -5,7 +5,7 @@ import pytest
 
 from marginfit.data_io import FeatureBundle
 from marginfit.errors import ConfigError, InvariantViolation
-from marginfit.sampler import BalancedSampler, Batch, SamplerConfig
+from marginfit.sampler import BalancedSampler, SamplerConfig
 
 
 def bundle_with_counts(counts, dim=4, seed=0):
@@ -15,10 +15,19 @@ def bundle_with_counts(counts, dim=4, seed=0):
     return FeatureBundle(feats, labels, [f"c{i}" for i in range(len(counts))])
 
 
+def batch_at(sampler, t):
+    """Batch t drawn alone, as its (sample_indices, labels) rows."""
+    block = sampler.batches(t, 1)
+    return block.sample_indices[0], block.labels[0]
+
+
+def rows_of(block):
+    """The (sample_indices, labels) rows of a block, one pair per batch."""
+    return zip(block.sample_indices, block.labels)
+
+
 def batches_equal(a, b):
-    return np.array_equal(a.sample_indices, b.sample_indices) and np.array_equal(
-        a.labels, b.labels
-    )
+    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 class TestConfig:
@@ -59,23 +68,23 @@ class TestBatchShape:
     def test_paper_scale_shape(self):
         b = bundle_with_counts([8] * 20)
         s = BalancedSampler(b, SamplerConfig(batch_size=75, k=5, seed=1))
-        batch = s.next_batch()
-        assert batch.sample_indices.shape == (75,)
-        classes, counts = np.unique(batch.labels, return_counts=True)
+        indices, labels = batch_at(s, 0)
+        assert indices.shape == (75,)
+        classes, counts = np.unique(labels, return_counts=True)
         assert len(classes) == 15
         assert np.all(counts == 5)
 
     def test_labels_match_bundle(self):
         b = bundle_with_counts([6, 6, 6, 6])
         s = BalancedSampler(b, SamplerConfig(batch_size=10, k=5, seed=2))
-        batch = s.next_batch()
-        np.testing.assert_array_equal(b.labels[batch.sample_indices], batch.labels)
+        indices, labels = batch_at(s, 0)
+        np.testing.assert_array_equal(b.labels[indices], labels)
 
     def test_small_class_uses_replacement(self):
         b = bundle_with_counts([3, 8])
         s = BalancedSampler(b, SamplerConfig(batch_size=10, k=5, seed=3))
-        batch = s.next_batch()
-        small = batch.sample_indices[batch.labels == 0]
+        indices, labels = batch_at(s, 0)
+        small = indices[labels == 0]
         assert len(small) == 5
         assert set(small).issubset(set(np.flatnonzero(b.labels == 0)))
         # 5 draws from 3 indices must repeat something
@@ -85,9 +94,8 @@ class TestBatchShape:
         b = bundle_with_counts([7] * 12)
         cfg = SamplerConfig(batch_size=20, k=4, seed=4)
         s = BalancedSampler(b, cfg)
-        for _ in range(200):
-            batch = s.next_batch()
-            classes, counts = np.unique(batch.labels, return_counts=True)
+        for _, labels in rows_of(s.batches(0, 200)):
+            classes, counts = np.unique(labels, return_counts=True)
             assert len(classes) == cfg.classes_per_batch
             assert np.all(counts == cfg.k)
 
@@ -101,8 +109,8 @@ class TestWithinClassDraws:
         subsets = {c: i for i, c in enumerate(itertools.combinations(range(6), 3))}
         hits = np.zeros(len(subsets))
         n_batches = 30_000
-        for _ in range(n_batches):
-            hits[subsets[tuple(sorted(s.next_batch().sample_indices.tolist()))]] += 1
+        for indices in s.batches(0, n_batches).sample_indices:
+            hits[subsets[tuple(sorted(indices.tolist()))]] += 1
         expected = n_batches / len(subsets)
         chi2 = float(np.sum((hits - expected) ** 2) / expected)
         assert chi2 < 43.8  # the 0.999 quantile of chi-squared(19)
@@ -113,10 +121,9 @@ class TestWithinClassDraws:
         b = bundle_with_counts(counts)
         k = 5
         s = BalancedSampler(b, SamplerConfig(batch_size=20, k=k, seed=6))
-        for _ in range(300):
-            batch = s.next_batch()
+        for indices, labels in rows_of(s.batches(0, 300)):
             for cls, n in enumerate(counts):
-                picks = batch.sample_indices[batch.labels == cls]
+                picks = indices[labels == cls]
                 assert len(picks) == k
                 assert np.all(b.labels[picks] == cls)
                 if n >= k:
@@ -127,8 +134,8 @@ class TestWithinClassDraws:
     def test_draw_major_layout(self):
         b = bundle_with_counts([7] * 12)
         cfg = SamplerConfig(batch_size=20, k=4, seed=8)
-        batch = BalancedSampler(b, cfg).next_batch()
-        per_draw = batch.labels.reshape(cfg.k, cfg.classes_per_batch)
+        _, labels = batch_at(BalancedSampler(b, cfg), 0)
+        per_draw = labels.reshape(cfg.k, cfg.classes_per_batch)
         assert np.all(per_draw == per_draw[0])
         assert len(set(per_draw[0].tolist())) == cfg.classes_per_batch
 
@@ -138,19 +145,20 @@ class TestDeterminism:
         b = bundle_with_counts([6] * 10)
         cfg = SamplerConfig(batch_size=15, k=3, seed=42)
         s1, s2 = BalancedSampler(b, cfg), BalancedSampler(b, cfg)
-        for _ in range(5):
-            assert batches_equal(s1.next_batch(), s2.next_batch())
+        for t in range(5):
+            assert batches_equal(batch_at(s1, t), batch_at(s2, t))
 
-    def test_counter_resumes_the_stream(self):
+    def test_stream_starts_at_any_t(self):
+        # batch t of a sampler that drew nothing before equals batch t of one
+        # that drew every batch up to it
         b = bundle_with_counts([2, 5, 9, 6, 4])
         cfg = SamplerConfig(batch_size=12, k=4, seed=9)
         s1 = BalancedSampler(b, cfg)
-        for _ in range(7):
-            expected = s1.next_batch()
+        for t in range(7):
+            expected = batch_at(s1, t)
         s2 = BalancedSampler(b, cfg)
-        s2.counter = 6
-        assert batches_equal(s2.next_batch(), expected)
-        assert batches_equal(s2.next_batch(), s1.next_batch())
+        assert batches_equal(batch_at(s2, 6), expected)
+        assert batches_equal(batch_at(s2, 7), batch_at(s1, 7))
 
     @pytest.mark.parametrize("counts", [[40] * 50, [10] * 1000, [3] * 50])
     def test_block_equals_successive_batches(self, counts):
@@ -158,22 +166,21 @@ class TestDeterminism:
         b = bundle_with_counts(counts)
         cfg = SamplerConfig(batch_size=75, k=5, seed=3)
         one_by_one = BalancedSampler(b, cfg)
-        one_by_one.counter = 21  # not a multiple of the trainer's block
-        block = BalancedSampler(b, cfg).batches(21, 16)
+        block = BalancedSampler(b, cfg).batches(21, 16)  # 21: not a multiple of the trainer's block
         assert block.sample_indices.shape == block.labels.shape == (16, 75)
-        for indices, labels in zip(block.sample_indices, block.labels):
-            assert batches_equal(Batch(indices, labels), one_by_one.next_batch())
+        for t, batch in enumerate(rows_of(block), start=21):
+            assert batches_equal(batch, batch_at(one_by_one, t))
 
     def test_golden_batches_at_seed_0(self):
         # a deliberate pin: any change to the batch stream shows up here
         labels = np.array([2, 0, 3, 1, 3, 2, 3, 0, 1, 3, 2, 1, 3, 2, 3])  # counts 2, 3, 4, 6
         b = FeatureBundle(np.ones((labels.size, 2), np.float32), labels, ["a", "b", "c", "d"])
         s = BalancedSampler(b, SamplerConfig(batch_size=9, k=3, seed=0))
-        first, second = s.next_batch(), s.next_batch()
-        np.testing.assert_array_equal(first.sample_indices, [5, 6, 1, 10, 12, 1, 0, 14, 1])
-        np.testing.assert_array_equal(first.labels, [2, 3, 0, 2, 3, 0, 2, 3, 0])
-        np.testing.assert_array_equal(second.sample_indices, [0, 3, 4, 10, 8, 6, 13, 11, 9])
-        np.testing.assert_array_equal(second.labels, [2, 1, 3, 2, 1, 3, 2, 1, 3])
+        first, second = batch_at(s, 0), batch_at(s, 1)
+        np.testing.assert_array_equal(first[0], [5, 6, 1, 10, 12, 1, 0, 14, 1])
+        np.testing.assert_array_equal(first[1], [2, 3, 0, 2, 3, 0, 2, 3, 0])
+        np.testing.assert_array_equal(second[0], [0, 3, 4, 10, 8, 6, 13, 11, 9])
+        np.testing.assert_array_equal(second[1], [2, 1, 3, 2, 1, 3, 2, 1, 3])
 
     def test_different_seeds_differ(self):
         b = bundle_with_counts([6] * 10)
@@ -181,7 +188,7 @@ class TestDeterminism:
         for pair in range(100):
             s1 = BalancedSampler(b, SamplerConfig(batch_size=15, k=3, seed=2 * pair))
             s2 = BalancedSampler(b, SamplerConfig(batch_size=15, k=3, seed=2 * pair + 1))
-            if not batches_equal(s1.next_batch(), s2.next_batch()):
+            if not batches_equal(batch_at(s1, 0), batch_at(s2, 0)):
                 differing += 1
         assert differing >= 99
 
@@ -192,7 +199,7 @@ class TestClassFrequency:
         s = BalancedSampler(b, SamplerConfig(batch_size=75, k=5, seed=123))
         hits = np.zeros(50, dtype=np.int64)
         n_batches = 10_000
-        for _ in range(n_batches):
-            hits[np.unique(s.next_batch().labels)] += 1
+        for labels in s.batches(0, n_batches).labels:
+            hits[np.unique(labels)] += 1
         expected = n_batches * 15 / 50
         assert np.all(np.abs(hits - expected) <= 0.2 * expected)

@@ -441,8 +441,8 @@ class TestTrainLoop:
         # the batch row the head refuses is reported as its bundle row and
         # the iteration that drew it
         bundle, cfg = small_bundle(), small_config()
-        batch = BalancedSampler(bundle, cfg.sampler).next_batch()
-        pos, row = 3, int(batch.sample_indices[3])
+        batch = BalancedSampler(bundle, cfg.sampler).batches(0, 1)
+        pos, row = 3, int(batch.sample_indices[0, 3])
         if huge:
             bundle.features[row, 0] = 3e38
         else:
@@ -523,11 +523,10 @@ class TestTrainLoop:
         cfg = small_config(loss=LossConfig(kind=KIND_ADAPTIVE, sigma=20.0, margin=0.4))
 
         head, bank = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
-        sampler = BalancedSampler(bundle, cfg.sampler)
-        sampler.counter = 3
-        batch = sampler.next_batch()
-        manual = trainer._Step(head, bank, cfg, dmat)
-        losses, gw, gb, gp = manual.gradients(bundle.features[batch.sample_indices], batch.labels)
+        batch = BalancedSampler(bundle, cfg.sampler).batches(3, 1)
+        rows, labels = batch.sample_indices[0], batch.labels[0]
+        manual = trainer._Step(head, bank, cfg, dmat, bundle.features)
+        losses, gw, gb, gp = manual.gradients(bundle.features[rows], labels)
         lr = lr_at(cfg, 3)
         _, gq = trainer.quantization_penalty(bank.proxies)
         gq += gp
@@ -536,45 +535,68 @@ class TestTrainLoop:
         trainer._renormalize_rows(bank.proxies)
 
         fresh_head, fresh_bank = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
-        step = trainer._Step(fresh_head, fresh_bank, cfg, dmat)
-        stale = BalancedSampler(bundle, cfg.sampler)
-        stale.counter = 8  # the step, not the sampler, picks the batch
-        assert step(3, stale, bundle.features) == (lr, float(losses.mean()))
+        step = trainer._Step(fresh_head, fresh_bank, cfg, dmat, bundle.features)
+        assert step(3, rows, labels) == (lr, float(losses.mean()))
         np.testing.assert_array_equal(fresh_head.weight, head.weight)
         np.testing.assert_array_equal(fresh_head.bias, head.bias)
         np.testing.assert_array_equal(fresh_bank.proxies, bank.proxies)
-        assert stale.counter == 8  # the step leaves its sampler as it was
 
     def test_blocks_and_resume_match_single_iterations(self):
         # batch t is keyed by (seed, t) alone, so the block a batch comes from
-        # must not matter: one step across two block boundaries, a fresh step
-        # per iteration, and a fresh step resumed mid-block at t = 19 agree bit
-        # for bit. Each fresh step starts from copies of the running parameters
-        # and velocities.
+        # must not matter: train's loop across two block boundaries, a fresh
+        # step per iteration, and a fresh step resumed mid-block at t = 19,
+        # each drawing every batch alone, agree bit for bit. Each fresh step
+        # starts from copies of the running parameters and velocities.
         bundle = small_bundle()
         text = np.random.default_rng(4).standard_normal((6, 5)).astype(np.float32)
         dmat = build_margin_matrix(ClassTextEmbeddings(text, bundle.class_ids)).d
-        cfg = small_config(loss=LossConfig(kind=KIND_ADAPTIVE, sigma=20.0, margin=0.4))
-        sampler = BalancedSampler(bundle, cfg.sampler)
         end = 2 * trainer.BATCH_BLOCK + 3
+        cfg = small_config(
+            total_iters=end, loss=LossConfig(kind=KIND_ADAPTIVE, sigma=20.0, margin=0.4)
+        )
+        sampler = BalancedSampler(bundle, cfg.sampler)
 
         def run(fresh_at):
             head, bank = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
-            step = trainer._Step(head, bank, cfg, dmat)
+            step = trainer._Step(head, bank, cfg, dmat, bundle.features)
             for t in range(end):
                 if t in fresh_at:
                     params = [a.copy() for a in (step.w, step.b, step.p)]
                     velocities = [v.copy() for v in step.velocities]
                     head = EmbeddingHead(params[0], params[1])
-                    step = trainer._Step(head, ProxyBank(params[2], bank.class_ids), cfg, dmat)
+                    bank = ProxyBank(params[2], bank.class_ids)
+                    step = trainer._Step(head, bank, cfg, dmat, bundle.features)
                     step.velocities = velocities
-                step(t, sampler, bundle.features)
+                batch = sampler.batches(t, 1)
+                step(t, batch.sample_indices[0], batch.labels[0])
             return [a.tobytes() for a in (step.w, step.b, step.p)]
 
-        whole = run(set())
+        ckpt = train(bundle, cfg, dmat)
+        whole = [a.tobytes() for a in (ckpt.head.weight, ckpt.head.bias, ckpt.proxies.proxies)]
         assert run(set(range(end))) == whole
         assert run({19}) == whole
-        assert sampler.counter == 0
+
+    @pytest.mark.parametrize("block", [1, 7, 16])
+    def test_batch_block_size_changes_no_byte(self, tmp_path, monkeypatch, block):
+        # 35 iterations leave every one of these block sizes a short last block
+        bundle = small_bundle()
+        text = np.random.default_rng(4).standard_normal((6, 5)).astype(np.float32)
+        dmat = build_margin_matrix(ClassTextEmbeddings(text, bundle.class_ids)).d
+        cfg = small_config(
+            total_iters=35, loss=LossConfig(kind=KIND_ADAPTIVE, sigma=20.0, margin=0.4)
+        )
+
+        def run(name):
+            stream = []
+            ckpt = train(bundle, cfg, dmat, on_iteration=lambda *event: stream.append(event))
+            save_checkpoint(ckpt, tmp_path / name)
+            return (tmp_path / name).read_bytes(), stream
+
+        expected = run("default.ckpt")
+        monkeypatch.setattr(trainer, "BATCH_BLOCK", block)
+        got = run(f"block{block}.ckpt")
+        assert got == expected
+        assert [t for t, _, _ in got[1]] == list(range(35))
 
     def test_divergence_detected(self, monkeypatch):
         real = trainer._forward_backward
@@ -604,7 +626,7 @@ class TestTrainLoop:
 
         head = EmbeddingHead(w.astype(np.float32), b.astype(np.float32))
         train_cfg = TrainConfig(embed_dim=embed_dim, loss=cfg, sampler=SamplerConfig(batch, 1))
-        step = trainer._Step(head, bank, train_cfg, None)
+        step = trainer._Step(head, bank, train_cfg, None, feats.astype(np.float32))
         _, gw, _, _ = step.gradients(feats.astype(np.float32), labels)
 
         from marginfit import losses as losses_mod
@@ -647,7 +669,7 @@ class TestTrainLoop:
             for kind, margins in ((KIND_LMCL, None), (KIND_ADAPTIVE, zero_d)):
                 loss = LossConfig(kind=kind, sigma=20.0, margin=0.4, temperature_mode=mode)
                 cfg = TrainConfig(embed_dim=embed_dim, loss=loss, sampler=SamplerConfig(batch, 1))
-                step = trainer._Step(head, bank, cfg, margins)
+                step = trainer._Step(head, bank, cfg, margins, feats)
                 got[kind] = [a.copy() for a in step.gradients(feats, labels)]
             for want, have in zip(got[KIND_LMCL], got[KIND_ADAPTIVE]):
                 assert have.tobytes() == want.tobytes()
