@@ -52,10 +52,10 @@ ZERO_NORM_THRESHOLD = 1e-12  # a row with a smaller L2 norm raises ZeroNorm
 # Payload bytes per read block, and float32 bytes per score block of the
 # ranking (``evaluation.BLOCK_COLS``). On the train-manyclass perfbench inputs
 # (8 MB query and gallery feature files, F = 512, one BLAS thread), blocks of
-# 256 KiB / 512 KiB / 1 / 2 / 4 MiB give eval a peak RSS of 36.9 / 37.2 /
-# 40.3 / 44.0 / 52.0 MB, float and binary alike, and embed 37.5 / 37.7 / 37.1
-# / 40.6 / 48.9 MB; blocks under 1 MiB map the query file through the head
-# up to 1.6x slower.
+# 256 KiB / 512 KiB / 1 / 2 / 4 MiB give eval a peak RSS of 35.5 / 36.1 /
+# 37.0 / 40.1 / 44.9 MB (35.6 / 36.3 / 37.5 / 40.0 / 44.9 with --binary) and
+# embed 36.3 / 36.7 / 36.8 / 37.1 / 41.1 MB. On a 2-vCPU host the float32
+# head maps the query file in 7-14 ms at each size, none consistently slower.
 BLOCK_BYTES = 1 << 20
 
 MAGIC_MATRIX = b"EMB1"

@@ -93,7 +93,7 @@ class ProxyBank:
     def __post_init__(self):
         self.proxies = as_matrix(self.proxies, "proxies")
         self.class_ids = checked_class_ids(self.class_ids, self.proxies.shape[0], "proxy bank")
-        norms = np.linalg.norm(self.proxies.astype(np.float64), axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", self.proxies, self.proxies, dtype=np.float64))
         if not np.all(np.abs(norms - 1.0) <= 1e-5):
             worst = int(np.argmax(np.abs(norms - 1.0)))
             raise InvariantViolation(f"proxy row {worst} has norm {norms[worst]:.8f}, expected 1")

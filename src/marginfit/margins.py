@@ -62,7 +62,8 @@ class ClassTextEmbeddings:
         self.class_ids = checked_class_ids(
             self.class_ids, self.embeddings.shape[0], "class text embeddings"
         )
-        norms = np.linalg.norm(self.embeddings.astype(np.float64), axis=1)
+        e = self.embeddings
+        norms = np.sqrt(np.einsum("ij,ij->i", e, e, dtype=np.float64))
         if np.any(norms < ZERO_NORM_THRESHOLD):
             bad = int(np.argmin(norms))
             raise ZeroNorm(f"class {self.class_ids[bad]!r} has an all-zero text embedding")

@@ -12,8 +12,9 @@ W, b, P and their velocities are float32 master arrays updated in place,
 the head is computed once per iteration and its intermediates feed the
 head backward, and the loss runs in buffers allocated once per run. Only
 the loss's B-length reductions (the softmax sums and the log) are
-float64. The finite-difference gradient checks, ``embed`` and ``eval``
-(``forward_head``) run in float64.
+float64. ``embed`` and ``eval`` (``forward_head``) run the same float32
+head, and retry in float64 only a block that float32 cannot normalize.
+The finite-difference gradient checks run in float64.
 
 Training objective, per iteration, for every loss kind:
 
@@ -137,13 +138,20 @@ def forward_head(head: EmbeddingHead, features: np.ndarray) -> np.ndarray:
     A parameterless layer norm before the L2 step would change nothing: its
     division by the row's standard deviation cancels in the normalization.
 
-    Runs in float64, as ``embed`` and ``eval`` need it, and returns float32.
+    Runs the training step's float32 ``_head_core`` on the block as given.
+    Only a block it cannot normalize (a zero row, or a huge one whose norm
+    overflows float32) is run again in float64, which decides: the huge row
+    embeds, the zero row raises ZeroNorm. Returns float32.
     """
     features = as_matrix(features, "features")
     if features.shape[1] != head.weight.shape[0]:
         raise DimMismatch(
             f"features have {features.shape[1]} columns, head expects {head.weight.shape[0]}"
         )
+    try:
+        return _head_core(features, head.weight, head.bias)[2]
+    except ZeroNorm:
+        pass
     _, _, out = _head_core(
         features.astype(np.float64), head.weight.astype(np.float64), head.bias.astype(np.float64)
     )

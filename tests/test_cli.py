@@ -13,6 +13,13 @@ import pytest
 import marginfit
 from marginfit import cli, data_io, errors
 from marginfit.data_io import save_class_ids, save_labels, save_matrix
+from marginfit.evaluation import (
+    DEFAULT_KS,
+    MODE_BINARY,
+    MODE_FLOAT,
+    machine_lines,
+    recall_at_k,
+)
 from marginfit.margins import (
     METRIC_COSINE,
     NORM_ANALYTIC,
@@ -758,6 +765,25 @@ class TestStreamedHead:
             "block row 1 has norm 0.000e+00 after centring"
         ]
         assert not (dataset / "qe.emb").exists()
+
+    @pytest.mark.parametrize("mode", [MODE_FLOAT, MODE_BINARY])
+    def test_eval_ranks_what_embed_writes(self, dataset, monkeypatch, mode):
+        # perfbench recomputes eval's recall lines from embed's output files
+        ckpt = train_checkpoint(dataset)
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 3 * 12 * 4)  # q.emb is 4 blocks, g.emb 5
+        sides = {}
+        for side in ("q", "g"):
+            out = dataset / f"{side}_embedded.emb"
+            code, _ = run_cli(["embed", "--ckpt", str(ckpt),
+                               "--features", str(dataset / f"{side}.emb"), "--out", str(out)])
+            assert code == 0
+            sides[side] = (data_io.load_matrix(out), data_io.load_labels(dataset / f"{side}.lbl")[0])
+        args = TestEval().eval_args(dataset, ckpt) + (["--binary"] if mode == MODE_BINARY else [])
+        code, text = run_cli(args)
+        assert code == 0
+        report = recall_at_k(*sides["q"], *sides["g"], DEFAULT_KS, mode)
+        recall_lines = [line for line in text.splitlines() if line.startswith("recall@")]
+        assert recall_lines == machine_lines(report)[2:]
 
     def test_eval_peak_allocation_below_the_query_file(self, dataset):
         # the query payload is 8 blocks; eval never holds it, nor its float64 copy

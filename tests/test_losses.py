@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,26 @@ class TestProxyBank:
 
         with pytest.raises(InvariantViolation):
             ProxyBank(np.array([[2.0, 0.0]], dtype=np.float32))
+
+    def test_non_unit_row_named_with_its_norm(self):
+        from marginfit.errors import InvariantViolation
+
+        p = np.eye(3, dtype=np.float32)
+        p[1, 1] = 2.0
+        with pytest.raises(InvariantViolation, match=r"^proxy row 1 has norm 2\.00000000, expected 1$"):
+            ProxyBank(p)
+
+    def test_norm_check_makes_no_float64_copy(self):
+        p = np.random.default_rng(0).standard_normal((1000, 128)).astype(np.float32)
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+        ids = [str(c) for c in range(1000)]
+        tracemalloc.start()
+        try:
+            ProxyBank(p, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.nbytes
 
     def test_duplicate_ids_rejected(self):
         from marginfit.errors import InvariantViolation

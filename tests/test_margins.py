@@ -142,6 +142,17 @@ class TestBuild:
         with pytest.raises(ZeroNorm, match="class 'b'"):
             ClassTextEmbeddings(e, ["a", "b"])
 
+    def test_norm_check_makes_no_float64_copy(self):
+        e = np.random.default_rng(0).standard_normal((1000, 128)).astype(np.float32)
+        ids = [str(c) for c in range(1000)]
+        tracemalloc.start()
+        try:
+            ClassTextEmbeddings(e, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < e.nbytes
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), scale=st.floats(1e-3, 1e3))
     def test_cosine_scale_invariance(self, seed, scale):

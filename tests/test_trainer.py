@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,75 @@ class TestForwardHead:
         feats[0, 0] = 3e38
         out = forward_head(EmbeddingHead(np.eye(4, dtype=np.float32), np.zeros(4, np.float32)), feats)
         assert abs(np.linalg.norm(out.astype(np.float64)) - 1.0) <= 1e-6
+
+
+def float64_head(head, feats):
+    """The head in float64 numpy: features @ W + b, centred, L2 normalized."""
+    h = feats.astype(np.float64) @ head.weight.astype(np.float64) + head.bias.astype(np.float64)
+    t = h - h.mean(axis=1, keepdims=True)
+    return t / np.linalg.norm(t, axis=1, keepdims=True)
+
+
+def random_head(rng, features=64, dim=32):
+    weight = rng.standard_normal((features, dim)) / math.sqrt(features)
+    return EmbeddingHead(weight.astype(np.float32), rng.standard_normal(dim).astype(np.float32))
+
+
+class TestFloat32Head:
+    """forward_head runs the training step's float32 kernel; float64 only for a block it refuses."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_within_1e6_of_float64_head(self, scale):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            head = random_head(rng)
+            feats = (scale * rng.standard_normal((200, 64))).astype(np.float32)
+            out = forward_head(head, feats)
+            assert out.dtype == np.float32
+            assert np.max(np.abs(out - float64_head(head, feats))) <= 1e-6
+
+    def test_huge_row_in_an_ordinary_block(self):
+        rng = np.random.default_rng(12)
+        head = random_head(rng)
+        feats = rng.standard_normal((9, 64)).astype(np.float32)
+        feats[4, 3] = 3e38  # its float32 norm overflows, so the block is redone in float64
+        out = forward_head(head, feats)
+        norms = np.linalg.norm(out.astype(np.float64), axis=1)
+        assert np.all(np.abs(norms - 1.0) <= 1e-6)
+        assert np.max(np.abs(out - float64_head(head, feats))) <= 1e-6
+
+    def test_float64_runs_only_for_a_refused_block(self, monkeypatch):
+        dtypes = []
+        real = trainer._head_core
+
+        def spy(feats, w, b):
+            dtypes.append((feats.dtype, w.dtype, b.dtype))
+            return real(feats, w, b)
+
+        monkeypatch.setattr(trainer, "_head_core", spy)
+        head = random_head(np.random.default_rng(13))
+        feats = np.ones((3, 64), np.float32)
+        forward_head(head, feats)
+        assert dtypes == [(np.float32,) * 3]
+        feats[1, 0] = 3e38
+        dtypes.clear()
+        forward_head(head, feats)
+        assert dtypes == [(np.float32,) * 3, (np.float64,) * 3]
+
+    def test_peak_allocation_below_the_block(self):
+        # a float64 copy of the block alone would take twice its bytes
+        rows, cols = 512, 512
+        rng = np.random.default_rng(14)
+        head = random_head(rng, cols, 128)
+        feats = rng.standard_normal((rows, cols)).astype(np.float32)
+        forward_head(head, feats)
+        tracemalloc.start()
+        try:
+            forward_head(head, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * cols * 4
 
 
 def identity_head(m):
