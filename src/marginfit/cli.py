@@ -33,6 +33,7 @@ from .margins import (
     ClassTextEmbeddings,
     build_margin_matrix,
     load_margin_matrix,
+    off_diagonal,
     save_margin_matrix,
 )
 from .selftest import run_selftest
@@ -61,10 +62,10 @@ def _cmd_margins_build(args) -> int:
         print("warning: single class, margin matrix is trivially zero", file=sys.stderr)
         print(f"classes={c}")
         return EXIT_OK
-    off = matrix.d[~np.eye(c, dtype=bool)].astype(np.float64)
+    off = off_diagonal(matrix.d)  # a view: no C x C copy
     print(f"classes={c}")
     print(f"distance_min={off.min():.6f}")
-    print(f"distance_mean={off.mean():.6f}")
+    print(f"distance_mean={off.mean(dtype=np.float64):.6f}")
     print(f"distance_max={off.max():.6f}")
     return EXIT_OK
 

@@ -33,12 +33,6 @@ class InvalidLabel(MarginfitError):
     """A label index is outside [0, C)."""
 
 
-class MarginShapeMismatch(MarginfitError):
-    """Margin matrix shape does not match the number of classes."""
-
-    exit_code = 3
-
-
 class UnknownClass(MarginfitError):
     """A class id is not present in the margin matrix."""
 

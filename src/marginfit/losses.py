@@ -17,6 +17,9 @@ training step (float32, in buffers it allocates once; it calls
 check, which evaluates stacks of perturbed parameters in one float64
 broadcast call. Its B-length reductions run in float64. Public outputs
 are float32; gradients are of the mean loss over the batch.
+
+A margin matrix enters only through ``margin_array``, which checks a raw
+array as a ``MarginMatrix`` and permutes a matrix to the caller's ids once.
 """
 
 from __future__ import annotations
@@ -26,14 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import as_matrix, checked_class_ids
-from .errors import (
-    ConfigError,
-    DimMismatch,
-    InvalidLabel,
-    InvariantViolation,
-    MarginShapeMismatch,
-)
-from .margins import MarginMatrix, align_margin_matrix
+from .errors import ConfigError, DimMismatch, InvalidLabel, InvariantViolation, UnknownClass
+from .margins import MarginMatrix
 
 KIND_NORM_SOFTMAX = "norm_softmax"
 KIND_LMCL = "lmcl"
@@ -119,8 +116,9 @@ def margin_array(kind: str, margins, class_ids: list[str]) -> np.ndarray | None:
     """The C x C array of ``margins`` in the order of ``class_ids``, or None.
 
     Only the adaptive kind takes margins, and it requires them (ConfigError).
-    A MarginMatrix is aligned to ``class_ids`` by id (UnknownClass when its
-    ids differ); a raw array must already be C x C in that order.
+    A raw array is checked as ``MarginMatrix(margins, class_ids)``. A
+    MarginMatrix is permuted to ``class_ids`` once and not checked again
+    (UnknownClass names missing and extra ids); one in that order is returned.
     """
     if kind != KIND_ADAPTIVE:
         if margins is not None:
@@ -128,15 +126,20 @@ def margin_array(kind: str, margins, class_ids: list[str]) -> np.ndarray | None:
         return None
     if margins is None:
         raise ConfigError("adaptive loss kind requires a margin matrix")
-    if isinstance(margins, MarginMatrix):
-        return align_margin_matrix(margins, class_ids).d
-    d = np.asarray(margins)
-    num_classes = len(class_ids)
-    if d.shape != (num_classes, num_classes):
-        raise MarginShapeMismatch(
-            f"margin matrix must be {num_classes}x{num_classes}, got {d.shape}"
+    if not isinstance(margins, MarginMatrix):
+        margins = MarginMatrix(margins, class_ids)
+    if list(class_ids) == margins.class_ids:
+        return margins.d
+    row = {cid: i for i, cid in enumerate(margins.class_ids)}
+    missing = sorted(set(class_ids) - row.keys())
+    extra = sorted(row.keys() - set(class_ids))
+    if missing or extra:
+        raise UnknownClass(
+            f"margin matrix ids differ from the class ids: missing {missing[:5]}, "
+            f"extra {extra[:5]}"
         )
-    return d
+    perm = np.array([row[cid] for cid in class_ids])
+    return margins.d[np.ix_(perm, perm)]
 
 
 def _slope_rows(d, rows, tau, dtype) -> np.ndarray:
@@ -230,8 +233,8 @@ def compute_loss(
 ) -> LossOutput:
     """Loss of kind ``cfg.kind`` and its gradients; only the adaptive kind takes ``margins``.
 
-    ``margins`` is a C x C matrix in [0, 1] with zero diagonal, aligned to
-    ``bank.class_ids`` by ``margin_array``. For sample i with label y, each
+    ``margins`` is a MarginMatrix or a raw C x C array checked as one, aligned
+    to ``bank.class_ids`` by ``margin_array``. For sample i with label y, each
     negative cosine c against class z becomes c + (1 - c) * margins[y, z].
     """
     x, lab = _check_inputs(x, bank, labels)

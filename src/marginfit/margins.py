@@ -12,6 +12,8 @@ loss. Two metrics (cosine, euclidean) and two normalizations:
 
 Both metrics come from one float64 Gram matrix of the rows (unit rows
 for cosine and for analytic), so memory stays O(C^2) whatever T is.
+``off_diagonal`` is a view of the off-diagonal entries, not a copy; the
+loss takes a matrix through ``losses.margin_array``, which permutes it.
 
 File format ``MGN1``: magic | u32 C | u8 metric | u8 norm_mode |
 C class-id records (u32 byte length + UTF-8) | C*C float32, row-major,
@@ -33,7 +35,6 @@ from .errors import (
     FormatError,
     InvariantViolation,
     NonFiniteData,
-    UnknownClass,
     ZeroNorm,
 )
 
@@ -109,6 +110,16 @@ class MarginMatrix:
         return self.d.shape[0]
 
 
+def off_diagonal(d: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of a C-contiguous C x C array, as a (C - 1, C) view.
+
+    Dropping the first entry of the flat array puts each diagonal entry at
+    the end of a row of C + 1; the view leaves that column out.
+    """
+    c = d.shape[0]
+    return d.reshape(-1)[1:].reshape(c - 1, c + 1)[:, :-1]
+
+
 def build_margin_matrix(
     cte: ClassTextEmbeddings,
     metric: str = METRIC_COSINE,
@@ -141,11 +152,10 @@ def build_margin_matrix(
     if metric == METRIC_COSINE:
         np.subtract(1.0, d, out=d)
 
-    c = d.shape[0]
     if norm_mode == NORM_ANALYTIC:
         d /= 2.0  # both raw distances lie in [0, 2] on unit rows
-    elif c >= 2:
-        off = d[~np.eye(c, dtype=bool)]
+    elif d.shape[0] >= 2:
+        off = off_diagonal(d)
         lo, hi = off.min(), off.max()
         if hi - lo < 1e-12:
             raise DegenerateRange(
@@ -159,22 +169,6 @@ def build_margin_matrix(
     np.clip(d, 0.0, 1.0, out=d)
     np.fill_diagonal(d, 0.0)
     return MarginMatrix(d.astype(np.float32), list(cte.class_ids), metric, norm_mode)
-
-
-def align_margin_matrix(m: MarginMatrix, class_ids: list[str]) -> MarginMatrix:
-    """Permute rows/cols to follow ``class_ids``; UnknownClass names missing and extra ids."""
-    if list(class_ids) == m.class_ids:
-        return m
-    row = {cid: i for i, cid in enumerate(m.class_ids)}
-    missing = sorted(set(class_ids) - row.keys())
-    extra = sorted(row.keys() - set(class_ids))
-    if missing or extra:
-        raise UnknownClass(
-            f"margin matrix ids differ from the class ids: missing {missing[:5]}, "
-            f"extra {extra[:5]}"
-        )
-    perm = np.array([row[cid] for cid in class_ids])
-    return MarginMatrix(m.d[np.ix_(perm, perm)], list(class_ids), m.metric, m.norm_mode)
 
 
 def save_margin_matrix(m: MarginMatrix, path) -> None:

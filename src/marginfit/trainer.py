@@ -333,10 +333,12 @@ def train(
 
     The loop draws the batches BATCH_BLOCK at a time, the last block cut short.
 
-    ``margin_matrix`` is required exactly when the loss kind is adaptive and
-    is aligned to ``bundle.class_ids`` (``losses.margin_array``); that rule
-    is checked first. A feature row with NaN or Inf is NonFiniteData, and
-    the sampler refuses a bundle it cannot draw from.
+    ``margin_matrix`` is required exactly when the loss kind is adaptive. A
+    MarginMatrix is permuted to ``bundle.class_ids``, and a raw array is
+    checked as ``MarginMatrix(margin_matrix, bundle.class_ids)``
+    (``losses.margin_array``); that rule is checked first. A feature row
+    with NaN or Inf is NonFiniteData, and the sampler refuses a bundle it
+    cannot draw from.
     ``on_warning(message)``, if given, receives before the first iteration
     the sampler's warnings (classes with fewer than k rows), then one per
     all-zero feature row (the first 20).

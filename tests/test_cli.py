@@ -842,7 +842,6 @@ EXIT_CODES = {
     errors.NonFiniteData: 2,
     errors.DegenerateRange: 3,
     errors.InvariantViolation: 3,
-    errors.MarginShapeMismatch: 3,
     errors.UnknownClass: 3,
     errors.ZeroNorm: 3,
     errors.DivergenceError: 4,

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,8 @@ from marginfit.errors import (
     ConfigError,
     DimMismatch,
     InvalidLabel,
-    MarginShapeMismatch,
+    InvariantViolation,
+    MarginfitError,
     UnknownClass,
 )
 from marginfit.losses import (
@@ -198,8 +200,17 @@ class TestValidation:
     def test_margin_shape_mismatch(self):
         x, bank, labels = two_class_instance()
         cfg = LossConfig(kind=KIND_ADAPTIVE)
-        with pytest.raises(MarginShapeMismatch):
+        with pytest.raises(InvariantViolation):
             compute_loss(x, bank, labels, cfg, np.zeros((3, 3), np.float32))
+
+    def test_raw_margins_checked_as_margin_matrix(self, bad_margins):
+        x, bank, labels = two_class_instance()
+        d = bad_margins(bank.num_classes)
+        with pytest.raises(MarginfitError) as expected:
+            MarginMatrix(d, bank.class_ids)
+        with pytest.raises(MarginfitError, match=re.escape(str(expected.value))) as raised:
+            compute_loss(x, bank, labels, LossConfig(kind=KIND_ADAPTIVE), d)
+        assert type(raised.value) is type(expected.value)
 
     @pytest.mark.parametrize("kind", [KIND_LMCL, KIND_NORM_SOFTMAX])
     def test_margins_refused_for_non_adaptive_kinds(self, kind):

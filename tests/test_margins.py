@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marginfit import cli
+from marginfit.data_io import save_class_ids, save_matrix
 from marginfit.errors import (
     DegenerateRange,
     FormatError,
@@ -14,6 +16,7 @@ from marginfit.errors import (
     UnknownClass,
     ZeroNorm,
 )
+from marginfit.losses import KIND_ADAPTIVE, margin_array
 from marginfit.margins import (
     METRIC_COSINE,
     METRIC_EUCLIDEAN,
@@ -21,9 +24,9 @@ from marginfit.margins import (
     NORM_MINMAX,
     ClassTextEmbeddings,
     MarginMatrix,
-    align_margin_matrix,
     build_margin_matrix,
     load_margin_matrix,
+    off_diagonal,
     save_margin_matrix,
 )
 
@@ -192,6 +195,42 @@ class TestBuild:
         assert np.max(np.abs(m.d - m.d.T)) <= 1e-6
 
 
+class TestOffDiagonal:
+    @pytest.mark.parametrize("c", [2, 3, 7])
+    def test_holds_exactly_the_off_diagonal_entries(self, c):
+        d = np.arange(c * c, dtype=np.float32).reshape(c, c)
+        off = off_diagonal(d)
+        assert off.shape == (c - 1, c)
+        np.testing.assert_array_equal(np.sort(off, axis=None), np.sort(d[~np.eye(c, dtype=bool)]))
+
+    def test_shares_memory_with_the_matrix(self):
+        d = np.zeros((5, 5), np.float32)
+        off = off_diagonal(d)
+        assert np.shares_memory(off, d)
+        off[...] = 1.0
+        np.testing.assert_array_equal(d, 1.0 - np.eye(5, dtype=np.float32))
+
+    def test_distance_lines_copy_no_matrix(self, tmp_path, monkeypatch, capsys):
+        # tracing starts where margins-build would write MGN1, so it covers
+        # only the distance_* lines, which read the matrix in place
+        c = 2000
+        save_matrix(
+            np.random.default_rng(9).standard_normal((c, 4)).astype(np.float32),
+            tmp_path / "text.emb",
+        )
+        save_class_ids([f"c{i}" for i in range(c)], tmp_path / "ids.txt")
+        monkeypatch.setattr(cli, "save_margin_matrix", lambda m, path: tracemalloc.start())
+        argv = ["margins-build", "--class-text", str(tmp_path / "text.emb"),
+                "--class-ids", str(tmp_path / "ids.txt"), "--out", str(tmp_path / "m.mgn")]
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * c * c * 4
+        assert "distance_mean=" in capsys.readouterr().out
+
+
 class TestLookup:
     def make(self):
         e = np.eye(3, dtype=np.float32)
@@ -209,19 +248,32 @@ class TestLookup:
 
     def test_unknown_class(self):
         with pytest.raises(UnknownClass):
-            align_margin_matrix(self.make(), ["a", "b", "zzz"])
+            margin_array(KIND_ADAPTIVE, self.make(), ["a", "b", "zzz"])
 
     def test_missing_and_extra_ids_named(self):
         with pytest.raises(UnknownClass, match=r"missing \['y', 'z'\], extra \['c'\]"):
-            align_margin_matrix(self.make(), ["z", "a", "y", "b"])
+            margin_array(KIND_ADAPTIVE, self.make(), ["z", "a", "y", "b"])
         with pytest.raises(UnknownClass, match=r"missing \[\], extra \['b'\]"):
-            align_margin_matrix(self.make(), ["c", "a"])
+            margin_array(KIND_ADAPTIVE, self.make(), ["c", "a"])
 
     def test_permutation_follows_ids(self):
         m = self.make()
-        aligned = align_margin_matrix(m, ["c", "a", "b"])
-        assert aligned.class_ids == ["c", "a", "b"]
-        np.testing.assert_array_equal(aligned.d, m.d[np.ix_([2, 0, 1], [2, 0, 1])])
+        aligned = margin_array(KIND_ADAPTIVE, m, ["c", "a", "b"])
+        np.testing.assert_array_equal(aligned, m.d[np.ix_([2, 0, 1], [2, 0, 1])])
+
+    def test_permutation_does_not_check_again(self, monkeypatch):
+        m = self.make()
+
+        def refuse(_self):
+            raise AssertionError("MarginMatrix checked again")
+
+        monkeypatch.setattr(MarginMatrix, "__post_init__", refuse)
+        aligned = margin_array(KIND_ADAPTIVE, m, ["b", "c", "a"])
+        np.testing.assert_array_equal(aligned, m.d[np.ix_([1, 2, 0], [1, 2, 0])])
+
+    def test_same_ids_return_the_same_array(self):
+        m = self.make()
+        assert margin_array(KIND_ADAPTIVE, m, ["a", "b", "c"]) is m.d
 
     def test_identical_embeddings_zero_row(self):
         e = np.tile(np.array([[2.0, 1.0]], np.float32), (3, 1))

@@ -10,10 +10,14 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import marginfit
 from marginfit import cli
+from marginfit.data_io import load_matrix, save_matrix
+from marginfit.losses import ProxyBank
+from marginfit.trainer import Checkpoint, EmbeddingHead, save_checkpoint
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -69,12 +73,65 @@ def test_run_synthetic_experiment():
     assert "adaptive" in proc.stdout
 
 
-def test_criterion8_seeds_imports():
-    path = SCRIPTS / "criterion8_seeds.py"
-    spec = importlib.util.spec_from_file_location("criterion8_seeds", path)
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def write_run(out: Path, recall_at_1="0.9265"):
+    """A small synthetic set of one pipeline run's outputs."""
+    rng = np.random.default_rng(3)
+    out.mkdir(parents=True)
+    (out / "margins-build.out").write_text("classes=3\ndistance_min=0.250000\n", encoding="utf-8")
+    (out / "train.out").write_text(
+        "iter=0 lr=0.0005 loss=3.25\ncheckpoint=model.ckpt iteration=100\n", encoding="utf-8"
+    )
+    proxies = np.eye(3, 4, dtype=np.float32)
+    head = EmbeddingHead(rng.standard_normal((5, 4)).astype(np.float32), np.zeros(4, np.float32))
+    save_checkpoint(Checkpoint(head, ProxyBank(proxies), 100), out / "model.ckpt")
+    save_matrix(rng.standard_normal((6, 4)).astype(np.float32), out / "query.emb")
+    (out / "eval-float.out").write_text(
+        f"float retrieval over 6 queries (recall %)\n  R@1 | R@5\n  x | y\n"
+        f"recall@1={recall_at_1}\nrecall@5=1.0000\n",
+        encoding="utf-8",
+    )
+
+
+def test_criterion8_seeds_imports():
+    module = load_script("criterion8_seeds")
     assert callable(module.main) and list(module.DATA_SEEDS) == list(range(1, 11))
+
+
+def test_same_outputs_reports_identical_runs(tmp_path):
+    same_outputs = load_script("same_outputs")
+    write_run(tmp_path / "rev")
+    write_run(tmp_path / "work")
+    rows = same_outputs.compare_outputs(tmp_path / "rev", tmp_path / "work")
+    assert rows == [
+        (name, "identical")
+        for name in ["margins-build.out", "model.ckpt", "train.out", "query.emb", "eval-float.out"]
+    ]
+
+
+def test_same_outputs_reports_what_moved(tmp_path):
+    same_outputs = load_script("same_outputs")
+    write_run(tmp_path / "rev")
+    write_run(tmp_path / "work", recall_at_1="0.9270")
+    query = tmp_path / "work" / "query.emb"
+    moved = load_matrix(query)
+    moved[2, 1] += np.float32(0.5)
+    save_matrix(moved, query)
+    (tmp_path / "work" / "model.ckpt").unlink()
+    rows = dict(same_outputs.compare_outputs(tmp_path / "rev", tmp_path / "work"))
+    assert rows == {
+        "margins-build.out": "identical",
+        "model.ckpt": "missing in the working tree",
+        "train.out": "identical",
+        "query.emb": "rows max |change| 0.5",
+        "eval-float.out": "recall@1=0.9265 -> recall@1=0.9270",
+    }
 
 
 @pytest.mark.parametrize("name", ["criterion8_seeds.py", "run_synthetic_experiment.py"])

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from marginfit.errors import (
     DivergenceError,
     FormatError,
     InvariantViolation,
-    MarginShapeMismatch,
+    MarginfitError,
     NonFiniteData,
     ZeroNorm,
 )
@@ -554,8 +555,24 @@ class TestTrainLoop:
 
     def test_margin_shape_checked(self):
         cfg = small_config(loss=LossConfig(kind=KIND_ADAPTIVE))
-        with pytest.raises(MarginShapeMismatch):
+        with pytest.raises(InvariantViolation):
             train(small_bundle(), cfg, margin_matrix=np.zeros((3, 3), np.float32))
+
+    def test_raw_margins_checked_before_the_first_iteration(self, bad_margins):
+        bundle = small_bundle()
+        d = bad_margins(bundle.num_classes)
+        with pytest.raises(MarginfitError) as expected:
+            MarginMatrix(d, bundle.class_ids)
+        iterations = []
+        with pytest.raises(MarginfitError, match=re.escape(str(expected.value))) as raised:
+            train(
+                bundle,
+                small_config(loss=LossConfig(kind=KIND_ADAPTIVE)),
+                margin_matrix=d,
+                on_iteration=lambda t, lr, loss: iterations.append(t),
+            )
+        assert type(raised.value) is type(expected.value)
+        assert iterations == []
 
     def test_class_without_rows_rejected(self):
         labels = np.repeat([0, 2], 8)
