@@ -8,8 +8,9 @@ REV is built from local git (``git archive``, no network) and the working
 tree's ``src`` is copied, both into a temporary directory with no
 ``__pycache__``. The inputs are made once per (workload, seed) by
 perfbench's ``workloads.generate`` (both perfbench workloads, seeds 1-5).
-Each tree then runs ``margins-build``, ``train``, ``embed`` on
-the query and gallery features and ``eval`` in float and ``--binary`` mode
+Each tree then runs ``margins-build`` with each metric and norm (``train``
+reads the default cosine/analytic file), ``train``, ``embed`` on the query
+and gallery features and ``eval`` in float and ``--binary`` mode
 (K = 1,5,10,20,30,40,50), each in a fresh ``python -B`` process at
 ``MF_THREADS=1``. One row per output says "identical", or gives the max
 absolute change of each EMB1/CKP1/MGN1 block and every ``key=value`` line
@@ -41,10 +42,13 @@ from workloads import WORKLOADS, generate  # noqa: E402
 
 KS = "1,5,10,20,30,40,50"
 SEEDS = (1, 2, 3, 4, 5)
+# the (metric, norm) margins-build runs besides the default cosine/analytic one
+VARIANTS = (("cosine", "minmax"), ("euclidean", "analytic"), ("euclidean", "minmax"))
 # every output of one pipeline run, in the order the pipeline makes them
 OUTPUTS = (
     "margins.mgn",
     "margins-build.out",
+    *(name for m, n in VARIANTS for name in (f"margins-{m}-{n}.mgn", f"margins-build-{m}-{n}.out")),
     "model.ckpt",
     "train.out",
     "query.emb",
@@ -61,9 +65,12 @@ def pipeline(f: dict) -> list[tuple[str, list[str]]]:
     evaluate = ["eval", "--ckpt", "model.ckpt", "--query-features", f["query.emb"],
                 "--query-labels", f["query.lbl"], "--gallery-features", f["gallery.emb"],
                 "--gallery-labels", f["gallery.lbl"], "--ks", KS]
+    build = ["margins-build", "--class-text", f["class_text.emb"], "--class-ids", f["class_ids.txt"]]
     return [
-        ("margins-build.out", ["margins-build", "--class-text", f["class_text.emb"],
-                               "--class-ids", f["class_ids.txt"], "--out", "margins.mgn"]),
+        ("margins-build.out", build + ["--out", "margins.mgn"]),
+        *((f"margins-build-{m}-{n}.out",
+           build + ["--metric", m, "--norm", n, "--out", f"margins-{m}-{n}.mgn"])
+          for m, n in VARIANTS),
         ("train.out", ["train", "--config", f["train.cfg"], "--features", f["train.emb"],
                        "--labels", f["train.lbl"], "--class-ids", f["class_ids.txt"],
                        "--margins", "margins.mgn", "--out", "model.ckpt"]),

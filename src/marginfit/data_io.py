@@ -62,6 +62,11 @@ MAGIC_MATRIX = b"EMB1"
 MAGIC_LABELS = b"LBL1"
 
 
+def block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` each in a block of about BLOCK_BYTES, at least 1."""
+    return max(1, BLOCK_BYTES // max(row_bytes, 1))
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a C-contiguous float32 2-D array; DimMismatch names ``name`` otherwise."""
     m = np.ascontiguousarray(a, dtype=np.float32)
@@ -91,10 +96,12 @@ def read_container(path, magic: bytes):
 class _Reader:
     """``read(n, what)`` returns the next n bytes; ``read.blocks(n, step, what)`` yields them.
 
-    ``blocks`` yields ``step`` bytes at a time. A short file is a FormatError
-    giving n and the bytes there were, raised in a regular file before any
-    of the n is read (f.read allocates its size up front); a stream with no
-    size (a pipe) is read in BLOCK_BYTES steps, so it fails when its bytes end.
+    ``blocks`` yields ``step`` bytes at a time, or, given ``into`` (a
+    C-contiguous array of n bytes), reads each block into its place there
+    and yields that slice. A short file is a FormatError giving n and the
+    bytes there were, raised in a regular file before any of the n is read
+    (f.read allocates its size up front); a stream with no size (a pipe) is
+    read in BLOCK_BYTES steps, so it fails when its bytes end.
     """
 
     def __init__(self, f):
@@ -107,15 +114,26 @@ class _Reader:
         step = max(n, 1) if self.sized else BLOCK_BYTES
         return b"".join(self.blocks(n, step, what))  # one block: joined without a copy
 
-    def blocks(self, n: int, step: int, what: str):
+    def check_length(self, n: int, what: str) -> None:
+        """FormatError if a regular file holds fewer than the next n bytes."""
         left = self._size - self._f.tell() if self.sized else None
         if left is not None and n > left:
             raise FormatError(f"truncated file: expected {n} bytes for {what}, got {left}")
+
+    def blocks(self, n: int, step: int, what: str, into=None):
+        self.check_length(n, what)
+        flat = None if into is None else into.reshape(-1).view(np.uint8)
         for start in range(0, n, step):
-            buf = self._f.read(min(step, n - start))
-            if len(buf) != min(step, n - start):
+            size = min(step, n - start)
+            if flat is None:
+                buf = self._f.read(size)
+                got = len(buf)
+            else:
+                buf = flat[start : start + size]
+                got = self._f.readinto(buf)
+            if got != size:
                 raise FormatError(
-                    f"truncated file: expected {n} bytes for {what}, got {start + len(buf)}"
+                    f"truncated file: expected {n} bytes for {what}, got {start + got}"
                 )
             yield buf
 
@@ -151,31 +169,34 @@ def read_rows(read, rows: int, cols: int, what: str, map_rows=None) -> np.ndarra
     """Read a (rows, cols) float32 payload in blocks of about BLOCK_BYTES.
 
     Each block is checked for NaN and Inf, passed through ``map_rows`` when
-    given, and copied into the float32 output, which is allocated once (from
-    a stream with no size, the blocks are joined once all of them are read).
-    ``map_rows`` must map each row on its own; it is called at least once,
-    on a (0, cols) or (rows, 0) block when the payload is empty. A ZeroNorm
-    it raises for a row of its block is re-raised naming the payload row.
+    given, and put in the float32 output, which is allocated once: a sized
+    file with no ``map_rows`` is read straight into it, a mapped block is
+    copied there, and from a stream with no size the blocks are joined once
+    all of them are read. ``map_rows`` must map each row on its own; it is
+    called at least once, on a (0, cols) or (rows, 0) block when the payload
+    is empty. A ZeroNorm it raises for a row of its block is re-raised
+    naming the payload row.
     """
-    row_bytes = 4 * cols
-    step = max(1, BLOCK_BYTES // max(row_bytes, 1))
-    out, start, streamed = None, 0, []
-    for buf in read.blocks(rows * row_bytes, max(step * row_bytes, 1), f"{what} payload"):
+    row_bytes, what = 4 * cols, f"{what} payload"
+    read.check_length(rows * row_bytes, what)  # before any output is allocated
+    out = np.empty((rows, cols), "<f4") if read.sized and map_rows is None else None
+    start, streamed = 0, []
+    for buf in read.blocks(rows * row_bytes, block_rows(row_bytes) * max(row_bytes, 1), what, out):
         block = np.frombuffer(buf, dtype="<f4").reshape(-1, cols)
         if not np.isfinite(block).all():
-            raise NonFiniteData(f"{what} payload contains NaN or Inf")
+            raise NonFiniteData(f"{what} contains NaN or Inf")
         if map_rows is not None:
             try:
                 block = map_rows(block)
             except ZeroNorm as exc:  # name the payload row, not its place in the block
                 row = start + exc.row
                 raise ZeroNorm(f"row {row} cannot be mapped: block {exc}", row=row) from None
-        if read.sized:
+        if not read.sized:  # a stream may end early: hold the blocks read, never the declared length
+            streamed.append(block)
+        elif map_rows is not None:
             if out is None:
                 out = np.empty((rows, block.shape[1]), np.float32)
             out[start : start + len(block)] = block
-        else:  # a stream may end early: hold the blocks read, never the declared length
-            streamed.append(block)
         start += len(block)
     if streamed:
         out = np.concatenate(streamed, dtype=np.float32)

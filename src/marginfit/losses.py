@@ -10,10 +10,11 @@ constant-margin loss, and ``margin = 0`` on top recovers the plain softmax.
 Up to a per-row shift the softmax ignores, every kind's logits are
 ``slope * (cos - 1)`` less ``tau * margin`` at the positive; the kinds
 differ only in the slope, the scalar ``tau`` or the adaptive kind's label
-rows of ``tau * (1 - d)`` (``_slope_rows``). So one branch-free,
-dtype-generic kernel, ``_forward``, serves ``compute_loss`` (float64), the
-training step (float32, in buffers it allocates once; it calls
-``_forward_backward``, not ``compute_loss``) and the finite-difference
+rows of ``tau * (1 - d)`` (``_slope_rows``; each training step has it
+write them into a (B, C) buffer, so no C x C slope table is built). So one
+branch-free, dtype-generic kernel, ``_forward``, serves ``compute_loss``
+(float64), the training step (float32, in buffers it allocates once; it
+calls ``_forward_backward``, not ``compute_loss``) and the finite-difference
 check, which evaluates stacks of perturbed parameters in one float64
 broadcast call. Its B-length reductions run in float64. Public outputs
 are float32; gradients are of the mean loss over the batch.
@@ -142,15 +143,17 @@ def margin_array(kind: str, margins, class_ids: list[str]) -> np.ndarray | None:
     return margins.d[np.ix_(perm, perm)]
 
 
-def _slope_rows(d, rows, tau, dtype) -> np.ndarray:
+def _slope_rows(d, rows, tau, dtype, out=None) -> np.ndarray:
     """The logit slope at ``rows``, in ``dtype``: tau * (1 - d[rows]), tau at (i, rows[i]).
 
-    Row i serves label rows[i]: a negative cosine ``c`` gets the logit
-    ``tau * (c + (1 - c) * d) - tau = slope * (c - 1)``, the positive slope
-    tau, and the backward pass multiplies by the same slope.
-    ``rows = arange(C)`` gives the whole C x C table.
+    Row i serves label rows[i], which must lie in [0, C): a negative cosine
+    ``c`` gets the logit ``tau * (c + (1 - c) * d) - tau = slope * (c - 1)``,
+    the positive slope tau, and the backward pass multiplies by the same
+    slope. ``out``, a (len(rows), C) array of ``dtype``, receives the rows
+    when given; ``d`` is only read.
     """
-    slope = np.asarray(d)[rows].astype(dtype, copy=False)
+    # "clip" lets take write into out without a buffered copy
+    slope = np.asarray(d).take(rows, axis=0, out=out, mode="clip").astype(dtype, copy=False)
     np.subtract(1.0, slope, out=slope)
     slope *= tau
     slope[np.arange(len(rows)), rows] = tau

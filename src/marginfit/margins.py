@@ -10,10 +10,14 @@ loss. Two metrics (cosine, euclidean) and two normalizations:
 * minmax: affine rescale of the raw distances so the off-diagonal
   min hits 0 and the max hits 1.
 
-Both metrics come from one float64 Gram matrix of the rows (unit rows
-for cosine and for analytic), so memory stays O(C^2) whatever T is.
-``off_diagonal`` is a view of the off-diagonal entries, not a copy; the
-loss takes a matrix through ``losses.margin_array``, which permutes it.
+Both metrics come from float64 Gram rows of the class rows (unit rows
+for cosine and for analytic), and the float32 output is the only C x C
+array: a first pass stores the float32-rounded cosines or raw distances
+a row block of about ``BLOCK_BYTES`` at a time, and a second normalizes
+and averages each strip with its transpose in float64, so a build needs
+little more than the matrix, whatever T is. ``off_diagonal`` is a view of
+the off-diagonal entries, not a copy; the loss takes a matrix through
+``losses.margin_array``, which permutes it.
 
 File format ``MGN1``: magic | u32 C | u8 metric | u8 norm_mode |
 C class-id records (u32 byte length + UTF-8) | C*C float32, row-major,
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import BLOCK_BYTES, ZERO_NORM_THRESHOLD, as_matrix, checked_class_ids
+from .data_io import ZERO_NORM_THRESHOLD, as_matrix, block_rows, checked_class_ids
 from .data_io import read_container, read_rows
 from .errors import (
     ConfigError,
@@ -98,10 +102,11 @@ class MarginMatrix:
             raise InvariantViolation("margin entries must lie in [0, 1]")
         if np.any(np.diagonal(self.d) != 0.0):
             raise InvariantViolation("margin diagonal must be exactly zero")
-        # row blocks of about BLOCK_BYTES keep the check's memory off O(C^2)
-        step = max(1, BLOCK_BYTES // (4 * c))
+        # row blocks of about BLOCK_BYTES, in one buffer, keep the check's memory off O(C^2)
+        step = block_rows(4 * c)
+        buf = np.empty((min(step, c), c), np.float32)
         for i in range(0, c, step):
-            gap = self.d[i : i + step] - self.d[:, i : i + step].T
+            gap = np.subtract(self.d[i : i + step], self.d[:, i : i + step].T, out=buf[: c - i])
             if np.max(np.abs(gap, out=gap)) > 1e-6:
                 raise InvariantViolation("margin matrix must be symmetric")
 
@@ -131,44 +136,86 @@ def build_margin_matrix(
     if norm_mode not in NORM_MODES:
         raise ConfigError(f"unknown norm mode {norm_mode!r}")
 
-    x = cte.embeddings.astype(np.float64)
-    if metric == METRIC_COSINE or norm_mode == NORM_ANALYTIC:
-        # unit rows, rounded to float32 like the embeddings they come from
-        x = (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32).astype(np.float64)
+    d = _pairwise(cte.embeddings, metric, unit=metric == METRIC_COSINE or norm_mode == NORM_ANALYTIC)
+    c = d.shape[0]
 
-    # One (C, C) float64 block, worked in place: the Gram matrix, then the
-    # cosines or distances rounded to float32, the raw distances, the margins.
-    d = x @ x.T
-    if metric == METRIC_COSINE:
-        np.clip(d, -1.0, 1.0, out=d)
-    else:
-        # ||a - b||^2 = a.a + b.b - 2 a.b; equal dot products cancel to exactly 0
-        sq_norms = np.diagonal(d).copy()
-        d *= -2.0
-        d += sq_norms[:, None]
-        d += sq_norms[None, :]
-        np.sqrt(np.maximum(d, 0.0, out=d), out=d)
-    d[...] = d.astype(np.float32)
-    if metric == METRIC_COSINE:
-        np.subtract(1.0, d, out=d)
-
-    if norm_mode == NORM_ANALYTIC:
-        d /= 2.0  # both raw distances lie in [0, 2] on unit rows
-    elif d.shape[0] >= 2:
+    lo, hi = 0.0, 2.0  # analytic: both raw distances lie in [0, 2] on unit rows
+    if norm_mode == NORM_MINMAX and c >= 2:
         off = off_diagonal(d)
-        lo, hi = off.min(), off.max()
+        lo, hi = float(off.min()), float(off.max())
+        if metric == METRIC_COSINE:  # 1 - cos falls as cos rises, rounding included
+            lo, hi = 1.0 - hi, 1.0 - lo
         if hi - lo < 1e-12:
             raise DegenerateRange(
                 "all off-diagonal distances are equal; min-max normalization undefined"
             )
-        d -= lo
-        d /= hi - lo
 
-    d += d.T  # numpy buffers the overlapping transpose
-    d /= 2.0
-    np.clip(d, 0.0, 1.0, out=d)
-    np.fill_diagonal(d, 0.0)
-    return MarginMatrix(d.astype(np.float32), list(cte.class_ids), metric, norm_mode)
+    _normalize_symmetric(d, metric == METRIC_COSINE, lo, hi)
+    return MarginMatrix(d, list(cte.class_ids), metric, norm_mode)
+
+
+def _pairwise(embeddings, metric: str, unit: bool) -> np.ndarray:
+    """The C x C cosines or euclidean distances of the rows, rounded to float32.
+
+    ``unit`` first scales the rows to unit norm. Computed from float64 Gram
+    rows, a block of about BLOCK_BYTES at a time, with
+    ||a - b||^2 = a.a + b.b - 2 a.b for euclidean. The Gram's last bit
+    depends on the BLAS kernel a block gets, so identical rows are set to
+    distance exactly 0 rather than left to cancel.
+    """
+    x = embeddings.astype(np.float64)
+    if unit:  # rounded to float32 like the embeddings they come from
+        x = (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32).astype(np.float64)
+    c = x.shape[0]
+    step = block_rows(8 * c)
+    if metric == METRIC_EUCLIDEAN:
+        sq_norms = np.concatenate(
+            [np.diagonal(x[i : i + step] @ x[i : i + step].T) for i in range(0, c, step)]
+        )
+        unique, group = np.unique(x, axis=0, return_inverse=True)
+        group = group.reshape(-1) if len(unique) < c else None
+    d, gram = np.empty((c, c), np.float32), np.empty((min(step, c), c))
+    for i in range(0, c, step):
+        g = np.matmul(x[i : i + step], x.T, out=gram[: c - i])
+        if metric == METRIC_COSINE:
+            np.clip(g, -1.0, 1.0, out=g)
+        else:
+            g *= -2.0
+            g += sq_norms[i : i + step, None]
+            g += sq_norms[None, :]
+            np.sqrt(np.maximum(g, 0.0, out=g), out=g)
+            if group is not None:
+                g[group[i : i + step, None] == group] = 0.0
+        d[i : i + step] = g
+    return d
+
+
+def _normalize_symmetric(d, cosines: bool, lo: float, hi: float) -> None:
+    """Map d's raw distances (1 - d for ``cosines``) through (x - lo) / (hi - lo), in place.
+
+    Strip i holds rows and columns i .. i + step from the diagonal on, which
+    no earlier strip wrote. Each entry becomes the mean of its mapped
+    distance and its transpose's, in float64, clipped to [0, 1]; the two
+    float64 strips together make a block. The diagonal becomes 0.
+    """
+    c = d.shape[0]
+    step = block_rows(16 * c)
+    strips = np.empty((2, min(step, c), c))
+    for i in range(0, c, step):
+        sym, other = strips[:, : c - i, : c - i]
+        np.copyto(sym, d[i : i + step, i:])
+        np.copyto(other, d[i:, i : i + step].T)
+        for block in (sym, other):
+            if cosines:
+                np.subtract(1.0, block, out=block)
+            block -= lo
+            block /= hi - lo
+        sym += other
+        sym /= 2.0
+        np.clip(sym, 0.0, 1.0, out=sym)
+        np.fill_diagonal(sym, 0.0)
+        d[i : i + step, i:] = sym
+        d[i:, i : i + step] = sym.T
 
 
 def save_margin_matrix(m: MarginMatrix, path) -> None:
@@ -179,7 +226,7 @@ def save_margin_matrix(m: MarginMatrix, path) -> None:
             raw = cid.encode("utf-8")
             f.write(struct.pack("<I", len(raw)))
             f.write(raw)
-        f.write(np.ascontiguousarray(m.d, dtype="<f4").tobytes())
+        f.write(memoryview(np.ascontiguousarray(m.d, dtype="<f4")))  # the array's own buffer
 
 
 def load_margin_matrix(path) -> MarginMatrix:

@@ -10,7 +10,9 @@ thread count, which ``MF_THREADS`` sets before numpy is imported.
 Precision: training runs in float32, one ``_Step`` call per iteration.
 W, b, P and their velocities are float32 master arrays updated in place,
 the head is computed once per iteration and its intermediates feed the
-head backward, and the loss runs in buffers allocated once per run. Only
+head backward, and the loss runs in buffers allocated once per run; the
+adaptive kind's slope rows are written into one of them each iteration
+from the margin array, which stays the run's only C x C array. Only
 the loss's B-length reductions (the softmax sums and the log) are
 float64. ``embed`` and ``eval`` (``forward_head``) run the same float32
 head, and retry in float64 only a block that float32 cannot normalize.
@@ -53,6 +55,7 @@ from .data_io import (
     ZERO_NORM_THRESHOLD,
     FeatureBundle,
     as_matrix,
+    block_rows,
     matrix_to_bytes,
     read_container,
     read_matrix_block,
@@ -268,9 +271,10 @@ class _Step:
     """Training iterations in float32, over master arrays updated in place.
 
     It owns W, b and P (the head's and the bank's arrays), their velocities
-    (zero at the start), the loss's slope (tau, or the adaptive kind's
-    whole ``_slope_rows`` table, built once, whose label rows each batch
-    gathers) and every (B, C), (C, D) and (F, D) buffer an iteration needs.
+    (zero at the start), the loss's slope (tau, or a (B, C) buffer that
+    ``_slope_rows`` fills with each batch's label rows of the adaptive
+    kind's margins, which it only reads) and every (B, C), (C, D) and
+    (F, D) buffer an iteration needs.
     ``step(t, rows, labels)`` runs iteration t on the batch of ``features``
     rows ``rows``; it holds no batch state, so a step can run from any t.
     """
@@ -280,8 +284,7 @@ class _Step:
         self.w, self.b, self.p = head.weight, head.bias, bank.proxies
         self.velocities = [np.zeros_like(a) for a in (self.w, self.b, self.p)]
         self.tau, self.margin = cfg.loss.tau, cfg.loss.effective_margin
-        classes = np.arange(self.p.shape[0])
-        self.table = None if margins is None else _slope_rows(margins, classes, self.tau, np.float32)
+        self.margins = margins
         self.logits = np.empty((cfg.sampler.batch_size, self.p.shape[0]), np.float32)
         self.slope = self.tau if margins is None else np.empty_like(self.logits)
         self.grad_x = np.empty((cfg.sampler.batch_size, self.p.shape[1]), np.float32)
@@ -292,8 +295,8 @@ class _Step:
     def gradients(self, feats, labels):
         """Per-sample float64 losses and the gradients of the mean loss in W, b and P."""
         t, tn, emb = _head_core(feats, self.w, self.b)
-        if self.table is not None:  # labels are in range; "clip" skips take's buffered copy
-            self.table.take(labels, axis=0, out=self.slope, mode="clip")
+        if self.margins is not None:
+            _slope_rows(self.margins, labels, self.tau, np.float32, out=self.slope)
         losses, grad_x, grad_p = _forward_backward(
             emb, self.p, labels, self.tau, self.margin, self.slope, self.logits, self.grad_x, self.grad_p
         )
@@ -346,10 +349,11 @@ def train(
     is the one stream of the training loss.
     """
     dmat = margin_array(cfg.loss.kind, margin_matrix, bundle.class_ids)
-    finite = np.isfinite(bundle.features).all(axis=1)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise NonFiniteData(f"feature row {bad} contains NaN or Inf")
+    scan = block_rows(4 * bundle.feature_dim)  # rows per block: no N x F mask is held
+    for i in range(0, len(bundle.features), scan):
+        finite = np.isfinite(bundle.features[i : i + scan]).all(axis=1)
+        if not finite.all():
+            raise NonFiniteData(f"feature row {i + int(np.argmin(finite))} contains NaN or Inf")
     sampler = BalancedSampler(bundle, cfg.sampler)
     head, bank = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
     step = _Step(head, bank, cfg, dmat, bundle.features)

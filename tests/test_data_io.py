@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,28 @@ class TestBlockReads:
                 load_matrix(f"/dev/fd/{r}")
         finally:
             os.close(r)
+
+    def test_nan_in_a_later_block_refused(self, tmp_path, monkeypatch):
+        m = np.zeros((9, 3), "<f4")
+        m[7, 2] = np.nan
+        (tmp_path / "m.emb").write_bytes(b"EMB1" + struct.pack("<II", 9, 3) + m.tobytes())
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 2 * 3 * 4)
+        with pytest.raises(NonFiniteData, match=r"matrix payload contains NaN or Inf$"):
+            load_matrix(tmp_path / "m.emb")
+
+    def test_checkpoint_read_into_its_arrays(self, tmp_path):
+        # the blocks are read into the weight and proxy arrays, not copied there from bytes
+        head, bank = init(TrainConfig(embed_dim=128), 512, 1000)
+        save_checkpoint(Checkpoint(head, bank, 0), tmp_path / "a.ckpt")
+        arrays = head.weight.nbytes + head.bias.nbytes + bank.proxies.nbytes
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(tmp_path / "a.ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.proxies.proxies, bank.proxies)
+        assert peak < 1.4 * arrays  # the arrays and one block's finiteness mask
 
     def test_margin_and_checkpoint_round_trips(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data_io, "BLOCK_BYTES", 12)

@@ -367,6 +367,18 @@ class TestSlopeTable:
             table = losses._slope_rows(d, np.arange(9), tau, table_dtype)
             assert table[labels].tobytes() == want.tobytes()
 
+    def test_rows_into_a_buffer(self):
+        # the training step's form: float32 margins, rows written into its (B, C) buffer
+        rng = np.random.default_rng(7)
+        d = rng.uniform(0.0, 1.0, size=(9, 9)).astype(np.float32)
+        before = d.copy()
+        labels = rng.integers(0, 9, 40)
+        out = np.empty((40, 9), np.float32)
+        got = losses._slope_rows(d, labels, 20.0, np.float32, out=out)
+        assert got is out
+        assert out.tobytes() == losses._slope_rows(d, labels, 20.0, np.float32).tobytes()
+        assert d.tobytes() == before.tobytes()
+
 
 class TestGradients:
     @pytest.mark.parametrize("kind", [KIND_NORM_SOFTMAX, KIND_LMCL, KIND_ADAPTIVE])

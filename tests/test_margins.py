@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marginfit import cli
+from marginfit import cli, data_io
 from marginfit.data_io import save_class_ids, save_matrix
 from marginfit.errors import (
     DegenerateRange,
@@ -193,6 +193,85 @@ class TestBuild:
         assert np.all(m.d >= 0.0) and np.all(m.d <= 1.0)
         assert np.all(np.diagonal(m.d) == 0.0)
         assert np.max(np.abs(m.d - m.d.T)) <= 1e-6
+
+
+def full_matrix_oracle(e, metric, norm):
+    """The build as one C x C float64 matrix: Gram, raw distances, normalization, mean with
+    the transpose, clip, zero diagonal; identical rows sit at euclidean distance 0."""
+    x = e.astype(np.float64)
+    if metric == METRIC_COSINE or norm == NORM_ANALYTIC:
+        x = (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32).astype(np.float64)
+    d = x @ x.T
+    if metric == METRIC_COSINE:
+        d = np.clip(d, -1.0, 1.0)
+    else:
+        sq = np.diagonal(d).copy()
+        d = np.sqrt(np.maximum(-2.0 * d + sq[:, None] + sq[None, :], 0.0))
+        d[(x[:, None, :] == x[None, :, :]).all(axis=2)] = 0.0
+    d = d.astype(np.float32).astype(np.float64)
+    if metric == METRIC_COSINE:
+        d = 1.0 - d
+    if norm == NORM_ANALYTIC:
+        d = d / 2.0
+    else:
+        off = d[~np.eye(len(d), dtype=bool)]
+        d = (d - off.min()) / (off.max() - off.min())
+    d = np.clip((d + d.T) / 2.0, 0.0, 1.0)
+    np.fill_diagonal(d, 0.0)
+    return d.astype(np.float32)
+
+
+class TestBlockedBuild:
+    @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
+    @pytest.mark.parametrize("norm", [NORM_ANALYTIC, NORM_MINMAX])
+    @pytest.mark.parametrize("rows_per_block", [1, 7, 50, 200])
+    def test_matches_the_full_matrix_oracle(self, monkeypatch, metric, norm, rows_per_block):
+        # block edges fall mid-matrix; rows 5, 60 and 119 repeat row 0 and
+        # row 77 is a scaled row 3, the same unit row for analytic
+        c = 120
+        e = np.random.default_rng(10).standard_normal((c, 16)).astype(np.float32)
+        e[[5, 60, 119]] = e[0]
+        e[77] = e[3] * np.float32(4.0)
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", rows_per_block * 8 * c)
+        m = build_margin_matrix(ClassTextEmbeddings(e), metric, norm)
+        assert m.d.tobytes() == full_matrix_oracle(e, metric, norm).tobytes()
+        if metric == METRIC_EUCLIDEAN:
+            assert not np.any(m.d[np.ix_([0, 5, 60, 119], [0, 5, 60, 119])])
+
+    @pytest.mark.parametrize("metric", [METRIC_COSINE, METRIC_EUCLIDEAN])
+    @pytest.mark.parametrize("norm", [NORM_ANALYTIC, NORM_MINMAX])
+    def test_margins_build_holds_one_matrix(self, tmp_path, metric, norm):
+        # the whole command: read, build, save and the distance_* lines
+        c = 2000
+        save_matrix(
+            np.random.default_rng(11).standard_normal((c, 16)).astype(np.float32),
+            tmp_path / "text.emb",
+        )
+        save_class_ids([f"c{i}" for i in range(c)], tmp_path / "ids.txt")
+        argv = ["margins-build", "--class-text", str(tmp_path / "text.emb"),
+                "--class-ids", str(tmp_path / "ids.txt"), "--metric", metric, "--norm", norm,
+                "--out", str(tmp_path / "m.mgn")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * c * c * 4
+
+    def test_save_writes_the_array_buffer(self, tmp_path):
+        c = 2000
+        m = build_margin_matrix(
+            ClassTextEmbeddings(np.random.default_rng(12).standard_normal((c, 8)).astype(np.float32))
+        )
+        tracemalloc.start()
+        try:
+            save_margin_matrix(m, tmp_path / "m.mgn")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * c * c * 4
+        np.testing.assert_array_equal(load_margin_matrix(tmp_path / "m.mgn").d, m.d)
 
 
 class TestOffDiagonal:

@@ -115,6 +115,20 @@ def test_same_outputs_reports_identical_runs(tmp_path):
     ]
 
 
+def test_same_outputs_builds_every_margin_variant():
+    same_outputs = load_script("same_outputs")
+    files = {name: name for name in ["class_text.emb", "class_ids.txt", "train.cfg", "train.emb",
+                                      "train.lbl", "query.emb", "query.lbl", "gallery.emb",
+                                      "gallery.lbl"]}
+    built = set()
+    for out, argv in same_outputs.pipeline(files):
+        if argv[0] == "margins-build":
+            opts = dict(zip(argv[1::2], argv[2::2]))
+            built.add((opts.get("--metric", "cosine"), opts.get("--norm", "analytic")))
+            assert out in same_outputs.OUTPUTS and opts["--out"] in same_outputs.OUTPUTS
+    assert built == {(m, n) for m in ("cosine", "euclidean") for n in ("analytic", "minmax")}
+
+
 def test_same_outputs_reports_what_moved(tmp_path):
     same_outputs = load_script("same_outputs")
     write_run(tmp_path / "rev")

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from marginfit import trainer
-from marginfit.data_io import FeatureBundle
+from marginfit import cli, data_io, trainer
+from marginfit.data_io import FeatureBundle, save_class_ids, save_labels, save_matrix
 from marginfit.errors import (
     ConfigError,
     DimMismatch,
@@ -31,7 +31,12 @@ from marginfit.losses import (
     ProxyBank,
     max_relative_error,
 )
-from marginfit.margins import ClassTextEmbeddings, MarginMatrix, build_margin_matrix
+from marginfit.margins import (
+    ClassTextEmbeddings,
+    MarginMatrix,
+    build_margin_matrix,
+    save_margin_matrix,
+)
 from marginfit.sampler import BalancedSampler, SamplerConfig
 from marginfit.trainer import (
     Checkpoint,
@@ -489,6 +494,28 @@ class TestTrainLoop:
         with pytest.raises(NonFiniteData):
             train(bundle, small_config())
 
+    def test_first_non_finite_row_named_across_blocks(self, monkeypatch):
+        bundle = small_bundle()
+        bundle.features[[20, 31]] = np.nan  # blocks of 3 rows: row 20 is row 2 of block 7
+        bundle.features[11, 4] = np.inf
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 3 * bundle.feature_dim * 4)
+        with pytest.raises(NonFiniteData, match=r"^feature row 11 contains NaN or Inf$"):
+            train(bundle, small_config())
+
+    def test_finiteness_scan_holds_no_row_mask_of_the_features(self):
+        rows, cols = 16384, 64
+        feats = np.ones((rows, cols), np.float32)
+        feats[rows - 1, cols - 1] = np.nan
+        bundle = FeatureBundle(feats, np.arange(rows) % 4, ["a", "b", "c", "d"])
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonFiniteData, match=f"feature row {rows - 1} "):
+                train(bundle, small_config())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * cols / 2  # an N x F bool mask is rows * cols bytes
+
     def test_zero_row_warns(self):
         # small classes warn first, then all-zero rows; a zero row drawn in a
         # batch collapses the head (ZeroNorm), so no iteration runs here
@@ -592,6 +619,48 @@ class TestTrainLoop:
         save_checkpoint(train(bundle, cfg, m), tmp_path / "aligned.ckpt")
         save_checkpoint(train(bundle, cfg, permuted), tmp_path / "permuted.ckpt")
         assert (tmp_path / "aligned.ckpt").read_bytes() == (tmp_path / "permuted.ckpt").read_bytes()
+
+    def test_margins_only_read(self):
+        bundle = small_bundle()
+        text = np.random.default_rng(4).standard_normal((6, 5)).astype(np.float32)
+        m = build_margin_matrix(ClassTextEmbeddings(text, bundle.class_ids))
+        before = m.d.copy()
+        cfg = small_config(loss=LossConfig(kind=KIND_ADAPTIVE, sigma=20.0, margin=0.4))
+        head, bank = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
+        step = trainer._Step(head, bank, cfg, m.d, bundle.features)
+        assert step.margins is m.d
+        train(bundle, cfg, m)
+        assert m.d.tobytes() == before.tobytes()
+
+    def test_adaptive_train_holds_one_margin_matrix(self, tmp_path):
+        # the CLI's adaptive run against its lmcl run on the same data: the
+        # difference is the margins, held once, and their (B, C) slope rows
+        c, per_class = 2000, 2
+        rng = np.random.default_rng(15)
+        save_matrix(rng.standard_normal((c * per_class, 8)).astype(np.float32), tmp_path / "f.emb")
+        save_labels(np.repeat(np.arange(c), per_class), c, tmp_path / "f.lbl")
+        ids = [f"c{i}" for i in range(c)]
+        save_class_ids(ids, tmp_path / "ids.txt")
+        text = rng.standard_normal((c, 8)).astype(np.float32)
+        save_margin_matrix(build_margin_matrix(ClassTextEmbeddings(text, ids)), tmp_path / "m.mgn")
+        peaks = {}
+        for kind, extra in (("lmcl", []), ("adaptive", ["--margins", str(tmp_path / "m.mgn")])):
+            (tmp_path / f"{kind}.cfg").write_text(
+                f"embed_dim = 4\nwarmup_iters = 1\ntotal_iters = 3\nloss_kind = {kind}\n"
+                "batch_size = 4\nk = 2\n",
+                encoding="utf-8",
+            )
+            argv = ["train", "--config", str(tmp_path / f"{kind}.cfg"),
+                    "--features", str(tmp_path / "f.emb"), "--labels", str(tmp_path / "f.lbl"),
+                    "--class-ids", str(tmp_path / "ids.txt"), *extra,
+                    "--out", str(tmp_path / f"{kind}.ckpt")]
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peaks[kind] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["adaptive"] < peaks["lmcl"] + 1.25 * c * c * 4
 
     def test_adaptive_training_runs(self):
         bundle = small_bundle()
