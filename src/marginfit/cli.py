@@ -24,6 +24,7 @@ from .evaluation import (
     format_report,
     machine_lines,
     recall_at_k,
+    sign_bits,
 )
 from .margins import (
     METRIC_COSINE,
@@ -97,9 +98,9 @@ def _cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def _eval_side(features_path, labels_path, head):
-    """Embeddings of a feature file through ``head``, its labels and its class count."""
-    embeddings = load_matrix(features_path, head)
+def _eval_side(features_path, labels_path, head, dtype):
+    """Rows of a feature file through ``head`` into ``dtype``, its labels and its class count."""
+    embeddings = load_matrix(features_path, head, dtype)
     labels, num_classes = load_labels(labels_path)
     if labels.shape[0] != embeddings.shape[0]:
         raise InvariantViolation(
@@ -114,12 +115,18 @@ def _cmd_eval(args) -> int:
     except ValueError:
         raise ConfigError(f"--ks must be comma-separated integers, got {args.ks!r}") from None
     ckpt = load_checkpoint(args.ckpt)
-    head = partial(forward_head, ckpt.head)  # the features themselves are never held
+    # The features themselves are never held, and in binary mode only the
+    # embeddings' sign bits are.
+    head, dtype = partial(forward_head, ckpt.head), np.float32
+    if args.binary:
+        head, dtype = (lambda block: sign_bits(forward_head(ckpt.head, block))), np.uint8
     # Labels are only ints here, so no class ids are built: query and gallery
     # need only declare the same class count.
-    query, query_labels, query_classes = _eval_side(args.query_features, args.query_labels, head)
+    query, query_labels, query_classes = _eval_side(
+        args.query_features, args.query_labels, head, dtype
+    )
     gallery, gallery_labels, gallery_classes = _eval_side(
-        args.gallery_features, args.gallery_labels, head
+        args.gallery_features, args.gallery_labels, head, dtype
     )
     if query_classes != gallery_classes:
         raise InvariantViolation("query and gallery must share the same class ids")

@@ -11,14 +11,17 @@ the payload length must equal what the header declares, exactly (trailing
 bytes, or a length the file or pipe does not hold, are a FormatError), and
 every error raised while reading one names the file. Every float32 payload (an
 EMB1 matrix, CKP1's blocks, the MGN1 matrix) is read by ``read_rows`` in
-blocks of about ``BLOCK_BYTES``, each checked for NaN and Inf and written
-straight into an output allocated once; given ``map_rows``, each block is
-mapped as it is read, so ``load_matrix(path, map_rows)`` never holds the
-whole input matrix. Class ids travel in a UTF-8 text sidecar, one id per
+blocks of about ``BLOCK_BYTES``, each checked for NaN and Inf (by its min
+and max, with no mask) and written straight into an output allocated once;
+given ``map_rows``, each block is mapped as it is read, into an output of
+the caller's dtype, so ``load_matrix(path, map_rows, dtype)`` never holds
+the whole input matrix (``eval --binary`` holds only the uint8 sign bits of
+its embeddings). Class ids travel in a UTF-8 text sidecar, one id per
 line; ``checked_class_ids`` is their one rule. Native OSError (missing
-file, permissions) propagates untouched. ``as_matrix`` is the one float32
-2-D coercion every module uses, and ``ZERO_NORM_THRESHOLD`` the one bound
-below which a row cannot be normalized.
+file, permissions) propagates untouched. ``as_matrix`` is the one 2-D
+coercion every module uses, to float32 unless told otherwise, and
+``ZERO_NORM_THRESHOLD`` the one bound below which a row cannot be
+normalized.
 
 A ``FeatureBundle`` holds features, labels and class ids. It may be empty
 or miss classes: the sampler refuses those for training (and warns about
@@ -67,9 +70,9 @@ def block_rows(row_bytes: int) -> int:
     return max(1, BLOCK_BYTES // max(row_bytes, 1))
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a C-contiguous float32 2-D array; DimMismatch names ``name`` otherwise."""
-    m = np.ascontiguousarray(a, dtype=np.float32)
+def as_matrix(a, name: str = "matrix", dtype=np.float32) -> np.ndarray:
+    """Coerce to a C-contiguous 2-D array of ``dtype``; DimMismatch names ``name`` otherwise."""
+    m = np.ascontiguousarray(a, dtype=dtype)
     if m.ndim != 2:
         raise DimMismatch(f"{name} must be 2-D, got shape {m.shape}")
     return m
@@ -159,23 +162,25 @@ def read_matrix_block(read, what: str) -> np.ndarray:
     return _read_matrix(read, what)
 
 
-def _read_matrix(read, what: str, map_rows=None) -> np.ndarray:
+def _read_matrix(read, what: str, map_rows=None, dtype=np.float32) -> np.ndarray:
     """Parse the EMB1 shape header and payload that follow the magic."""
     rows, cols = struct.unpack("<II", read(8, f"{what} shape header"))
-    return read_rows(read, rows, cols, what, map_rows)
+    return read_rows(read, rows, cols, what, map_rows, dtype)
 
 
-def read_rows(read, rows: int, cols: int, what: str, map_rows=None) -> np.ndarray:
+def read_rows(read, rows: int, cols: int, what: str, map_rows=None, dtype=np.float32) -> np.ndarray:
     """Read a (rows, cols) float32 payload in blocks of about BLOCK_BYTES.
 
-    Each block is checked for NaN and Inf, passed through ``map_rows`` when
-    given, and put in the float32 output, which is allocated once: a sized
-    file with no ``map_rows`` is read straight into it, a mapped block is
-    copied there, and from a stream with no size the blocks are joined once
-    all of them are read. ``map_rows`` must map each row on its own; it is
-    called at least once, on a (0, cols) or (rows, 0) block when the payload
-    is empty. A ZeroNorm it raises for a row of its block is re-raised
-    naming the payload row.
+    Each block is checked for NaN and Inf (its min and max, so no mask is
+    made), passed through ``map_rows`` when given, and put in the output,
+    which is allocated once: a sized file with no ``map_rows`` is read
+    straight into a float32 output, a mapped block is copied into one of
+    ``dtype`` (so ``map_rows`` may shrink the rows, as eval's sign bits
+    do), and from a stream with no size the blocks are joined once all of
+    them are read. ``map_rows`` must map each row on its own; it is called
+    at least once, on a (0, cols) or (rows, 0) block when the payload is
+    empty. A ZeroNorm it raises for a row of its block is re-raised naming
+    the payload row.
     """
     row_bytes, what = 4 * cols, f"{what} payload"
     read.check_length(rows * row_bytes, what)  # before any output is allocated
@@ -183,7 +188,8 @@ def read_rows(read, rows: int, cols: int, what: str, map_rows=None) -> np.ndarra
     start, streamed = 0, []
     for buf in read.blocks(rows * row_bytes, block_rows(row_bytes) * max(row_bytes, 1), what, out):
         block = np.frombuffer(buf, dtype="<f4").reshape(-1, cols)
-        if not np.isfinite(block).all():
+        lo, hi = block.min(), block.max()  # NaN propagates to both
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NonFiniteData(f"{what} contains NaN or Inf")
         if map_rows is not None:
             try:
@@ -195,15 +201,15 @@ def read_rows(read, rows: int, cols: int, what: str, map_rows=None) -> np.ndarra
             streamed.append(block)
         elif map_rows is not None:
             if out is None:
-                out = np.empty((rows, block.shape[1]), np.float32)
+                out = np.empty((rows, block.shape[1]), dtype)
             out[start : start + len(block)] = block
         start += len(block)
     if streamed:
-        out = np.concatenate(streamed, dtype=np.float32)
+        out = np.concatenate(streamed, dtype=dtype if map_rows is not None else np.float32)
     if out is None:  # an empty payload reads no block
         out = np.empty((rows, cols), np.float32)
         if map_rows is not None:
-            out = map_rows(out)
+            out = map_rows(out).astype(dtype, copy=False)
     return out
 
 
@@ -212,10 +218,10 @@ def save_matrix(m: np.ndarray, path) -> None:
         f.write(matrix_to_bytes(m))
 
 
-def load_matrix(path, map_rows=None) -> np.ndarray:
-    """Read an EMB1 matrix, or its rows through ``map_rows`` (see ``read_rows``)."""
+def load_matrix(path, map_rows=None, dtype=np.float32) -> np.ndarray:
+    """Read an EMB1 matrix, or its rows through ``map_rows`` into ``dtype`` (see ``read_rows``)."""
     with read_container(path, MAGIC_MATRIX) as read:
-        return _read_matrix(read, "matrix", map_rows)
+        return _read_matrix(read, "matrix", map_rows, dtype)
 
 
 def save_labels(labels, num_classes: int, path) -> None:

@@ -160,8 +160,9 @@ def _pairwise(embeddings, metric: str, unit: bool) -> np.ndarray:
     ``unit`` first scales the rows to unit norm. Computed from float64 Gram
     rows, a block of about BLOCK_BYTES at a time, with
     ||a - b||^2 = a.a + b.b - 2 a.b for euclidean. The Gram's last bit
-    depends on the BLAS kernel a block gets, so identical rows are set to
-    distance exactly 0 rather than left to cancel.
+    depends on the BLAS kernel a block gets, and a unit row's float32
+    rounding leaves its norm off 1, so identical rows are set to cosine
+    exactly 1 or distance exactly 0 rather than left to cancel.
     """
     x = embeddings.astype(np.float64)
     if unit:  # rounded to float32 like the embeddings they come from
@@ -172,8 +173,8 @@ def _pairwise(embeddings, metric: str, unit: bool) -> np.ndarray:
         sq_norms = np.concatenate(
             [np.diagonal(x[i : i + step] @ x[i : i + step].T) for i in range(0, c, step)]
         )
-        unique, group = np.unique(x, axis=0, return_inverse=True)
-        group = group.reshape(-1) if len(unique) < c else None
+    unique, group = np.unique(x, axis=0, return_inverse=True)
+    group = group.reshape(-1) if len(unique) < c else None
     d, gram = np.empty((c, c), np.float32), np.empty((min(step, c), c))
     for i in range(0, c, step):
         g = np.matmul(x[i : i + step], x.T, out=gram[: c - i])
@@ -184,8 +185,8 @@ def _pairwise(embeddings, metric: str, unit: bool) -> np.ndarray:
             g += sq_norms[i : i + step, None]
             g += sq_norms[None, :]
             np.sqrt(np.maximum(g, 0.0, out=g), out=g)
-            if group is not None:
-                g[group[i : i + step, None] == group] = 0.0
+        if group is not None:
+            g[group[i : i + step, None] == group] = 1.0 if metric == METRIC_COSINE else 0.0
         d[i : i + step] = g
     return d
 

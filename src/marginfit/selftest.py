@@ -4,7 +4,8 @@ Each check is named and independent; the runner reports PASS/FAIL per check
 and an overall verdict. Gradient checks compare analytic gradients to central
 finite differences; the recall checks compare the evaluator to a full-sort
 oracle with the same tie rule: on random galleries, on galleries whose
-near-ties float32 cannot order, and on a gallery over two score blocks wide.
+near-ties float32 cannot order, on a gallery over two score blocks wide, and
+on packed sign bits whose rows end in pad bits.
 """
 
 from __future__ import annotations
@@ -12,7 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import losses
-from .evaluation import BLOCK_COLS, MODE_BINARY, MODE_FLOAT, recall_at_k
+from .evaluation import (
+    BLOCK_COLS,
+    MODE_BINARY,
+    MODE_FLOAT,
+    _decode_bits,
+    recall_at_k,
+    sign_bits,
+    sign_codes,
+)
 from .losses import (
     KIND_ADAPTIVE,
     KIND_LMCL,
@@ -140,6 +149,32 @@ def _check_recall_oracle():
     return True, "float and binary recall match full-sort oracle on 10 instances"
 
 
+def _check_recall_sign_bits():
+    """Binary recall on ``sign_bits`` rows at D = 13, three pad bits to a row.
+
+    Rows repeat and hold zeros, so codes tie. The oracle ranks the
+    ``sign_codes`` of the same rows. The bits must also decode to those
+    codes, pad bits to -1: a decode in another bit order permutes every
+    row alike, which leaves every rank as it is.
+    """
+    ks = [1, 2, 5, 10]
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((int(rng.integers(10, 60)), 13)).astype(np.float32)
+        rows[rng.random(rows.shape) < 0.1] = 0.0
+        g = rows[rng.integers(0, len(rows), len(rows))]
+        q = np.concatenate([g[: int(rng.integers(1, 8))], rows[: int(rng.integers(1, 8))]])
+        qlab, glab = rng.integers(0, 5, len(q)), rng.integers(0, 5, len(g))
+        codes = _decode_bits(sign_bits(g))
+        if not (np.array_equal(codes[:, :13], sign_codes(g)) and np.all(codes[:, 13:] == -1.0)):
+            return False, f"sign bits do not decode to sign codes at seed {seed}"
+        got = recall_at_k(sign_bits(q), qlab, sign_bits(g), glab, ks=ks, mode=MODE_BINARY).recall
+        want = _brute_force_recall(sign_codes(q), qlab, sign_codes(g), glab, ks, MODE_BINARY)
+        if got != want:
+            return False, f"mismatch at seed {seed}: {got} vs {want}"
+    return True, "recall on 13-bit sign_bits rows matches full-sort oracle on 10 instances"
+
+
 def _near_tie_instance(seed):
     """Queries, labels and a gallery whose rows come in pairs one float32 ulp apart.
 
@@ -193,6 +228,7 @@ def all_checks():
     checks.append(("recall_oracle", _check_recall_oracle))
     checks.append(("recall_near_ties", _check_recall_near_ties))
     checks.append(("recall_gallery_blocks", _check_recall_gallery_blocks))
+    checks.append(("recall_sign_bits", _check_recall_sign_bits))
     return checks
 
 

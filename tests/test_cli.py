@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import marginfit
-from marginfit import cli, data_io, errors
+from marginfit import cli, data_io, errors, evaluation
 from marginfit.data_io import save_class_ids, save_labels, save_matrix
 from marginfit.evaluation import (
     DEFAULT_KS,
@@ -805,6 +805,30 @@ class TestStreamedHead:
             tracemalloc.stop()
         assert code == 0
         assert peak < rows * 256 * 4
+
+    def test_binary_eval_holds_sign_bits_not_embeddings(self, dataset, monkeypatch):
+        # Read and score blocks are shrunk so the held rows dominate: the query
+        # file is 8 blocks, the gallery 504. Eval must hold sign bits (an eighth
+        # of the float32 embeddings) and labels, never the embeddings themselves.
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 16 * 16 * 4)
+        monkeypatch.setattr(evaluation, "CHUNK_ROWS", 32)
+        monkeypatch.setattr(evaluation, "BLOCK_COLS", 32)
+        queries, gallery, dim = 8 * 16, 504 * 16, 1024
+        rng = np.random.default_rng(6)
+        for side, rows in (("q", queries), ("g", gallery)):
+            save_matrix(rng.standard_normal((rows, 16)).astype(np.float32), dataset / f"{side}.emb")
+            save_labels(np.arange(rows) % 5, 5, dataset / f"{side}.lbl")
+        head, bank = init(TrainConfig(embed_dim=dim), 16, 5)
+        save_checkpoint(Checkpoint(head, bank, 0), dataset / "wide.ckpt")
+        args = TestEval().eval_args(dataset, dataset / "wide.ckpt") + ["--binary"]
+        tracemalloc.start()
+        try:
+            code, text = run_cli(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "mode=binary" in text
+        assert peak < (queries + gallery) * dim * 4 / 4
 
 
 class TestSelftest:

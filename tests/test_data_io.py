@@ -36,6 +36,7 @@ from marginfit.margins import (
     save_margin_matrix,
 )
 from marginfit.trainer import (
+    MAGIC_CHECKPOINT,
     Checkpoint,
     TrainConfig,
     init,
@@ -231,6 +232,37 @@ class TestBlockReads:
             tracemalloc.stop()
         np.testing.assert_array_equal(loaded.proxies.proxies, bank.proxies)
         assert peak < 1.4 * arrays  # the arrays and one block's finiteness mask
+
+    def test_checkpoint_blocks_read_with_no_finiteness_mask(self, tmp_path):
+        # Each block's NaN/Inf check is its min and max, so reading CKP1's
+        # blocks holds the arrays and no bool mask of a block beside them.
+        # (load_checkpoint's own peak is set after the read, by ProxyBank's
+        # float64 norm check and the default class ids.)
+        head, bank = init(TrainConfig(embed_dim=128), 512, 1000)
+        save_checkpoint(Checkpoint(head, bank, 0), tmp_path / "a.ckpt")
+        arrays = head.weight.nbytes + head.bias.nbytes + bank.proxies.nbytes
+        tracemalloc.start()
+        try:
+            with data_io.read_container(tmp_path / "a.ckpt", MAGIC_CHECKPOINT) as read:
+                blocks = [data_io.read_matrix_block(read, what) for what in ("w", "b", "p")]
+                read(8, "iteration")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(blocks[2], bank.proxies)
+        assert peak < arrays + 32 * 2**10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 35])
+    def test_min_max_check_finds_every_non_finite_value(self, tmp_path, monkeypatch, bad, at):
+        m = np.ones((9, 4), np.float32)
+        m.reshape(-1)[at] = bad
+        (tmp_path / "m.emb").write_bytes(
+            data_io.MAGIC_MATRIX + struct.pack("<II", 9, 4) + m.astype("<f4").tobytes()
+        )
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 2 * 4 * 4)
+        with pytest.raises(NonFiniteData, match=r"matrix payload contains NaN or Inf$"):
+            load_matrix(tmp_path / "m.emb")
 
     def test_margin_and_checkpoint_round_trips(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data_io, "BLOCK_BYTES", 12)

@@ -24,6 +24,7 @@ from marginfit.evaluation import (
     format_report,
     machine_lines,
     recall_at_k,
+    sign_bits,
     sign_codes,
 )
 from marginfit.selftest import _brute_force_recall as brute_force_recall
@@ -44,6 +45,75 @@ class TestBinarize:
         rng = np.random.default_rng(0)
         signs = rng.choice([-1.0, 1.0], size=(5, 70)).astype(np.float32)
         np.testing.assert_array_equal(sign_codes(signs), signs)
+
+
+class TestSignBits:
+    def test_most_significant_bit_first_and_pad_bits_clear(self):
+        e = np.array([[1.0, -1.0, 0.0, 2.0, -3.0, 0.0, 0.0, 0.5, 5.0, -0.0]], np.float32)
+        bits = sign_bits(e)
+        assert bits.dtype == np.uint8
+        np.testing.assert_array_equal(bits, [[0b10010001, 0b10000000]])
+
+    @pytest.mark.parametrize("dim", [1, 7, 8, 13, 129])
+    def test_decode_to_sign_codes_with_pad_bits_minus_one(self, dim):
+        rng = np.random.default_rng(dim)
+        e = rng.standard_normal((9, dim)).astype(np.float32)
+        e[rng.random(e.shape) < 0.2] = 0.0
+        bits = sign_bits(e)
+        assert bits.shape == (9, -(-dim // 8))
+        codes = evaluation._decode_bits(bits)
+        assert codes.dtype == np.float32 and codes.shape == (9, 8 * bits.shape[1])
+        np.testing.assert_array_equal(codes[:, :dim], sign_codes(e))
+        assert np.all(codes[:, dim:] == -1.0)
+
+    def test_no_rows(self):
+        assert evaluation._decode_bits(sign_bits(np.zeros((0, 13), np.float32))).shape == (0, 16)
+
+
+@pytest.mark.usefixtures("chunk_rows")
+@pytest.mark.parametrize("dim", [1, 7, 8, 13, 129])
+def test_sign_bits_ranking_matches_oracle(dim):
+    # every code repeats across the gallery, zeros included, so ties cross
+    # chunk and block edges; the oracle ranks the sign codes themselves
+    rng = np.random.default_rng(30 + dim)
+    base = rng.standard_normal((6, dim)).astype(np.float32)
+    base[rng.random(base.shape) < 0.2] = 0.0
+    g = base[rng.integers(0, 6, 50)]
+    q = np.concatenate([base, rng.standard_normal((5, dim)).astype(np.float32)])
+    qlab, glab = rng.integers(0, 4, len(q)), rng.integers(0, 4, len(g))
+    ks = all_ranks(len(g))
+    report = recall_at_k(sign_bits(q), qlab, sign_bits(g), glab, ks=ks, mode=MODE_BINARY)
+    want = brute_force_recall(sign_codes(q), qlab, sign_codes(g), glab, ks, MODE_BINARY)
+    assert report.recall == want
+
+
+@pytest.mark.parametrize("dim", [5, 16, 33])
+def test_float_rows_and_their_sign_bits_report_alike(dim):
+    rng = np.random.default_rng(dim)
+    q = rng.standard_normal((12, dim)).astype(np.float32)
+    g = rng.standard_normal((40, dim)).astype(np.float32)
+    qlab, glab = rng.integers(0, 4, 12), rng.integers(0, 4, 40)
+    ks = all_ranks(40)
+    packed = recall_at_k(sign_bits(q), qlab, sign_bits(g), glab, ks=ks, mode=MODE_BINARY)
+    assert recall_at_k(q, qlab, g, glab, ks=ks, mode=MODE_BINARY) == packed
+
+
+class TestSignBitsInput:
+    def test_bit_widths_must_match(self):
+        q, g = np.ones((2, 8), np.float32), np.ones((3, 9), np.float32)
+        with pytest.raises(DimMismatch):
+            recall_at_k(sign_bits(q), [0, 1], sign_bits(g), [0, 1, 0], ks=[1], mode=MODE_BINARY)
+
+    def test_bits_and_float_rows_do_not_mix(self):
+        q, g = np.ones((2, 8), np.float32), np.ones((3, 1), np.float32)
+        with pytest.raises(DimMismatch):
+            recall_at_k(sign_bits(q), [0, 1], g, [0, 1, 0], ks=[1], mode=MODE_BINARY)
+
+    def test_float_mode_reads_uint8_as_values(self):
+        # only binary mode takes uint8 rows as packed bits
+        e = np.array([[3, 0], [0, 200]], np.uint8)
+        report = recall_at_k(e, [0, 1], e, [0, 1], ks=[1], mode=MODE_FLOAT)
+        assert report.recall == [1.0]
 
 
 def all_ranks(gallery_size):

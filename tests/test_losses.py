@@ -363,7 +363,7 @@ class TestSlopeTable:
             got = losses._slope_rows(d, labels, tau, table_dtype)
             assert got.dtype == table_dtype
             assert got.tobytes() == want.tobytes()
-            # the training step gathers the same rows from its whole-table call
+            # a whole-table call holds the same rows at the labels
             table = losses._slope_rows(d, np.arange(9), tau, table_dtype)
             assert table[labels].tobytes() == want.tobytes()
 

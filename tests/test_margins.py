@@ -43,6 +43,15 @@ class TestBuild:
             m = build_margin_matrix(ClassTextEmbeddings(e), metric, NORM_ANALYTIC)
             np.testing.assert_array_equal(m.d, np.zeros((4, 4), np.float32), err_msg=metric)
 
+    @pytest.mark.parametrize("norm", [NORM_ANALYTIC, NORM_MINMAX])
+    def test_identical_rows_zero_under_cosine(self, norm):
+        # float32 unit rows of [1.5, -2, 0.25] have a float64 dot of 1 - 6e-8;
+        # the classes must still get margin exactly 0, as under euclidean
+        e = np.array([[1.5, -2.0, 0.25]] * 4 + [[1.0, 0.0, 0.0]], np.float32)
+        m = build_margin_matrix(ClassTextEmbeddings(e), METRIC_COSINE, norm)
+        np.testing.assert_array_equal(m.d[:4, :4], np.zeros((4, 4), np.float32))
+        assert np.all(m.d[4, :4] > 0.0)
+
     def test_orthogonal_pair_is_half(self):
         e = np.eye(2, dtype=np.float32)
         m = build_margin_matrix(ClassTextEmbeddings(e), METRIC_COSINE, NORM_ANALYTIC)
@@ -197,17 +206,19 @@ class TestBuild:
 
 def full_matrix_oracle(e, metric, norm):
     """The build as one C x C float64 matrix: Gram, raw distances, normalization, mean with
-    the transpose, clip, zero diagonal; identical rows sit at euclidean distance 0."""
+    the transpose, clip, zero diagonal; identical rows sit at cosine 1 or euclidean distance 0."""
     x = e.astype(np.float64)
     if metric == METRIC_COSINE or norm == NORM_ANALYTIC:
         x = (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32).astype(np.float64)
     d = x @ x.T
+    same = (x[:, None, :] == x[None, :, :]).all(axis=2)
     if metric == METRIC_COSINE:
         d = np.clip(d, -1.0, 1.0)
+        d[same] = 1.0
     else:
         sq = np.diagonal(d).copy()
         d = np.sqrt(np.maximum(-2.0 * d + sq[:, None] + sq[None, :], 0.0))
-        d[(x[:, None, :] == x[None, :, :]).all(axis=2)] = 0.0
+        d[same] = 0.0
     d = d.astype(np.float32).astype(np.float64)
     if metric == METRIC_COSINE:
         d = 1.0 - d
