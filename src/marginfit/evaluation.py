@@ -186,7 +186,7 @@ def _first_hit_ranks(
     for the best scores and once for the counts.
     """
     codes = codes or (lambda e: e)
-    # no-hit sentinel must exceed any K, including K > gallery size
+    # no-hit sentinel, above every rank; recall_at_k caps each K at the gallery size
     no_hit = np.iinfo(np.int64).max
     ranks = np.empty(query.shape[0], dtype=np.int64)
     order = np.argsort(gallery_labels, kind="stable")
@@ -323,7 +323,8 @@ def recall_at_k(
         if query_e.dtype != np.uint8:
             query_e, gallery_e = sign_bits(query_e), sign_bits(gallery_e)
         first = _first_hit_ranks(query_e, gallery_e, qlab, glab, codes=_decode_bits)
-    recall = [float(np.mean(first < k)) for k in ks]
+    # K capped at G, which no rank reaches; a K of 2**63 or more would pass int64 max
+    recall = [float(np.mean(first < min(k, gallery_e.shape[0]))) for k in ks]
     return RetrievalReport(ks, recall, mode, query_e.shape[0])
 
 

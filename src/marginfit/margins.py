@@ -10,14 +10,14 @@ loss. Two metrics (cosine, euclidean) and two normalizations:
 * minmax: affine rescale of the raw distances so the off-diagonal
   min hits 0 and the max hits 1.
 
-Both metrics come from float64 Gram rows of the class rows (unit rows
+Both metrics come from float64 Gram strips of the class rows (unit rows
 for cosine and for analytic), and the float32 output is the only C x C
-array: a first pass stores the float32-rounded cosines or raw distances
-a row block of about ``BLOCK_BYTES`` at a time, and a second normalizes
-and averages each strip with its transpose in float64, so a build needs
-little more than the matrix, whatever T is. ``off_diagonal`` is a view of
-the off-diagonal entries, not a copy; the loss takes a matrix through
-``losses.margin_array``, which permutes it.
+array: a first pass stores the float32-rounded cosines or raw distances,
+each class pair computed once and mirrored, a strip of about
+``BLOCK_BYTES`` at a time, and a second normalizes row blocks in float64,
+so a build needs little more than the matrix, whatever T is.
+``off_diagonal`` is a view of the off-diagonal entries, not a copy; the
+loss takes a matrix through ``losses.margin_array``, which permutes it.
 
 File format ``MGN1``: magic | u32 C | u8 metric | u8 norm_mode |
 C class-id records (u32 byte length + UTF-8) | C*C float32, row-major,
@@ -76,7 +76,7 @@ class ClassTextEmbeddings:
 
 @dataclass
 class MarginMatrix:
-    """Symmetric class-pair distances in [0, 1], zero diagonal, at least one class."""
+    """Class-pair distances in [0, 1], symmetric within 1e-6, zero diagonal, at least one class."""
 
     d: np.ndarray  # (C, C) float32
     class_ids: list[str]
@@ -102,11 +102,12 @@ class MarginMatrix:
             raise InvariantViolation("margin entries must lie in [0, 1]")
         if np.any(np.diagonal(self.d) != 0.0):
             raise InvariantViolation("margin diagonal must be exactly zero")
-        # row blocks of about BLOCK_BYTES, in one buffer, keep the check's memory off O(C^2)
+        # strip d[i:i+step, i:] against its mirror: each pair once, in one BLOCK_BYTES buffer
         step = block_rows(4 * c)
-        buf = np.empty((min(step, c), c), np.float32)
+        buf = np.empty(min(step, c) * c, np.float32)
         for i in range(0, c, step):
-            gap = np.subtract(self.d[i : i + step], self.d[:, i : i + step].T, out=buf[: c - i])
+            top, side = self.d[i : i + step, i:], self.d[i:, i : i + step].T
+            gap = np.subtract(top, side, out=buf[: top.size].reshape(top.shape))
             if np.max(np.abs(gap, out=gap)) > 1e-6:
                 raise InvariantViolation("margin matrix must be symmetric")
 
@@ -150,73 +151,69 @@ def build_margin_matrix(
                 "all off-diagonal distances are equal; min-max normalization undefined"
             )
 
-    _normalize_symmetric(d, metric == METRIC_COSINE, lo, hi)
+    _normalize(d, metric == METRIC_COSINE, lo, hi)
     return MarginMatrix(d, list(cte.class_ids), metric, norm_mode)
 
 
 def _pairwise(embeddings, metric: str, unit: bool) -> np.ndarray:
     """The C x C cosines or euclidean distances of the rows, rounded to float32.
 
-    ``unit`` first scales the rows to unit norm. Computed from float64 Gram
-    rows, a block of about BLOCK_BYTES at a time, with
-    ||a - b||^2 = a.a + b.b - 2 a.b for euclidean. The Gram's last bit
-    depends on the BLAS kernel a block gets, and a unit row's float32
-    rounding leaves its norm off 1, so identical rows are set to cosine
-    exactly 1 or distance exactly 0 rather than left to cancel.
+    ``unit`` first scales the rows to unit norm. Each pair is computed once,
+    in float64 Gram strips of about BLOCK_BYTES (rows i .. i + step, columns
+    from i on), with ||a - b||^2 = a.a + b.b - 2 a.b for euclidean. A strip
+    goes to its rows and, transposed, to its columns, its diagonal block's
+    lower triangle copied from the upper, so d is symmetric by construction.
+    The Gram's last bit depends on the BLAS kernel a block gets, and a unit
+    row's float32 rounding leaves its norm off 1, so identical rows are set
+    to cosine exactly 1 or distance exactly 0 rather than left to cancel.
     """
     x = embeddings.astype(np.float64)
     if unit:  # rounded to float32 like the embeddings they come from
         x = (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32).astype(np.float64)
     c = x.shape[0]
-    step = block_rows(8 * c)
     if metric == METRIC_EUCLIDEAN:
-        sq_norms = np.concatenate(
-            [np.diagonal(x[i : i + step] @ x[i : i + step].T) for i in range(0, c, step)]
-        )
-    unique, group = np.unique(x, axis=0, return_inverse=True)
-    group = group.reshape(-1) if len(unique) < c else None
-    d, gram = np.empty((c, c), np.float32), np.empty((min(step, c), c))
+        sq_norms = np.einsum("ij,ij->i", x, x)
+    group = np.unique(x, axis=0, return_inverse=True)[1].reshape(-1)
+    group = group if group.max(initial=-1) < c - 1 else None  # None: all rows differ
+    step = block_rows(8 * c)
+    d, gram = np.empty((c, c), np.float32), np.empty(min(step, c) * c)
     for i in range(0, c, step):
-        g = np.matmul(x[i : i + step], x.T, out=gram[: c - i])
+        n = min(step, c - i)
+        g = np.matmul(x[i : i + n], x[i:].T, out=gram[: n * (c - i)].reshape(n, c - i))
         if metric == METRIC_COSINE:
             np.clip(g, -1.0, 1.0, out=g)
         else:
             g *= -2.0
-            g += sq_norms[i : i + step, None]
-            g += sq_norms[None, :]
+            g += sq_norms[i : i + n, None]
+            g += sq_norms[None, i:]
             np.sqrt(np.maximum(g, 0.0, out=g), out=g)
         if group is not None:
-            g[group[i : i + step, None] == group] = 1.0 if metric == METRIC_COSINE else 0.0
-        d[i : i + step] = g
+            g[group[i : i + n, None] == group[i:]] = 1.0 if metric == METRIC_COSINE else 0.0
+        d[i : i + n, i:] = g
+        d[i + n :, i : i + n] = g[:, n:].T
+        np.copyto(d[i : i + n, i : i + n], g[:, :n].T, where=np.tri(n, k=-1, dtype=bool))
     return d
 
 
-def _normalize_symmetric(d, cosines: bool, lo: float, hi: float) -> None:
+def _normalize(d, cosines: bool, lo: float, hi: float) -> None:
     """Map d's raw distances (1 - d for ``cosines``) through (x - lo) / (hi - lo), in place.
 
-    Strip i holds rows and columns i .. i + step from the diagonal on, which
-    no earlier strip wrote. Each entry becomes the mean of its mapped
-    distance and its transpose's, in float64, clipped to [0, 1]; the two
-    float64 strips together make a block. The diagonal becomes 0.
+    Row blocks of about BLOCK_BYTES pass through one float64 buffer. Each
+    entry is clipped to [0, 1], the diagonal set to 0, so a symmetric d stays so.
     """
     c = d.shape[0]
-    step = block_rows(16 * c)
-    strips = np.empty((2, min(step, c), c))
+    step = block_rows(8 * c)
+    buf = np.empty((min(step, c), c))
     for i in range(0, c, step):
-        sym, other = strips[:, : c - i, : c - i]
-        np.copyto(sym, d[i : i + step, i:])
-        np.copyto(other, d[i:, i : i + step].T)
-        for block in (sym, other):
-            if cosines:
-                np.subtract(1.0, block, out=block)
-            block -= lo
-            block /= hi - lo
-        sym += other
-        sym /= 2.0
-        np.clip(sym, 0.0, 1.0, out=sym)
-        np.fill_diagonal(sym, 0.0)
-        d[i : i + step, i:] = sym
-        d[i:, i : i + step] = sym.T
+        block = buf[: c - i]
+        np.copyto(block, d[i : i + step])
+        if cosines:
+            np.subtract(1.0, block, out=block)
+        block -= lo
+        block /= hi - lo
+        np.clip(block, 0.0, 1.0, out=block)
+        d[i : i + step] = block
+    np.fill_diagonal(d, 0.0)
 
 
 def save_margin_matrix(m: MarginMatrix, path) -> None:

@@ -391,6 +391,8 @@ def load_checkpoint(path) -> Checkpoint:
         (iteration,) = struct.unpack("<Q", read(8, "iteration"))
         if bias.shape[0] != 1:
             raise FormatError(f"bias block must have one row, got {bias.shape}")
+        if proxies.shape[1] != weight.shape[1]:
+            raise FormatError(f"proxies block must be {weight.shape[1]} wide, got {proxies.shape}")
     head = EmbeddingHead(weight, bias[0])
     return Checkpoint(head, ProxyBank(proxies), iteration)
 

@@ -29,6 +29,7 @@ from marginfit.margins import (
     ClassTextEmbeddings,
     MarginMatrix,
 )
+from marginfit.losses import ProxyBank
 from marginfit.sampler import BalancedSampler
 from marginfit.trainer import (
     Checkpoint,
@@ -653,6 +654,33 @@ class TestEval:
         code, text = run_cli(self.eval_args(dataset, ckpt) + ["--ks", "1,3"])
         assert code == 0
         assert sum(l.startswith("recall@") for l in text.splitlines()) == 2
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_k_past_int64_finds_no_absent_class(self, dataset, binary):
+        ckpt = train_checkpoint(dataset)
+        save_labels(np.repeat([0, 1, 2, 3, 0], 3), 5, dataset / "g_no4.lbl")  # no class 4
+        args = self.eval_args(dataset, ckpt) + ["--ks", "1,99999999999999999999999"]
+        args[args.index("--gallery-labels") + 1] = str(dataset / "g_no4.lbl")
+        code, text = run_cli(args + ["--binary"] * binary)
+        assert code == 0
+        # 2 of the 10 queries are class 4
+        assert "recall@99999999999999999999999=0.800000" in text.splitlines()
+
+    @pytest.mark.parametrize("command", ["eval", "embed"])
+    def test_proxies_not_head_wide_exit_2(self, dataset, capsys, command):
+        head, _ = init(TrainConfig(embed_dim=6), 12, 5)
+        ckpt = dataset / "narrow.ckpt"
+        save_checkpoint(Checkpoint(head, ProxyBank(np.eye(5, dtype=np.float32)), 0), ckpt)
+        if command == "eval":
+            args = self.eval_args(dataset, ckpt)
+        else:
+            args = ["embed", "--ckpt", str(ckpt), "--features", str(dataset / "q.emb"),
+                    "--out", str(dataset / "qe.emb")]
+        code, out = run_cli(args)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ckpt}: proxies block must be 6 wide, got (5, 5)"
+        ]
 
     @pytest.mark.parametrize("ks", ["1,a", "1,,5"])
     def test_bad_ks_exit_2(self, dataset, capsys, ks):

@@ -171,6 +171,14 @@ class TestRecallAtK:
         report = recall_at_k(q, [0, 1, 2], g, [2, 1, 0, 3, 3, 3, 3, 3], ks=[1, 8])
         assert report.recall[-1] == 1.0
 
+    @pytest.mark.parametrize("mode", [MODE_FLOAT, MODE_BINARY])
+    @pytest.mark.parametrize("k", [2**63, 10**23])
+    def test_k_past_int64_finds_no_absent_class(self, mode, k):
+        # query 2's class 5 has no gallery item, so no K finds it
+        e = np.eye(3, dtype=np.float32)
+        report = recall_at_k(e, [0, 1, 5], e, [0, 1, 2], ks=[1, k], mode=mode)
+        assert report.recall == [2 / 3, 2 / 3]
+
     def test_one_hot_classes_both_modes_perfect(self):
         labels = [0, 1, 2, 3]
         e = one_hot_embeddings(labels, 6)

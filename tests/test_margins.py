@@ -461,6 +461,28 @@ class TestSerialization:
         with pytest.raises(InvariantViolation, match="symmetric"):
             MarginMatrix(d, ids)
 
+    def test_symmetry_check_reaches_every_pair(self, monkeypatch):
+        # 4-row strips at C = 13: the check compares each strip with its mirror
+        # only, so perturb every off-diagonal entry alone, above and below the
+        # diagonal, inside the diagonal blocks and in the last one-row strip
+        c = 13
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 4 * 4 * c)
+        assert data_io.block_rows(4 * c) == 4
+        d = np.random.default_rng(9).uniform(0.1, 0.9, (c, c)).astype(np.float32)
+        d = d + d.T  # exactly symmetric, in [0.2, 1.8]
+        d /= 2.0
+        np.fill_diagonal(d, 0.0)
+        ids = [f"c{i}" for i in range(c)]
+        for i, j in zip(*np.nonzero(~np.eye(c, dtype=bool))):
+            for gap, rejected in ((1e-5, True), (5e-7, False)):
+                bad = d.copy()
+                bad[i, j] += np.float32(gap)
+                if rejected:
+                    with pytest.raises(InvariantViolation, match="symmetric"):
+                        MarginMatrix(bad, ids)
+                else:
+                    MarginMatrix(bad, ids)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, value):
         # NaN fails every range comparison, so only a finiteness check catches it

@@ -879,6 +879,14 @@ class TestCheckpointFile:
         assert message.startswith(f"{path}: ")
         assert "weight payload" in message and "got 14" in message
 
+    def test_proxies_not_head_wide_refused(self, tmp_path):
+        head, _ = init(TrainConfig(embed_dim=3), 4, 5)  # a 4 x 3 head
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(Checkpoint(head, ProxyBank(np.eye(5, dtype=np.float32)), 0), path)
+        with pytest.raises(FormatError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value) == f"{path}: proxies block must be 3 wide, got (5, 5)"
+
 
 class TestConfigFile:
     GOOD = """
