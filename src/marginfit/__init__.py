@@ -25,10 +25,11 @@ if _cap:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ[_var] = _cap
 
-from . import data_io, errors, evaluation, margins, sampler, synthetic, trainer
+# ``synthetic`` (test and script data) is left to its callers: no CLI process loads it
+from . import data_io, errors, evaluation, margins, sampler, trainer
 from .losses import LossConfig, LossOutput, ProxyBank
 from .sampler import SamplerConfig
-from .trainer import Checkpoint, TrainConfig
+from .trainer import Checkpoint, TrainConfig, load_checkpoint
 
 __all__ = [
     "data_io",
@@ -44,6 +45,7 @@ __all__ = [
     "SamplerConfig",
     "Checkpoint",
     "TrainConfig",
+    "load_checkpoint",
 ]
 
 __version__ = "0.1.0"

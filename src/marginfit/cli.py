@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 selftest failure, 2 OSError, else the error's
 violations, 4 training divergence). All randomness flows from seeds in the
 config file, so every subcommand is deterministic given its inputs. Set
 MF_THREADS to cap worker (BLAS) threads.
+
+``embed`` and ``eval`` read a checkpoint's head (``trainer.load_head``):
+its proxies are checked but never held, so their memory is O(block + N·D)
+whatever the class count. Only ``selftest`` imports ``marginfit.selftest``.
 """
 
 from __future__ import annotations
@@ -37,14 +41,7 @@ from .margins import (
     off_diagonal,
     save_margin_matrix,
 )
-from .selftest import run_selftest
-from .trainer import (
-    forward_head,
-    load_checkpoint,
-    load_train_config,
-    save_checkpoint,
-    train,
-)
+from .trainer import forward_head, load_head, load_train_config, save_checkpoint, train
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAIL = 1
@@ -91,16 +88,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
-    embeddings = load_matrix(args.features, partial(forward_head, ckpt.head))
+    head = load_head(args.ckpt)
+    embeddings = load_matrix(args.features, partial(forward_head, head))
     save_matrix(embeddings, args.out)
-    print(f"embedded={embeddings.shape[0]} dim={ckpt.head.weight.shape[1]} out={args.out}")
+    print(f"embedded={embeddings.shape[0]} dim={head.weight.shape[1]} out={args.out}")
     return EXIT_OK
 
 
-def _eval_side(features_path, labels_path, head, dtype):
-    """Rows of a feature file through ``head`` into ``dtype``, its labels and its class count."""
-    embeddings = load_matrix(features_path, head, dtype)
+def _eval_side(features_path, labels_path, map_rows, dtype):
+    """Rows of a feature file through ``map_rows`` into ``dtype``, its labels and its class count."""
+    embeddings = load_matrix(features_path, map_rows, dtype)
     labels, num_classes = load_labels(labels_path)
     if labels.shape[0] != embeddings.shape[0]:
         raise InvariantViolation(
@@ -114,19 +111,19 @@ def _cmd_eval(args) -> int:
         ks = [int(k) for k in args.ks.split(",")] if args.ks else list(DEFAULT_KS)
     except ValueError:
         raise ConfigError(f"--ks must be comma-separated integers, got {args.ks!r}") from None
-    ckpt = load_checkpoint(args.ckpt)
+    head = load_head(args.ckpt)
     # The features themselves are never held, and in binary mode only the
     # embeddings' sign bits are.
-    head, dtype = partial(forward_head, ckpt.head), np.float32
+    map_rows, dtype = partial(forward_head, head), np.float32
     if args.binary:
-        head, dtype = (lambda block: sign_bits(forward_head(ckpt.head, block))), np.uint8
+        map_rows, dtype = (lambda block: sign_bits(forward_head(head, block))), np.uint8
     # Labels are only ints here, so no class ids are built: query and gallery
     # need only declare the same class count.
     query, query_labels, query_classes = _eval_side(
-        args.query_features, args.query_labels, head, dtype
+        args.query_features, args.query_labels, map_rows, dtype
     )
     gallery, gallery_labels, gallery_classes = _eval_side(
-        args.gallery_features, args.gallery_labels, head, dtype
+        args.gallery_features, args.gallery_labels, map_rows, dtype
     )
     if query_classes != gallery_classes:
         raise InvariantViolation("query and gallery must share the same class ids")
@@ -141,6 +138,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_selftest(_args) -> int:
+    from .selftest import run_selftest  # imported only by the one command that runs it
+
     return EXIT_OK if run_selftest() else EXIT_SELFTEST_FAIL
 
 

@@ -54,12 +54,17 @@ ZERO_NORM_THRESHOLD = 1e-12  # a row with a smaller L2 norm raises ZeroNorm
 
 # Payload bytes per read block, and float32 bytes per score block of the
 # ranking (``evaluation.BLOCK_COLS``). On the train-manyclass perfbench inputs
-# (8 MB query and gallery feature files, F = 512, one BLAS thread), blocks of
-# 256 KiB / 512 KiB / 1 / 2 / 4 MiB give eval a peak RSS of 35.5 / 36.1 /
-# 37.0 / 40.1 / 44.9 MB (35.6 / 36.3 / 37.5 / 40.0 / 44.9 with --binary) and
-# embed 36.3 / 36.7 / 36.8 / 37.1 / 41.1 MB. On a 2-vCPU host the float32
-# head maps the query file in 7-14 ms at each size, none consistently slower.
+# (8 MB query and gallery feature files, F = 512, D = 128, one BLAS thread),
+# blocks of 256 KiB / 512 KiB / 1 / 2 / 4 MiB give eval a peak RSS of 35.1 /
+# 35.6 / 36.4 / 38.8 / 40.8 MB (31.2 / 31.7 / 32.6 / 34.2 / 37.5 with --binary,
+# which holds packed sign bits) and embed 36.1 / 36.5 / 36.3 / 35.9 / 37.8 MB,
+# medians of 3 fresh processes. On a 2-vCPU host the float32 head maps the
+# query file in 6-7 ms up to 1 MiB and in 8-12 ms at 2 and 4 MiB.
 BLOCK_BYTES = 1 << 20
+
+# Classes an LBL1 with no labels may declare. Each default class id costs
+# about 60 bytes that such a file does not pay for, so 2^16 of them take 4 MB.
+EMPTY_LABELS_MAX_CLASSES = 1 << 16
 
 MAGIC_MATRIX = b"EMB1"
 MAGIC_LABELS = b"LBL1"
@@ -100,11 +105,14 @@ class _Reader:
     """``read(n, what)`` returns the next n bytes; ``read.blocks(n, step, what)`` yields them.
 
     ``blocks`` yields ``step`` bytes at a time, or, given ``into`` (a
-    C-contiguous array of n bytes), reads each block into its place there
-    and yields that slice. A short file is a FormatError giving n and the
+    C-contiguous array of n bytes, or of ``step`` bytes), reads each block
+    into its place there, or into the start of the one buffer, and yields
+    that slice. A short file is a FormatError giving n and the
     bytes there were, raised in a regular file before any of the n is read
     (f.read allocates its size up front); a stream with no size (a pipe) is
-    read in BLOCK_BYTES steps, so it fails when its bytes end.
+    read in BLOCK_BYTES steps, so it fails when its bytes end. ``read``
+    takes n bytes with one f.read, unless they are more than BLOCK_BYTES of
+    a stream.
     """
 
     def __init__(self, f):
@@ -114,8 +122,13 @@ class _Reader:
         self._size = st.st_size
 
     def __call__(self, n: int, what: str) -> bytes:
-        step = max(n, 1) if self.sized else BLOCK_BYTES
-        return b"".join(self.blocks(n, step, what))  # one block: joined without a copy
+        if not self.sized and n > BLOCK_BYTES:
+            return b"".join(self.blocks(n, BLOCK_BYTES, what))
+        self.check_length(n, what)
+        buf = self._f.read(n)
+        if len(buf) != n:
+            raise FormatError(f"truncated file: expected {n} bytes for {what}, got {len(buf)}")
+        return buf
 
     def check_length(self, n: int, what: str) -> None:
         """FormatError if a regular file holds fewer than the next n bytes."""
@@ -132,7 +145,8 @@ class _Reader:
                 buf = self._f.read(size)
                 got = len(buf)
             else:
-                buf = flat[start : start + size]
+                at = start % flat.size  # 0 in a buffer of step bytes
+                buf = flat[at : at + size]
                 got = self._f.readinto(buf)
             if got != size:
                 raise FormatError(
@@ -156,16 +170,15 @@ def matrix_to_bytes(m: np.ndarray) -> bytes:
     return header + np.ascontiguousarray(m, dtype="<f4").tobytes()
 
 
+def read_matrix_header(read, what: str) -> tuple[int, int]:
+    """The declared (rows, cols) of one EMB1 block, magic included; ``read_rows`` reads the rest."""
+    _expect_magic(read, MAGIC_MATRIX, what)
+    return struct.unpack("<II", read(8, f"{what} shape header"))
+
+
 def read_matrix_block(read, what: str) -> np.ndarray:
     """Parse one EMB1 block, magic included, through a ``read_container`` reader."""
-    _expect_magic(read, MAGIC_MATRIX, what)
-    return _read_matrix(read, what)
-
-
-def _read_matrix(read, what: str, map_rows=None, dtype=np.float32) -> np.ndarray:
-    """Parse the EMB1 shape header and payload that follow the magic."""
-    rows, cols = struct.unpack("<II", read(8, f"{what} shape header"))
-    return read_rows(read, rows, cols, what, map_rows, dtype)
+    return read_rows(read, *read_matrix_header(read, what), what)
 
 
 def read_rows(read, rows: int, cols: int, what: str, map_rows=None, dtype=np.float32) -> np.ndarray:
@@ -177,16 +190,22 @@ def read_rows(read, rows: int, cols: int, what: str, map_rows=None, dtype=np.flo
     straight into a float32 output, a mapped block is copied into one of
     ``dtype`` (so ``map_rows`` may shrink the rows, as eval's sign bits
     do), and from a stream with no size the blocks are joined once all of
-    them are read. ``map_rows`` must map each row on its own; it is called
-    at least once, on a (0, cols) or (rows, 0) block when the payload is
+    them are read. ``map_rows`` must map each row on its own into a new
+    array, since every block is read into the one buffer; it is called at
+    least once, on a (0, cols) or (rows, 0) block when the payload is
     empty. A ZeroNorm it raises for a row of its block is re-raised naming
     the payload row.
     """
     row_bytes, what = 4 * cols, f"{what} payload"
-    read.check_length(rows * row_bytes, what)  # before any output is allocated
-    out = np.empty((rows, cols), "<f4") if read.sized and map_rows is None else None
+    n, step = rows * row_bytes, block_rows(row_bytes) * max(row_bytes, 1)
+    read.check_length(n, what)  # before any output is allocated
+    out = into = None
+    if map_rows is not None:  # every block is read into one buffer
+        into = np.empty(min(n, step), np.uint8)
+    elif read.sized:
+        out = into = np.empty((rows, cols), "<f4")
     start, streamed = 0, []
-    for buf in read.blocks(rows * row_bytes, block_rows(row_bytes) * max(row_bytes, 1), what, out):
+    for buf in read.blocks(n, step, what, into):
         block = np.frombuffer(buf, dtype="<f4").reshape(-1, cols)
         lo, hi = block.min(), block.max()  # NaN propagates to both
         if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -221,7 +240,8 @@ def save_matrix(m: np.ndarray, path) -> None:
 def load_matrix(path, map_rows=None, dtype=np.float32) -> np.ndarray:
     """Read an EMB1 matrix, or its rows through ``map_rows`` into ``dtype`` (see ``read_rows``)."""
     with read_container(path, MAGIC_MATRIX) as read:
-        return _read_matrix(read, "matrix", map_rows, dtype)
+        rows, cols = struct.unpack("<II", read(8, "matrix shape header"))
+        return read_rows(read, rows, cols, "matrix", map_rows, dtype)
 
 
 def save_labels(labels, num_classes: int, path) -> None:
@@ -318,7 +338,9 @@ def load_bundle(features_path, labels_path, class_ids_path=None) -> FeatureBundl
     """Read a feature matrix, its labels and, if given, the class-id sidecar."""
     features = load_matrix(features_path)
     labels, num_classes = load_labels(labels_path)
-    if 0 < labels.size < num_classes:  # refused before C default ids are built
+    # refused before C default ids are built; an empty file (no rows to train
+    # on) loads, as long as its ids are few enough to build
+    if labels.size < num_classes and (labels.size or num_classes > EMPTY_LABELS_MAX_CLASSES):
         rule = f"{num_classes} classes for {labels.size} labels leave a class with no rows"
         raise InvariantViolation(f"{labels_path}: {rule}")
     class_ids = None if class_ids_path is None else load_class_ids(class_ids_path)

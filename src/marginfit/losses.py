@@ -81,6 +81,36 @@ class LossConfig:
         return 0.0 if self.kind == KIND_NORM_SOFTMAX else self.margin
 
 
+class UnitNormRows:
+    """The proxies' rule: every row's L2 norm is within 1e-5 of 1.
+
+    ``rule(rows)`` takes the rows of an array, all at once or block by block
+    in order, and keeps the row whose float64 norm is furthest from 1 (the
+    first on a tie; a NaN norm is furthest of all). It returns a zero-width
+    block, so as ``read_rows``' ``map_rows`` it holds no row. ``rule.check()``
+    then raises InvariantViolation naming that row if it breaks the rule.
+    """
+
+    def __init__(self):
+        self.rows, self.worst = 0, (0.0, 0, 1.0)  # rows seen; (|norm - 1|, row, norm)
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        some = rows if rows.shape[1] else rows[:1]  # zero-width rows all have norm 0
+        norms = np.sqrt(np.einsum("ij,ij->i", some, some, dtype=np.float64))
+        if norms.size:
+            i = int(np.argmax(np.abs(norms - 1.0)))
+            off = abs(norms[i] - 1.0)
+            if np.argmax((self.worst[0], off)):  # as one argmax over all rows would pick
+                self.worst = (off, self.rows + i, norms[i])
+        self.rows += len(rows)
+        return np.empty((len(rows), 0), np.float32)
+
+    def check(self) -> None:
+        off, row, norm = self.worst
+        if not off <= 1e-5:
+            raise InvariantViolation(f"proxy row {row} has norm {norm:.8f}, expected 1")
+
+
 @dataclass
 class ProxyBank:
     """One learnable unit-norm vector per class."""
@@ -91,10 +121,9 @@ class ProxyBank:
     def __post_init__(self):
         self.proxies = as_matrix(self.proxies, "proxies")
         self.class_ids = checked_class_ids(self.class_ids, self.proxies.shape[0], "proxy bank")
-        norms = np.sqrt(np.einsum("ij,ij->i", self.proxies, self.proxies, dtype=np.float64))
-        if not np.all(np.abs(norms - 1.0) <= 1e-5):
-            worst = int(np.argmax(np.abs(norms - 1.0)))
-            raise InvariantViolation(f"proxy row {worst} has norm {norms[worst]:.8f}, expected 1")
+        rule = UnitNormRows()
+        rule(self.proxies)
+        rule.check()
 
     @property
     def num_classes(self) -> int:

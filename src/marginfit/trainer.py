@@ -34,9 +34,13 @@ embeddings keep the class structure for Hamming ranking. The streamed
 ``loss`` value reports only the first term.
 
 Checkpoint file ``CKP1``: magic | EMB1 block weight (F x D) | EMB1 block
-bias (1 x D) | EMB1 block proxies (C x D) | u64 iteration. It is read
-through ``data_io.read_container``, which names the file in every format
-error. ``losses.margin_array`` decides which loss kinds take margins.
+bias (1 x D) | EMB1 block proxies (C x D) | u64 iteration. One parser
+reads it through ``data_io.read_container``, which names the file in every
+format error. ``load_checkpoint`` holds every block; ``load_head``, which
+``embed`` and ``eval`` use, holds only W and b: it streams the proxies
+through the bank's unit-norm rule (``losses.UnitNormRows``) and keeps none
+of them, so both refuse the same files. ``losses.margin_array`` decides
+which loss kinds take margins.
 
 Train config file: UTF-8 ``key = value`` lines. Blank lines and lines
 starting with ``#`` are skipped; unknown keys are errors.
@@ -59,9 +63,11 @@ from .data_io import (
     matrix_to_bytes,
     read_container,
     read_matrix_block,
+    read_matrix_header,
+    read_rows,
 )
 from .errors import ConfigError, DimMismatch, DivergenceError, FormatError, NonFiniteData, ZeroNorm
-from .losses import LossConfig, ProxyBank, _forward_backward, _slope_rows, margin_array
+from .losses import LossConfig, ProxyBank, UnitNormRows, _forward_backward, _slope_rows, margin_array
 from .sampler import BalancedSampler, SamplerConfig
 
 MAGIC_CHECKPOINT = b"CKP1"
@@ -384,17 +390,31 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    head, proxies, iteration = _read_checkpoint(path)
+    return Checkpoint(head, ProxyBank(proxies), iteration)
+
+
+def load_head(path) -> EmbeddingHead:
+    """The CKP1's head; the file is refused as ``load_checkpoint`` refuses it, no proxy held."""
+    rule = UnitNormRows()
+    head, _, _ = _read_checkpoint(path, rule)
+    rule.check()
+    return head
+
+
+def _read_checkpoint(path, map_proxies=None) -> tuple[EmbeddingHead, np.ndarray, int]:
+    """The CKP1 parser: (head, proxies read through ``map_proxies``, iteration)."""
     with read_container(path, MAGIC_CHECKPOINT) as read:
         weight = read_matrix_block(read, "weight")
         bias = read_matrix_block(read, "bias")
-        proxies = read_matrix_block(read, "proxies")
+        shape = read_matrix_header(read, "proxies")
+        proxies = read_rows(read, *shape, "proxies", map_proxies)
         (iteration,) = struct.unpack("<Q", read(8, "iteration"))
         if bias.shape[0] != 1:
             raise FormatError(f"bias block must have one row, got {bias.shape}")
-        if proxies.shape[1] != weight.shape[1]:
-            raise FormatError(f"proxies block must be {weight.shape[1]} wide, got {proxies.shape}")
-    head = EmbeddingHead(weight, bias[0])
-    return Checkpoint(head, ProxyBank(proxies), iteration)
+        if shape[1] != weight.shape[1]:
+            raise FormatError(f"proxies block must be {weight.shape[1]} wide, got {shape}")
+    return EmbeddingHead(weight, bias[0]), proxies, iteration
 
 
 # key -> (value type, config object, field); the dataclasses own the defaults

@@ -33,6 +33,7 @@ from marginfit.losses import ProxyBank
 from marginfit.sampler import BalancedSampler
 from marginfit.trainer import (
     Checkpoint,
+    EmbeddingHead,
     TrainConfig,
     init,
     load_checkpoint,
@@ -487,6 +488,23 @@ class TestTrain:
         ]
         assert float(out.split("main_s=")[1]) < 1.0
 
+    def test_empty_labels_with_huge_class_count_exit_3(self, dataset):
+        # an empty label file may declare a few classes, but not so many that
+        # their default ids exhaust memory before the sampler's "no rows" rule
+        save_matrix(np.zeros((0, 12), np.float32), dataset / "empty.emb")
+        (dataset / "empty.lbl").write_bytes(b"LBL1" + struct.pack("<II", 0, 0xFFFFFFF0))
+        args = train_argv(dataset, "train.cfg")
+        args[args.index("--features") + 1] = str(dataset / "empty.emb")
+        args[args.index("--labels") + 1] = str(dataset / "empty.lbl")
+        del args[args.index("--class-ids") : args.index("--class-ids") + 2]
+        code, out, err = run_capped(CAPPED_CLI, args)
+        assert code == 3, err
+        assert err.splitlines() == [
+            f"error: {dataset / 'empty.lbl'}: 4294967280 classes for 0 labels leave a class"
+            " with no rows"
+        ]
+        assert float(out.split("main_s=")[1]) < 1.0
+
     def test_class_without_rows_exit_3(self, dataset, capsys):
         save_labels(np.repeat(np.arange(4), 10), 5, dataset / "four.lbl")
         code, _ = run_cli([
@@ -768,6 +786,87 @@ class TestEval:
         ]
 
 
+def ckp1_bytes(head, proxies, iteration=0):
+    """A CKP1 file's bytes, with ``proxies`` written as given (no rule is checked)."""
+    proxies = np.asarray(proxies, "<f4")
+    return (
+        b"CKP1"
+        + data_io.matrix_to_bytes(head.weight)
+        + data_io.matrix_to_bytes(head.bias.reshape(1, -1))
+        + b"EMB1" + struct.pack("<II", *proxies.shape) + proxies.tobytes()
+        + struct.pack("<Q", iteration)
+    )
+
+
+class TestHeadOnlyRead:
+    """eval and embed check a checkpoint's proxies block as they read it, holding none of it."""
+
+    @staticmethod
+    def malformed(dataset, case):
+        """A checkpoint of a 12 x 6 head whose 5 x 6 proxies block is malformed as ``case``."""
+        head, bank = init(TrainConfig(embed_dim=6), 12, 5)
+        proxies = bank.proxies.copy()
+        if case == "narrow":
+            proxies = np.eye(5, dtype=np.float32)
+        elif case == "nan":
+            proxies[3, 1] = np.nan
+        elif case == "norm":
+            proxies[1] = [0, 1.5, 0, 0, 0, 0]
+            proxies[4] = [0, 0, 2, 0, 0, 0]  # the row furthest from norm 1 is named
+        data = ckp1_bytes(head, proxies)
+        if case == "short":
+            data = data[: len(data) - 8 - 2 * 6 * 4 - 3]  # ends inside row 2 of the payload
+        path = dataset / f"{case}.ckpt"
+        path.write_bytes(data)
+        return path
+
+    @pytest.mark.parametrize("block_bytes", [data_io.BLOCK_BYTES, 2 * 6 * 4])  # 3 proxy blocks
+    @pytest.mark.parametrize("case, code", [("narrow", 2), ("nan", 2), ("norm", 3), ("short", 2)])
+    @pytest.mark.parametrize("command", ["eval", "embed"])
+    def test_refused_as_load_checkpoint_refuses(
+        self, dataset, monkeypatch, capsys, command, case, code, block_bytes
+    ):
+        ckpt = self.malformed(dataset, case)
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", block_bytes)
+        with pytest.raises(errors.MarginfitError) as info:
+            load_checkpoint(ckpt)
+        assert info.value.exit_code == code
+        expected = {
+            "narrow": f"{ckpt}: proxies block must be 6 wide, got (5, 5)",
+            "nan": f"{ckpt}: proxies payload contains NaN or Inf",
+            "norm": "proxy row 4 has norm 2.00000000, expected 1",
+            "short": f"{ckpt}: truncated file: expected 120 bytes for proxies payload, got 69",
+        }[case]
+        assert str(info.value) == expected
+        if command == "eval":
+            args = TestEval().eval_args(dataset, ckpt)
+        else:
+            args = ["embed", "--ckpt", str(ckpt), "--features", str(dataset / "q.emb"),
+                    "--out", str(dataset / "qe.emb")]
+        assert run_cli(args) == (code, "")
+        assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
+        assert not (dataset / "qe.emb").exists()
+
+
+    @pytest.mark.parametrize("command", ["eval", "embed"])
+    def test_zero_width_head_with_huge_class_count_exit_3(self, dataset, command):
+        # 0xFFFFFFF0 proxies of width 0 take no bytes; their norms are never
+        # built as a C-long array
+        zero = np.zeros((12, 0), np.float32)
+        head = EmbeddingHead(zero, zero[0])
+        ckpt = dataset / "flat.ckpt"
+        ckpt.write_bytes(ckp1_bytes(head, np.zeros((0xFFFFFFF0, 0), np.float32)))
+        if command == "eval":
+            args = TestEval().eval_args(dataset, ckpt)
+        else:
+            args = ["embed", "--ckpt", str(ckpt), "--features", str(dataset / "q.emb"),
+                    "--out", str(dataset / "qe.emb")]
+        code, out, err = run_capped(CAPPED_CLI, args)
+        assert code == 3, err
+        assert err.splitlines() == ["error: proxy row 0 has norm 0.00000000, expected 1"]
+        assert float(out.split("main_s=")[1]) < 1.0
+
+
 class TestStreamedHead:
     """eval and embed map feature files through the head block by block."""
 
@@ -955,6 +1054,17 @@ class TestPackaging:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "3 3"
+
+    def test_cli_imports_no_selftest_or_synthetic(self):
+        probe = (
+            "import sys, marginfit.cli\n"
+            "print(sorted(m for m in ('marginfit.selftest', 'marginfit.synthetic') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("numpy_first", [False, True])
     def test_mf_threads_after_numpy_warns(self, numpy_first):

@@ -41,6 +41,7 @@ from marginfit.trainer import (
     TrainConfig,
     init,
     load_checkpoint,
+    load_head,
     save_checkpoint,
     train,
 )
@@ -252,6 +253,37 @@ class TestBlockReads:
         np.testing.assert_array_equal(blocks[2], bank.proxies)
         assert peak < arrays + 32 * 2**10
 
+    def test_head_only_read_holds_no_proxies(self, tmp_path):
+        # load_head streams the 4 MiB proxies block through the unit-norm
+        # rule: it holds W, b and one block's buffer, never a C x D array
+        head, bank = init(TrainConfig(embed_dim=128), 64, 8192)
+        assert bank.proxies.nbytes >= 4 * data_io.BLOCK_BYTES
+        save_checkpoint(Checkpoint(head, bank, 0), tmp_path / "a.ckpt")
+        tracemalloc.start()
+        try:
+            loaded = load_head(tmp_path / "a.ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.weight, head.weight)
+        np.testing.assert_array_equal(loaded.bias, head.bias)
+        assert peak < head.weight.nbytes + head.bias.nbytes + 2 * data_io.BLOCK_BYTES
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_mapped_pipe_read_block_by_block(self, tmp_path, monkeypatch):
+        # every block of a stream is read into one buffer; the mapped blocks are kept
+        m = np.random.default_rng(1).standard_normal((37, 5)).astype(np.float32)
+        save_matrix(m, tmp_path / "m.emb")
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 2 * 5 * 4)
+        r, w = os.pipe()
+        os.write(w, (tmp_path / "m.emb").read_bytes())
+        os.close(w)
+        try:
+            mapped = load_matrix(f"/dev/fd/{r}", lambda block: block * 2.0, np.float64)
+        finally:
+            os.close(r)
+        np.testing.assert_array_equal(mapped, m * 2.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("at", [0, 35])
     def test_min_max_check_finds_every_non_finite_value(self, tmp_path, monkeypatch, bad, at):
@@ -405,6 +437,16 @@ class TestBundle:
         save_labels([], 2, tmp_path / "l.lbl")
         b = load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl")
         assert b.features.shape == (0, 3) and b.num_classes == 2
+
+    def test_empty_label_file_class_bound(self, tmp_path):
+        # an empty file loads with up to EMPTY_LABELS_MAX_CLASSES default ids
+        save_matrix(np.zeros((0, 3), np.float32), tmp_path / "f.emb")
+        limit = data_io.EMPTY_LABELS_MAX_CLASSES
+        save_labels([], limit, tmp_path / "l.lbl")
+        assert load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl").num_classes == limit
+        save_labels([], limit + 1, tmp_path / "l.lbl")
+        with pytest.raises(InvariantViolation, match=f"{limit + 1} classes for 0 labels leave"):
+            load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl")
 
     def test_nan_row_is_hard_error(self):
         # a bundle holds a NaN row; train, the code that relies on finite
