@@ -95,9 +95,9 @@ def _cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def _eval_side(features_path, labels_path, map_rows, dtype):
-    """Rows of a feature file through ``map_rows`` into ``dtype``, its labels and its class count."""
-    embeddings = load_matrix(features_path, map_rows, dtype)
+def _eval_side(features_path, labels_path, map_rows):
+    """Rows of a feature file through ``map_rows``, its labels and its class count."""
+    embeddings = load_matrix(features_path, map_rows)
     labels, num_classes = load_labels(labels_path)
     if labels.shape[0] != embeddings.shape[0]:
         raise InvariantViolation(
@@ -112,18 +112,18 @@ def _cmd_eval(args) -> int:
     except ValueError:
         raise ConfigError(f"--ks must be comma-separated integers, got {args.ks!r}") from None
     head = load_head(args.ckpt)
-    # The features themselves are never held, and in binary mode only the
-    # embeddings' sign bits are.
-    map_rows, dtype = partial(forward_head, head), np.float32
-    if args.binary:
-        map_rows, dtype = (lambda block: sign_bits(forward_head(head, block))), np.uint8
+
+    def map_rows(block):  # the features are never held; in binary mode, only the sign bits are
+        embedded = forward_head(head, block)
+        return sign_bits(embedded) if args.binary else embedded
+
     # Labels are only ints here, so no class ids are built: query and gallery
     # need only declare the same class count.
     query, query_labels, query_classes = _eval_side(
-        args.query_features, args.query_labels, map_rows, dtype
+        args.query_features, args.query_labels, map_rows
     )
     gallery, gallery_labels, gallery_classes = _eval_side(
-        args.gallery_features, args.gallery_labels, map_rows, dtype
+        args.gallery_features, args.gallery_labels, map_rows
     )
     if query_classes != gallery_classes:
         raise InvariantViolation("query and gallery must share the same class ids")

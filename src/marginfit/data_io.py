@@ -14,9 +14,9 @@ EMB1 matrix, CKP1's blocks, the MGN1 matrix) is read by ``read_rows`` in
 blocks of about ``BLOCK_BYTES``, each checked for NaN and Inf (by its min
 and max, with no mask) and written straight into an output allocated once;
 given ``map_rows``, each block is mapped as it is read, into an output of
-the caller's dtype, so ``load_matrix(path, map_rows, dtype)`` never holds
-the whole input matrix (``eval --binary`` holds only the uint8 sign bits of
-its embeddings). Class ids travel in a UTF-8 text sidecar, one id per
+the mapped rows' width and dtype, so ``load_matrix(path, map_rows)`` never
+holds the whole input matrix (``eval --binary`` holds only the uint8 sign
+bits of its embeddings). Class ids travel in a UTF-8 text sidecar, one id per
 line; ``checked_class_ids`` is their one rule. Native OSError (missing
 file, permissions) propagates untouched. ``as_matrix`` is the one 2-D
 coercion every module uses, to float32 unless told otherwise, and
@@ -61,10 +61,6 @@ ZERO_NORM_THRESHOLD = 1e-12  # a row with a smaller L2 norm raises ZeroNorm
 # medians of 3 fresh processes. On a 2-vCPU host the float32 head maps the
 # query file in 6-7 ms up to 1 MiB and in 8-12 ms at 2 and 4 MiB.
 BLOCK_BYTES = 1 << 20
-
-# Classes an LBL1 with no labels may declare. Each default class id costs
-# about 60 bytes that such a file does not pay for, so 2^16 of them take 4 MB.
-EMPTY_LABELS_MAX_CLASSES = 1 << 16
 
 MAGIC_MATRIX = b"EMB1"
 MAGIC_LABELS = b"LBL1"
@@ -181,26 +177,26 @@ def read_matrix_block(read, what: str) -> np.ndarray:
     return read_rows(read, *read_matrix_header(read, what), what)
 
 
-def read_rows(read, rows: int, cols: int, what: str, map_rows=None, dtype=np.float32) -> np.ndarray:
+def read_rows(read, rows: int, cols: int, what: str, map_rows=None) -> np.ndarray:
     """Read a (rows, cols) float32 payload in blocks of about BLOCK_BYTES.
 
     Each block is checked for NaN and Inf (its min and max, so no mask is
     made), passed through ``map_rows`` when given, and put in the output,
-    which is allocated once: a sized file with no ``map_rows`` is read
-    straight into a float32 output, a mapped block is copied into one of
-    ``dtype`` (so ``map_rows`` may shrink the rows, as eval's sign bits
-    do), and from a stream with no size the blocks are joined once all of
-    them are read. ``map_rows`` must map each row on its own into a new
-    array, since every block is read into the one buffer; it is called at
-    least once, on a (0, cols) or (rows, 0) block when the payload is
-    empty. A ZeroNorm it raises for a row of its block is re-raised naming
-    the payload row.
+    which is allocated once. A sized file with no ``map_rows`` is read
+    straight into a float32 output. Its mapped blocks, each read into one
+    block buffer, are copied at once into an output of the first mapped
+    block's width and dtype (so ``map_rows`` may shrink the rows, as eval's
+    sign bits do). A stream with no size is read a fresh block at a time,
+    and its blocks are joined once all of them are read. ``map_rows`` is
+    called at least once: on a (0, cols) or (rows, 0) float32 block when the
+    payload is empty, whose result is the output. A ZeroNorm it raises for a
+    row of its block is re-raised naming the payload row.
     """
     row_bytes, what = 4 * cols, f"{what} payload"
     n, step = rows * row_bytes, block_rows(row_bytes) * max(row_bytes, 1)
     read.check_length(n, what)  # before any output is allocated
     out = into = None
-    if map_rows is not None:  # every block is read into one buffer
+    if read.sized and map_rows is not None:  # each block is mapped and copied out at once
         into = np.empty(min(n, step), np.uint8)
     elif read.sized:
         out = into = np.empty((rows, cols), "<f4")
@@ -220,15 +216,15 @@ def read_rows(read, rows: int, cols: int, what: str, map_rows=None, dtype=np.flo
             streamed.append(block)
         elif map_rows is not None:
             if out is None:
-                out = np.empty((rows, block.shape[1]), dtype)
+                out = np.empty((rows, block.shape[1]), block.dtype)
             out[start : start + len(block)] = block
         start += len(block)
     if streamed:
-        out = np.concatenate(streamed, dtype=dtype if map_rows is not None else np.float32)
+        out = np.concatenate(streamed)
     if out is None:  # an empty payload reads no block
         out = np.empty((rows, cols), np.float32)
         if map_rows is not None:
-            out = map_rows(out).astype(dtype, copy=False)
+            out = map_rows(out)
     return out
 
 
@@ -237,11 +233,11 @@ def save_matrix(m: np.ndarray, path) -> None:
         f.write(matrix_to_bytes(m))
 
 
-def load_matrix(path, map_rows=None, dtype=np.float32) -> np.ndarray:
-    """Read an EMB1 matrix, or its rows through ``map_rows`` into ``dtype`` (see ``read_rows``)."""
+def load_matrix(path, map_rows=None) -> np.ndarray:
+    """Read an EMB1 matrix, or its rows through ``map_rows`` (see ``read_rows``)."""
     with read_container(path, MAGIC_MATRIX) as read:
         rows, cols = struct.unpack("<II", read(8, "matrix shape header"))
-        return read_rows(read, rows, cols, "matrix", map_rows, dtype)
+        return read_rows(read, rows, cols, "matrix", map_rows)
 
 
 def save_labels(labels, num_classes: int, path) -> None:
@@ -338,9 +334,7 @@ def load_bundle(features_path, labels_path, class_ids_path=None) -> FeatureBundl
     """Read a feature matrix, its labels and, if given, the class-id sidecar."""
     features = load_matrix(features_path)
     labels, num_classes = load_labels(labels_path)
-    # refused before C default ids are built; an empty file (no rows to train
-    # on) loads, as long as its ids are few enough to build
-    if labels.size < num_classes and (labels.size or num_classes > EMPTY_LABELS_MAX_CLASSES):
+    if labels.size < num_classes:  # refused before C default ids are built
         rule = f"{num_classes} classes for {labels.size} labels leave a class with no rows"
         raise InvariantViolation(f"{labels_path}: {rule}")
     class_ids = None if class_ids_path is None else load_class_ids(class_ids_path)

@@ -120,10 +120,10 @@ class ProxyBank:
 
     def __post_init__(self):
         self.proxies = as_matrix(self.proxies, "proxies")
-        self.class_ids = checked_class_ids(self.class_ids, self.proxies.shape[0], "proxy bank")
-        rule = UnitNormRows()
+        rule = UnitNormRows()  # before C default ids are built
         rule(self.proxies)
         rule.check()
+        self.class_ids = checked_class_ids(self.class_ids, self.proxies.shape[0], "proxy bank")
 
     @property
     def num_classes(self) -> int:

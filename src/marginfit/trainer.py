@@ -148,9 +148,10 @@ def forward_head(head: EmbeddingHead, features: np.ndarray) -> np.ndarray:
     division by the row's standard deviation cancels in the normalization.
 
     Runs the training step's float32 ``_head_core`` on the block as given.
-    Only a block it cannot normalize (a zero row, or a huge one whose norm
-    overflows float32) is run again in float64, which decides: the huge row
-    embeds, the zero row raises ZeroNorm. Returns float32.
+    Only a block it cannot normalize (a zero row while the centred bias, its
+    output, is zero, or a huge row whose norm overflows float32) is run again
+    in float64, which decides: the huge row embeds, the zero row raises
+    ZeroNorm. Returns float32.
     """
     features = as_matrix(features, "features")
     if features.shape[1] != head.weight.shape[0]:

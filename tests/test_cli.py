@@ -489,8 +489,8 @@ class TestTrain:
         assert float(out.split("main_s=")[1]) < 1.0
 
     def test_empty_labels_with_huge_class_count_exit_3(self, dataset):
-        # an empty label file may declare a few classes, but not so many that
-        # their default ids exhaust memory before the sampler's "no rows" rule
+        # refused before one default id per declared class is built, which
+        # would exhaust memory before the sampler's "no rows" rule
         save_matrix(np.zeros((0, 12), np.float32), dataset / "empty.emb")
         (dataset / "empty.lbl").write_bytes(b"LBL1" + struct.pack("<II", 0, 0xFFFFFFF0))
         args = train_argv(dataset, "train.cfg")
@@ -866,6 +866,30 @@ class TestHeadOnlyRead:
         assert err.splitlines() == ["error: proxy row 0 has norm 0.00000000, expected 1"]
         assert float(out.split("main_s=")[1]) < 1.0
 
+    def test_load_checkpoint_refuses_zero_width_proxies_at_once(self, dataset):
+        # the 48-byte file above: ProxyBank runs its norm rule before it
+        # builds 0xFFFFFFF0 default class ids
+        zero = np.zeros((12, 0), np.float32)
+        ckpt = dataset / "flat.ckpt"
+        ckpt.write_bytes(ckp1_bytes(EmbeddingHead(zero, zero[0]), np.zeros((0xFFFFFFF0, 0))))
+        assert ckpt.stat().st_size == 48
+        body = (
+            "import time\n"
+            "from marginfit.errors import InvariantViolation\n"
+            "from marginfit.trainer import load_checkpoint\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    load_checkpoint(sys.argv[1])\n"
+            "except InvariantViolation as exc:\n"
+            "    print(f'refused={exc}')\n"
+            "print(f's={time.perf_counter() - start:.3f}')\n"
+        )
+        code, out, err = run_capped(body, [str(ckpt)])
+        assert code == 0, err
+        refused, seconds = out.splitlines()
+        assert refused == "refused=proxy row 0 has norm 0.00000000, expected 1"
+        assert float(seconds.removeprefix("s=")) < 1.0
+
 
 class TestStreamedHead:
     """eval and embed map feature files through the head block by block."""
@@ -911,6 +935,24 @@ class TestStreamedHead:
         report = recall_at_k(*sides["q"], *sides["g"], DEFAULT_KS, mode)
         recall_lines = [line for line in text.splitlines() if line.startswith("recall@")]
         assert recall_lines == machine_lines(report)[2:]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_embed_from_a_pipe_writes_what_embed_from_the_file_writes(self, dataset, monkeypatch):
+        ckpt = train_checkpoint(dataset)
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 3 * 12 * 4)  # q.emb is 4 blocks
+        code, _ = run_cli(["embed", "--ckpt", str(ckpt), "--features", str(dataset / "q.emb"),
+                           "--out", str(dataset / "from_file.emb")])
+        assert code == 0
+        r, w = os.pipe()
+        os.write(w, (dataset / "q.emb").read_bytes())  # small enough for the pipe's buffer
+        os.close(w)
+        try:
+            code, _ = run_cli(["embed", "--ckpt", str(ckpt), "--features", f"/dev/fd/{r}",
+                               "--out", str(dataset / "from_pipe.emb")])
+        finally:
+            os.close(r)
+        assert code == 0
+        assert (dataset / "from_pipe.emb").read_bytes() == (dataset / "from_file.emb").read_bytes()
 
     def test_eval_peak_allocation_below_the_query_file(self, dataset):
         # the query payload is 8 blocks; eval never holds it, nor its float64 copy

@@ -152,8 +152,8 @@ class TestBlockReads:
         np.testing.assert_array_equal(load_matrix(tmp_path / "m.emb"), m)
         calls = []
         mapped = load_matrix(tmp_path / "m.emb", self.recorder(calls))
-        assert mapped.dtype == np.float32
-        np.testing.assert_array_equal(mapped, (m.astype(np.float64) * 2.0 + 1.0).astype(np.float32))
+        assert mapped.dtype == np.float64  # the map's own dtype
+        np.testing.assert_array_equal(mapped, m.astype(np.float64) * 2.0 + 1.0)
         assert sum(rows for rows, _ in calls) == 37 and len(calls) == -(-37 // block_rows)
 
     def test_last_block_of_one_row(self, tmp_path, monkeypatch):
@@ -269,20 +269,55 @@ class TestBlockReads:
         np.testing.assert_array_equal(loaded.bias, head.bias)
         assert peak < head.weight.nbytes + head.bias.nbytes + 2 * data_io.BLOCK_BYTES
 
+    @staticmethod
+    def load(path, source, map_rows):
+        """``load_matrix(path, map_rows)`` from the file, or from a pipe holding its bytes."""
+        if source == "file":
+            return load_matrix(path, map_rows)
+        r, w = os.pipe()
+        os.write(w, path.read_bytes())  # small enough for the pipe's buffer
+        os.close(w)
+        try:
+            return load_matrix(f"/dev/fd/{r}", map_rows)
+        finally:
+            os.close(r)
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_mapped_pipe_read_block_by_block(self, tmp_path, monkeypatch):
-        # every block of a stream is read into one buffer; the mapped blocks are kept
+        # the mapped blocks of a stream are kept and joined once it ends
         m = np.random.default_rng(1).standard_normal((37, 5)).astype(np.float32)
         save_matrix(m, tmp_path / "m.emb")
         monkeypatch.setattr(data_io, "BLOCK_BYTES", 2 * 5 * 4)
-        r, w = os.pipe()
-        os.write(w, (tmp_path / "m.emb").read_bytes())
-        os.close(w)
-        try:
-            mapped = load_matrix(f"/dev/fd/{r}", lambda block: block * 2.0, np.float64)
-        finally:
-            os.close(r)
+        mapped = self.load(tmp_path / "m.emb", "pipe", lambda block: block * 2.0)
         np.testing.assert_array_equal(mapped, m * 2.0)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_map_may_return_a_view_of_its_block(self, tmp_path, monkeypatch, source):
+        # a file's mapped block is copied out before the next read, and a pipe's blocks are fresh
+        m = np.random.default_rng(2).standard_normal((8, 5)).astype(np.float32)
+        save_matrix(m, tmp_path / "m.emb")
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 2 * 5 * 4)  # 4 blocks
+        mapped = self.load(tmp_path / "m.emb", source, lambda b: b[:, :2])
+        np.testing.assert_array_equal(mapped, m[:, :2])
+
+    MAPS = {
+        "float64": lambda b: np.asarray(b, np.float64) * 2.0,
+        "uint8": lambda b: np.packbits(b > 0.0, axis=1),  # as eval's sign bits: narrower rows
+    }
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("rows", [37, 0])
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    @pytest.mark.parametrize("name", list(MAPS))
+    def test_output_takes_the_maps_dtype_and_width(self, tmp_path, monkeypatch, name, source, rows):
+        m = np.random.default_rng(3).standard_normal((rows, 5)).astype(np.float32)
+        save_matrix(m, tmp_path / "m.emb")
+        monkeypatch.setattr(data_io, "BLOCK_BYTES", 2 * 5 * 4)
+        mapped = self.load(tmp_path / "m.emb", source, self.MAPS[name])
+        expected = self.MAPS[name](m)
+        assert (mapped.dtype, mapped.shape) == (expected.dtype, expected.shape)
+        np.testing.assert_array_equal(mapped, expected)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("at", [0, 35])
@@ -432,21 +467,17 @@ class TestBundle:
             load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl")
 
     def test_zero_row_file_loads(self, tmp_path):
-        # the sampler and recall_at_k refuse an empty bundle; loading it is no error
+        # An empty file declaring no class loads (the sampler and recall_at_k
+        # refuse an empty bundle); one declaring C classes leaves each of them
+        # with no row, and is refused before any of the C default ids is built.
         save_matrix(np.zeros((0, 3), np.float32), tmp_path / "f.emb")
-        save_labels([], 2, tmp_path / "l.lbl")
+        save_labels([], 0, tmp_path / "l.lbl")
         b = load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl")
-        assert b.features.shape == (0, 3) and b.num_classes == 2
-
-    def test_empty_label_file_class_bound(self, tmp_path):
-        # an empty file loads with up to EMPTY_LABELS_MAX_CLASSES default ids
-        save_matrix(np.zeros((0, 3), np.float32), tmp_path / "f.emb")
-        limit = data_io.EMPTY_LABELS_MAX_CLASSES
-        save_labels([], limit, tmp_path / "l.lbl")
-        assert load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl").num_classes == limit
-        save_labels([], limit + 1, tmp_path / "l.lbl")
-        with pytest.raises(InvariantViolation, match=f"{limit + 1} classes for 0 labels leave"):
-            load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl")
+        assert b.features.shape == (0, 3) and b.num_classes == 0
+        for num_classes in (1, 2, 1 << 16, 0xFFFFFFFF):
+            save_labels([], num_classes, tmp_path / "l.lbl")
+            with pytest.raises(InvariantViolation, match=f"{num_classes} classes for 0 labels"):
+                load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl")
 
     def test_nan_row_is_hard_error(self):
         # a bundle holds a NaN row; train, the code that relies on finite
