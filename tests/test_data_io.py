@@ -467,13 +467,17 @@ class TestBundle:
             load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl")
 
     def test_zero_row_file_loads(self, tmp_path):
-        # An empty file declaring no class loads (the sampler and recall_at_k
-        # refuse an empty bundle); one declaring C classes leaves each of them
-        # with no row, and is refused before any of the C default ids is built.
+        # an empty file declaring no class loads; the sampler and recall_at_k
+        # refuse an empty bundle
         save_matrix(np.zeros((0, 3), np.float32), tmp_path / "f.emb")
         save_labels([], 0, tmp_path / "l.lbl")
         b = load_bundle(tmp_path / "f.emb", tmp_path / "l.lbl")
         assert b.features.shape == (0, 3) and b.num_classes == 0
+
+    def test_empty_label_file_class_bound(self, tmp_path):
+        # an empty file declaring C > 0 classes leaves each of them with no row,
+        # and is refused before any of the C default ids is built
+        save_matrix(np.zeros((0, 3), np.float32), tmp_path / "f.emb")
         for num_classes in (1, 2, 1 << 16, 0xFFFFFFFF):
             save_labels([], num_classes, tmp_path / "l.lbl")
             with pytest.raises(InvariantViolation, match=f"{num_classes} classes for 0 labels"):
