@@ -16,7 +16,8 @@ and max, with no mask) and written straight into an output allocated once;
 given ``map_rows``, each block is mapped as it is read, into an output of
 the mapped rows' width and dtype, so ``load_matrix(path, map_rows)`` never
 holds the whole input matrix (``eval --binary`` holds only the uint8 sign
-bits of its embeddings). Class ids travel in a UTF-8 text sidecar, one id per
+bits of its embeddings); ``write_matrix_block`` writes each EMB1 block from
+its array's own buffer. Class ids travel in a UTF-8 text sidecar, one id per
 line; ``checked_class_ids`` is their one rule. Native OSError (missing
 file, permissions) propagates untouched. ``as_matrix`` is the one 2-D
 coercion every module uses, to float32 unless told otherwise, and
@@ -157,13 +158,13 @@ def _expect_magic(read, magic: bytes, what: str) -> None:
         raise FormatError(f"bad {what} magic {got!r}, expected {magic!r}")
 
 
-def matrix_to_bytes(m: np.ndarray) -> bytes:
-    """One EMB1 block: magic, u32 shape, float32 payload."""
-    m = as_matrix(m)
-    if not np.all(np.isfinite(m)):
+def write_matrix_block(f, m: np.ndarray) -> None:
+    """Write one EMB1 block (magic, u32 shape, float32 payload) from the array's own buffer."""
+    m = as_matrix(m, dtype="<f4")
+    if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):  # NaN propagates to both
         raise NonFiniteData("refusing to serialize non-finite matrix")
-    header = MAGIC_MATRIX + struct.pack("<II", m.shape[0], m.shape[1])
-    return header + np.ascontiguousarray(m, dtype="<f4").tobytes()
+    f.write(MAGIC_MATRIX + struct.pack("<II", *m.shape))
+    f.write(memoryview(m))
 
 
 def read_matrix_header(read, what: str) -> tuple[int, int]:
@@ -177,20 +178,21 @@ def read_matrix_block(read, what: str) -> np.ndarray:
     return read_rows(read, *read_matrix_header(read, what), what)
 
 
-def read_rows(read, rows: int, cols: int, what: str, map_rows=None) -> np.ndarray:
+def read_rows(read, rows: int, cols: int, what: str, map_rows=None, check_rows=None) -> np.ndarray:
     """Read a (rows, cols) float32 payload in blocks of about BLOCK_BYTES.
 
     Each block is checked for NaN and Inf (its min and max, so no mask is
-    made), passed through ``map_rows`` when given, and put in the output,
-    which is allocated once. A sized file with no ``map_rows`` is read
-    straight into a float32 output. Its mapped blocks, each read into one
-    block buffer, are copied at once into an output of the first mapped
-    block's width and dtype (so ``map_rows`` may shrink the rows, as eval's
-    sign bits do). A stream with no size is read a fresh block at a time,
-    and its blocks are joined once all of them are read. ``map_rows`` is
-    called at least once: on a (0, cols) or (rows, 0) float32 block when the
-    payload is empty, whose result is the output. A ZeroNorm it raises for a
-    row of its block is re-raised naming the payload row.
+    made), then by ``check_rows`` (which may raise, so faults are raised in
+    file order), passed through ``map_rows``, and put in the output, which
+    is allocated once. A sized file with no ``map_rows`` is read straight
+    into a float32 output. Its mapped blocks, each read into one block
+    buffer, are copied at once into an output of the first mapped block's
+    width and dtype (so ``map_rows`` may shrink the rows, as eval's sign
+    bits do). A stream with no size is read a fresh block at a time, and its
+    blocks are joined once all of them are read. An empty payload is one
+    (0, cols) or (rows, 0) float32 block, checked and mapped into the output.
+    A ZeroNorm ``map_rows`` raises for a row of its block is re-raised
+    naming the payload row.
     """
     row_bytes, what = 4 * cols, f"{what} payload"
     n, step = rows * row_bytes, block_rows(row_bytes) * max(row_bytes, 1)
@@ -206,6 +208,8 @@ def read_rows(read, rows: int, cols: int, what: str, map_rows=None) -> np.ndarra
         lo, hi = block.min(), block.max()  # NaN propagates to both
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NonFiniteData(f"{what} contains NaN or Inf")
+        if check_rows is not None:
+            check_rows(block)
         if map_rows is not None:
             try:
                 block = map_rows(block)
@@ -221,8 +225,10 @@ def read_rows(read, rows: int, cols: int, what: str, map_rows=None) -> np.ndarra
         start += len(block)
     if streamed:
         out = np.concatenate(streamed)
-    if out is None:  # an empty payload reads no block
+    if n == 0:  # an empty payload reads no block
         out = np.empty((rows, cols), np.float32)
+        if check_rows is not None:
+            check_rows(out)
         if map_rows is not None:
             out = map_rows(out)
     return out
@@ -230,7 +236,7 @@ def read_rows(read, rows: int, cols: int, what: str, map_rows=None) -> np.ndarra
 
 def save_matrix(m: np.ndarray, path) -> None:
     with open(path, "wb") as f:
-        f.write(matrix_to_bytes(m))
+        write_matrix_block(f, m)
 
 
 def load_matrix(path, map_rows=None) -> np.ndarray:

@@ -2,13 +2,12 @@
 
 Float mode ranks the gallery by descending cosine (embeddings are unit-norm,
 so the dot product is the cosine). Binary mode maps every dimension to a
-sign code (strictly positive -> +1, zero or negative -> -1, see
-``sign_codes``), held packed as ``sign_bits``, 8 dimensions to a byte, and
-ranks by ascending Hamming distance, scored as the float32 product of the
-codes, ``D - 2 * Hamming``, which is exact for D < 2**24. The pad bits of
-a row's last byte are clear on every row, so they add the same constant to
-every score. Both modes break score ties by ascending gallery index, so
-reports are deterministic.
+sign code (strictly positive -> +1, zero or negative -> -1), held packed as
+``sign_bits``, 8 dimensions to a byte, and ranks by ascending Hamming
+distance, scored as the float32 product of the codes, ``D - 2 * Hamming``,
+which is exact for D < 2**24. The pad bits of a row's last byte are clear on
+every row, so they add the same constant to every score. Both modes break
+score ties by ascending gallery index, so reports are deterministic.
 
 Ranking is sort-free. Recall@K needs only the rank of each query's first
 same-class gallery item: the number of items that score strictly higher
@@ -67,22 +66,13 @@ class RetrievalReport:
             raise InvariantViolation("recall must be non-decreasing in K")
 
 
-def sign_codes(e: np.ndarray) -> np.ndarray:
-    """+1 where a value is strictly positive, -1 elsewhere (zeros too), as float32.
-
-    This is the one sign rule; ``sign_bits`` holds the same codes packed.
-    """
-    codes = (as_matrix(e) > 0.0).astype(np.float32)
-    codes *= 2.0
-    codes -= 1.0
-    return codes
-
-
 def sign_bits(e: np.ndarray) -> np.ndarray:
-    """``sign_codes`` packed 8 to a uint8, a set bit for +1, most significant bit first.
+    """The sign codes packed 8 to a uint8, a set bit for +1, most significant bit first.
 
-    A row of D values takes ceil(D / 8) bytes; the pad bits of its last
-    byte are clear. This is how binary mode holds embeddings.
+    This is the one sign rule: +1 where a value is strictly positive, -1
+    elsewhere (zeros too). A row of D values takes ceil(D / 8) bytes; the
+    pad bits of its last byte are clear. This is how binary mode holds
+    embeddings.
     """
     return np.packbits(as_matrix(e) > 0.0, axis=1)
 

@@ -21,6 +21,8 @@ are float32; gradients are of the mean loss over the batch.
 
 A margin matrix enters only through ``margin_array``, which checks a raw
 array as a ``MarginMatrix`` and permutes a matrix to the caller's ids once.
+``UnitNormRows``, the ``ProxyBank`` rule, refuses the first proxy row off
+norm 1, also block by block as a checkpoint's proxies are read.
 """
 
 from __future__ import annotations
@@ -85,30 +87,21 @@ class UnitNormRows:
     """The proxies' rule: every row's L2 norm is within 1e-5 of 1.
 
     ``rule(rows)`` takes the rows of an array, all at once or block by block
-    in order, and keeps the row whose float64 norm is furthest from 1 (the
-    first on a tie; a NaN norm is furthest of all). It returns a zero-width
-    block, so as ``read_rows``' ``map_rows`` it holds no row. ``rule.check()``
-    then raises InvariantViolation naming that row if it breaks the rule.
+    in order, and raises InvariantViolation at the first row whose float64
+    norm breaks the rule (a NaN norm does), naming its row in the array.
     """
 
     def __init__(self):
-        self.rows, self.worst = 0, (0.0, 0, 1.0)  # rows seen; (|norm - 1|, row, norm)
+        self.rows = 0  # rows seen
 
-    def __call__(self, rows: np.ndarray) -> np.ndarray:
+    def __call__(self, rows: np.ndarray) -> None:
         some = rows if rows.shape[1] else rows[:1]  # zero-width rows all have norm 0
         norms = np.sqrt(np.einsum("ij,ij->i", some, some, dtype=np.float64))
-        if norms.size:
-            i = int(np.argmax(np.abs(norms - 1.0)))
-            off = abs(norms[i] - 1.0)
-            if np.argmax((self.worst[0], off)):  # as one argmax over all rows would pick
-                self.worst = (off, self.rows + i, norms[i])
+        off = ~(np.abs(norms - 1.0) <= 1e-5)
+        if off.any():
+            i = int(np.argmax(off))
+            raise InvariantViolation(f"proxy row {self.rows + i} has norm {norms[i]:.8f}, expected 1")
         self.rows += len(rows)
-        return np.empty((len(rows), 0), np.float32)
-
-    def check(self) -> None:
-        off, row, norm = self.worst
-        if not off <= 1e-5:
-            raise InvariantViolation(f"proxy row {row} has norm {norm:.8f}, expected 1")
 
 
 @dataclass
@@ -120,9 +113,7 @@ class ProxyBank:
 
     def __post_init__(self):
         self.proxies = as_matrix(self.proxies, "proxies")
-        rule = UnitNormRows()  # before C default ids are built
-        rule(self.proxies)
-        rule.check()
+        UnitNormRows()(self.proxies)  # before C default ids are built
         self.class_ids = checked_class_ids(self.class_ids, self.proxies.shape[0], "proxy bank")
 
     @property

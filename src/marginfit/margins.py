@@ -69,6 +69,10 @@ class ClassTextEmbeddings:
         )
         e = self.embeddings
         norms = np.sqrt(np.einsum("ij,ij->i", e, e, dtype=np.float64))
+        finite = np.isfinite(norms)  # float32 squares cannot overflow a float64 sum
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise NonFiniteData(f"class {self.class_ids[bad]!r} has a NaN or Inf text embedding")
         if np.any(norms < ZERO_NORM_THRESHOLD):
             bad = int(np.argmin(norms))
             raise ZeroNorm(f"class {self.class_ids[bad]!r} has an all-zero text embedding")

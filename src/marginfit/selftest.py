@@ -20,7 +20,6 @@ from .evaluation import (
     _decode_bits,
     recall_at_k,
     sign_bits,
-    sign_codes,
 )
 from .losses import (
     KIND_ADAPTIVE,
@@ -152,10 +151,10 @@ def _check_recall_oracle():
 def _check_recall_sign_bits():
     """Binary recall on ``sign_bits`` rows at D = 13, three pad bits to a row.
 
-    Rows repeat and hold zeros, so codes tie. The oracle ranks the
-    ``sign_codes`` of the same rows. The bits must also decode to those
-    codes, pad bits to -1: a decode in another bit order permutes every
-    row alike, which leaves every rank as it is.
+    Rows repeat and hold zeros, so codes tie. The oracle ranks the signs of
+    the float rows. The bits must also decode to those signs (+1 where a
+    value is strictly positive), pad bits to -1: a decode in another bit
+    order permutes every row alike, which leaves every rank as it is.
     """
     ks = [1, 2, 5, 10]
     for seed in range(10):
@@ -166,10 +165,11 @@ def _check_recall_sign_bits():
         q = np.concatenate([g[: int(rng.integers(1, 8))], rows[: int(rng.integers(1, 8))]])
         qlab, glab = rng.integers(0, 5, len(q)), rng.integers(0, 5, len(g))
         codes = _decode_bits(sign_bits(g))
-        if not (np.array_equal(codes[:, :13], sign_codes(g)) and np.all(codes[:, 13:] == -1.0)):
-            return False, f"sign bits do not decode to sign codes at seed {seed}"
+        signs = np.where(g > 0, 1.0, -1.0)
+        if not (np.array_equal(codes[:, :13], signs) and np.all(codes[:, 13:] == -1.0)):
+            return False, f"sign bits do not decode to the signs at seed {seed}"
         got = recall_at_k(sign_bits(q), qlab, sign_bits(g), glab, ks=ks, mode=MODE_BINARY).recall
-        want = _brute_force_recall(sign_codes(q), qlab, sign_codes(g), glab, ks, MODE_BINARY)
+        want = _brute_force_recall(q, qlab, g, glab, ks, MODE_BINARY)
         if got != want:
             return False, f"mismatch at seed {seed}: {got} vs {want}"
     return True, "recall on 13-bit sign_bits rows matches full-sort oracle on 10 instances"
@@ -232,7 +232,7 @@ def all_checks():
     return checks
 
 
-def run_selftest(echo=print) -> bool:
+def run_selftest() -> bool:
     """Run every named check; returns True iff all pass."""
     all_ok = True
     for name, run in all_checks():
@@ -241,6 +241,6 @@ def run_selftest(echo=print) -> bool:
         except Exception as exc:  # a crashing check is a failing check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok &= ok
-        echo(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
-    echo(f"selftest: {'PASS' if all_ok else 'FAIL'}")
+        print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
+    print(f"selftest: {'PASS' if all_ok else 'FAIL'}")
     return all_ok

@@ -25,7 +25,7 @@ Training objective, per iteration, for every loss kind:
 The first term is the configured loss of ``losses.compute_loss``. The second
 is the proxy quantization term: it pulls each unit-norm proxy toward its
 own sign code, ``s(p) = +1`` where a coordinate is strictly positive and -1
-otherwise, the rule ``evaluation.sign_codes`` applies to embeddings. The code
+otherwise, the rule ``evaluation.sign_bits`` applies to embeddings. The code
 is held constant in the gradient (it is piecewise constant in ``p``), so the
 term adds ``(2 * QUANT_WEIGHT / C) * (p - s(p) / sqrt(D))`` to the proxy
 gradient before the momentum step. Embeddings gather around their class
@@ -36,11 +36,11 @@ embeddings keep the class structure for Hamming ranking. The streamed
 Checkpoint file ``CKP1``: magic | EMB1 block weight (F x D) | EMB1 block
 bias (1 x D) | EMB1 block proxies (C x D) | u64 iteration. One parser
 reads it through ``data_io.read_container``, which names the file in every
-format error. ``load_checkpoint`` holds every block; ``load_head``, which
-``embed`` and ``eval`` use, holds only W and b: it streams the proxies
-through the bank's unit-norm rule (``losses.UnitNormRows``) and keeps none
-of them, so both refuse the same files. ``losses.margin_array`` decides
-which loss kinds take margins.
+error. It checks the bias and proxies shapes, then streams each proxies
+block through its NaN/Inf check and ``losses.UnitNormRows``, so both
+readers raise the first fault in file order. ``load_checkpoint`` holds
+every block; ``load_head`` (``embed``, ``eval``) holds only W and b.
+``losses.margin_array`` decides which loss kinds take margins.
 
 Train config file: UTF-8 ``key = value`` lines. Blank lines and lines
 starting with ``#`` are skipped; unknown keys are errors.
@@ -60,11 +60,11 @@ from .data_io import (
     FeatureBundle,
     as_matrix,
     block_rows,
-    matrix_to_bytes,
     read_container,
     read_matrix_block,
     read_matrix_header,
     read_rows,
+    write_matrix_block,
 )
 from .errors import ConfigError, DimMismatch, DivergenceError, FormatError, NonFiniteData, ZeroNorm
 from .losses import LossConfig, ProxyBank, UnitNormRows, _forward_backward, _slope_rows, margin_array
@@ -205,7 +205,7 @@ def quantization_penalty(proxies: np.ndarray, out=None) -> tuple[float, np.ndarr
     """QUANT_WEIGHT * mean_c ||p_c - s(p_c)/sqrt(D)||^2 and its gradient in p.
 
     ``s`` maps strictly positive entries to +1 and the rest, zeros included,
-    to -1, as ``evaluation.sign_codes`` does. The gradient has the dtype of
+    to -1, as ``evaluation.sign_bits`` does. The gradient has the dtype of
     ``proxies`` and goes to ``out`` when given.
     """
     num_classes, dim = proxies.shape
@@ -384,37 +384,35 @@ def train(
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     with open(path, "wb") as f:
         f.write(MAGIC_CHECKPOINT)
-        f.write(matrix_to_bytes(ckpt.head.weight))
-        f.write(matrix_to_bytes(ckpt.head.bias.reshape(1, -1)))
-        f.write(matrix_to_bytes(ckpt.proxies.proxies))
+        write_matrix_block(f, ckpt.head.weight)
+        write_matrix_block(f, ckpt.head.bias.reshape(1, -1))
+        write_matrix_block(f, ckpt.proxies.proxies)
         f.write(struct.pack("<Q", ckpt.iteration))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    head, proxies, iteration = _read_checkpoint(path)
+    head, proxies, iteration = _read_checkpoint(path, keep_proxies=True)
     return Checkpoint(head, ProxyBank(proxies), iteration)
 
 
 def load_head(path) -> EmbeddingHead:
     """The CKP1's head; the file is refused as ``load_checkpoint`` refuses it, no proxy held."""
-    rule = UnitNormRows()
-    head, _, _ = _read_checkpoint(path, rule)
-    rule.check()
-    return head
+    return _read_checkpoint(path, keep_proxies=False)[0]
 
 
-def _read_checkpoint(path, map_proxies=None) -> tuple[EmbeddingHead, np.ndarray, int]:
-    """The CKP1 parser: (head, proxies read through ``map_proxies``, iteration)."""
+def _read_checkpoint(path, keep_proxies: bool) -> tuple[EmbeddingHead, np.ndarray, int]:
+    """The CKP1 parser: (head, the proxies if kept or else a zero-width array, iteration)."""
+    drop = None if keep_proxies else lambda rows: np.empty((len(rows), 0), np.float32)
     with read_container(path, MAGIC_CHECKPOINT) as read:
         weight = read_matrix_block(read, "weight")
         bias = read_matrix_block(read, "bias")
-        shape = read_matrix_header(read, "proxies")
-        proxies = read_rows(read, *shape, "proxies", map_proxies)
-        (iteration,) = struct.unpack("<Q", read(8, "iteration"))
         if bias.shape[0] != 1:
             raise FormatError(f"bias block must have one row, got {bias.shape}")
+        shape = read_matrix_header(read, "proxies")
         if shape[1] != weight.shape[1]:
             raise FormatError(f"proxies block must be {weight.shape[1]} wide, got {shape}")
+        proxies = read_rows(read, *shape, "proxies", drop, UnitNormRows())
+        (iteration,) = struct.unpack("<Q", read(8, "iteration"))
     return EmbeddingHead(weight, bias[0]), proxies, iteration
 
 

@@ -37,6 +37,7 @@ from marginfit.trainer import (
     TrainConfig,
     init,
     load_checkpoint,
+    load_head,
     load_train_config,
     save_checkpoint,
 )
@@ -789,13 +790,13 @@ class TestEval:
 def ckp1_bytes(head, proxies, iteration=0):
     """A CKP1 file's bytes, with ``proxies`` written as given (no rule is checked)."""
     proxies = np.asarray(proxies, "<f4")
-    return (
-        b"CKP1"
-        + data_io.matrix_to_bytes(head.weight)
-        + data_io.matrix_to_bytes(head.bias.reshape(1, -1))
-        + b"EMB1" + struct.pack("<II", *proxies.shape) + proxies.tobytes()
-        + struct.pack("<Q", iteration)
-    )
+    f = io.BytesIO()
+    f.write(b"CKP1")
+    data_io.write_matrix_block(f, head.weight)
+    data_io.write_matrix_block(f, head.bias.reshape(1, -1))
+    f.write(b"EMB1" + struct.pack("<II", *proxies.shape) + proxies.tobytes())
+    f.write(struct.pack("<Q", iteration))
+    return f.getvalue()
 
 
 class TestHeadOnlyRead:
@@ -812,7 +813,7 @@ class TestHeadOnlyRead:
             proxies[3, 1] = np.nan
         elif case == "norm":
             proxies[1] = [0, 1.5, 0, 0, 0, 0]
-            proxies[4] = [0, 0, 2, 0, 0, 0]  # the row furthest from norm 1 is named
+            proxies[4] = [0, 0, 2, 0, 0, 0]  # the first row off norm 1 is named
         data = ckp1_bytes(head, proxies)
         if case == "short":
             data = data[: len(data) - 8 - 2 * 6 * 4 - 3]  # ends inside row 2 of the payload
@@ -834,7 +835,7 @@ class TestHeadOnlyRead:
         expected = {
             "narrow": f"{ckpt}: proxies block must be 6 wide, got (5, 5)",
             "nan": f"{ckpt}: proxies payload contains NaN or Inf",
-            "norm": "proxy row 4 has norm 2.00000000, expected 1",
+            "norm": f"{ckpt}: proxy row 1 has norm 1.50000000, expected 1",
             "short": f"{ckpt}: truncated file: expected 120 bytes for proxies payload, got 69",
         }[case]
         assert str(info.value) == expected
@@ -847,6 +848,38 @@ class TestHeadOnlyRead:
         assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
         assert not (dataset / "qe.emb").exists()
 
+
+    @pytest.mark.parametrize(
+        "norm_row, nan_row, code, expected",
+        [
+            (1, 4000, 3, "proxy row 1 has norm 2.00000000, expected 1"),
+            (4000, 1, 2, "proxies payload contains NaN or Inf"),
+        ],
+        ids=["norm-first", "nan-first"],
+    )
+    def test_both_readers_refuse_the_first_fault_in_file_order(
+        self, dataset, capsys, norm_row, nan_row, code, expected
+    ):
+        # 5000 x 128 proxies span three 1 MiB blocks (2048 rows each): one
+        # fault in block 0, the other in block 1
+        head = init(TrainConfig(embed_dim=128), 12, 5)[0]
+        proxies = np.zeros((5000, 128), np.float32)
+        proxies[:, 0] = 1
+        proxies[norm_row] = 0
+        proxies[norm_row, 1] = 2
+        proxies[nan_row, 3] = np.nan
+        ckpt = dataset / "two.ckpt"
+        ckpt.write_bytes(ckp1_bytes(head, proxies))
+        refusals = []
+        for reader in (load_checkpoint, load_head):
+            with pytest.raises(errors.MarginfitError) as info:
+                reader(ckpt)
+            refusals.append((type(info.value), str(info.value)))
+        assert refusals[0] == refusals[1]
+        assert refusals[0][1] == f"{ckpt}: {expected}"
+        assert info.value.exit_code == code
+        assert run_cli(TestEval().eval_args(dataset, ckpt)) == (code, "")
+        assert capsys.readouterr().err.splitlines() == [f"error: {ckpt}: {expected}"]
 
     @pytest.mark.parametrize("command", ["eval", "embed"])
     def test_zero_width_head_with_huge_class_count_exit_3(self, dataset, command):
@@ -863,12 +896,12 @@ class TestHeadOnlyRead:
                     "--out", str(dataset / "qe.emb")]
         code, out, err = run_capped(CAPPED_CLI, args)
         assert code == 3, err
-        assert err.splitlines() == ["error: proxy row 0 has norm 0.00000000, expected 1"]
+        assert err.splitlines() == [f"error: {ckpt}: proxy row 0 has norm 0.00000000, expected 1"]
         assert float(out.split("main_s=")[1]) < 1.0
 
     def test_load_checkpoint_refuses_zero_width_proxies_at_once(self, dataset):
-        # the 48-byte file above: ProxyBank runs its norm rule before it
-        # builds 0xFFFFFFF0 default class ids
+        # the 48-byte file above: the norm rule refuses row 0 as the empty
+        # payload is read, before 0xFFFFFFF0 default class ids are built
         zero = np.zeros((12, 0), np.float32)
         ckpt = dataset / "flat.ckpt"
         ckpt.write_bytes(ckp1_bytes(EmbeddingHead(zero, zero[0]), np.zeros((0xFFFFFFF0, 0))))
@@ -887,7 +920,7 @@ class TestHeadOnlyRead:
         code, out, err = run_capped(body, [str(ckpt)])
         assert code == 0, err
         refused, seconds = out.splitlines()
-        assert refused == "refused=proxy row 0 has norm 0.00000000, expected 1"
+        assert refused == f"refused={ckpt}: proxy row 0 has norm 0.00000000, expected 1"
         assert float(seconds.removeprefix("s=")) < 1.0
 
 

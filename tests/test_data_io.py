@@ -93,6 +93,26 @@ class TestMatrixContainer:
         with pytest.raises(NonFiniteData):
             load_matrix(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_not_saved(self, tmp_path, value):
+        m = np.zeros((3, 2), np.float32)
+        m[2, 1] = value
+        with pytest.raises(NonFiniteData, match="^refusing to serialize non-finite matrix$"):
+            save_matrix(m, tmp_path / "m.emb")
+
+    def test_save_writes_the_arrays_own_buffer(self, tmp_path):
+        # no bytes copy of the payload, no header-plus-payload join, no finiteness mask
+        m = np.random.default_rng(0).standard_normal((4000, 128)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            save_matrix(m, tmp_path / "m.emb")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**10
+        data = (tmp_path / "m.emb").read_bytes()
+        assert data == b"EMB1" + struct.pack("<II", 4000, 128) + m.astype("<f4").tobytes()
+
     def test_as_matrix_rejects_non_2d(self):
         with pytest.raises(DimMismatch, match="weights must be 2-D"):
             data_io.as_matrix(np.ones(3, np.float32), "weights")

@@ -25,26 +25,30 @@ from marginfit.evaluation import (
     machine_lines,
     recall_at_k,
     sign_bits,
-    sign_codes,
 )
 from marginfit.selftest import _brute_force_recall as brute_force_recall
 from marginfit.selftest import _near_tie_instance
 from marginfit.trainer import Checkpoint, forward_head, init, TrainConfig
 
 
+def decoded_signs(e):
+    """The ±1 codes of ``sign_bits(e)``, decoded as binary mode decodes them, pad bits cut."""
+    return evaluation._decode_bits(sign_bits(e))[:, : e.shape[1]]
+
+
 class TestBinarize:
     def test_threshold_rule_with_zero_tie(self):
-        codes = sign_codes(np.array([[0.2, -0.1, 0.0, -0.0]], np.float32))
+        codes = decoded_signs(np.array([[0.2, -0.1, 0.0, -0.0]], np.float32))
         np.testing.assert_array_equal(codes, [[1.0, -1.0, -1.0, -1.0]])
         assert codes.dtype == np.float32
 
     def test_all_positive_row(self):
-        np.testing.assert_array_equal(sign_codes(np.ones((1, 7), np.float32)), np.ones((1, 7)))
+        np.testing.assert_array_equal(decoded_signs(np.ones((1, 7), np.float32)), np.ones((1, 7)))
 
     def test_sign_pattern_reconstruction(self):
         rng = np.random.default_rng(0)
         signs = rng.choice([-1.0, 1.0], size=(5, 70)).astype(np.float32)
-        np.testing.assert_array_equal(sign_codes(signs), signs)
+        np.testing.assert_array_equal(decoded_signs(signs), signs)
 
 
 class TestSignBits:
@@ -63,7 +67,7 @@ class TestSignBits:
         assert bits.shape == (9, -(-dim // 8))
         codes = evaluation._decode_bits(bits)
         assert codes.dtype == np.float32 and codes.shape == (9, 8 * bits.shape[1])
-        np.testing.assert_array_equal(codes[:, :dim], sign_codes(e))
+        np.testing.assert_array_equal(codes[:, :dim], np.where(e > 0.0, 1.0, -1.0))
         assert np.all(codes[:, dim:] == -1.0)
 
     def test_no_rows(self):
@@ -74,7 +78,7 @@ class TestSignBits:
 @pytest.mark.parametrize("dim", [1, 7, 8, 13, 129])
 def test_sign_bits_ranking_matches_oracle(dim):
     # every code repeats across the gallery, zeros included, so ties cross
-    # chunk and block edges; the oracle ranks the sign codes themselves
+    # chunk and block edges; the oracle ranks the signs of the float rows
     rng = np.random.default_rng(30 + dim)
     base = rng.standard_normal((6, dim)).astype(np.float32)
     base[rng.random(base.shape) < 0.2] = 0.0
@@ -83,7 +87,7 @@ def test_sign_bits_ranking_matches_oracle(dim):
     qlab, glab = rng.integers(0, 4, len(q)), rng.integers(0, 4, len(g))
     ks = all_ranks(len(g))
     report = recall_at_k(sign_bits(q), qlab, sign_bits(g), glab, ks=ks, mode=MODE_BINARY)
-    want = brute_force_recall(sign_codes(q), qlab, sign_codes(g), glab, ks, MODE_BINARY)
+    want = brute_force_recall(q, qlab, g, glab, ks, MODE_BINARY)
     assert report.recall == want
 
 

@@ -2,13 +2,17 @@
 
 Small valid files of each kind (EMB1 features, LBL1 labels, MGN1 margins,
 a CKP1 checkpoint, a class-id sidecar and a train config) are mutated:
-cut at every byte offset, given one trailing byte (0x00 or 0xFF), and each
-u32 header field set to 0, 1 and 0xFFFFFFFF. Each mutation goes through the
-file's library loaders and through every ``cli.main`` command that reads it,
-in one child process per kind of file, under the CAP address-space limit
-and with Python warnings turned into errors. A loader may raise only a
-MarginfitError; a command must return 0, 2, 3 or 4 and print at most one
-``error:`` line. The unmutated files load and every command takes them.
+cut at every byte offset, given one trailing byte (0x00 or 0xFF), each u32
+header field set to 0, 1 and 0xFFFFFFFF, and each float32 payload entry (of
+EMB1, CKP1 and MGN1) set to NaN, +Inf, -Inf, 3e38 and -3e38. Each mutation
+goes through the file's library loaders and through every ``cli.main``
+command that reads it, in one child process per kind of file, under the CAP
+address-space limit and with Python warnings turned into errors. A loader
+may raise only a MarginfitError; a command must return 0, 2, 3 or 4 and
+print at most one ``error:`` line. The unmutated files load and every
+command takes them. CKP1's two readers, ``load_checkpoint`` and
+``load_head``, load or refuse each checkpoint alike: the same error type
+and text, which names the file.
 """
 
 import json
@@ -42,15 +46,16 @@ LOADERS = {
     "load_train_config": trainer.load_train_config,
 }
 spec = json.load(open(sys.argv[1], encoding="utf-8"))
-report = {}
+report, refusals = {}, {}
 for name, path in spec["files"].items():
     results = report[name] = {}
     for loader in spec["loaders"]:
         try:
             LOADERS[loader](path)
             results[loader] = "loaded"
-        except MarginfitError:
+        except MarginfitError as exc:
             results[loader] = "refused"
+            refusals.setdefault(name, {})[loader] = [type(exc).__name__, str(exc)]
         except Exception as exc:
             results[loader] = f"{type(exc).__name__}: {exc}"
     for i, argv in enumerate(spec["commands"]):
@@ -66,7 +71,7 @@ for name, path in spec["files"].items():
         lines = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
         ok = code in (0, 2, 3, 4) and len(lines) <= 1
         results[command] = code if ok else f"exit {code}: {err.getvalue()!r}"
-print(json.dumps(report))
+print(json.dumps({"report": report, "refusals": refusals}))
 """
 
 CONFIG = (  # embed_dim last: a cut that still parses sets every other key
@@ -75,44 +80,57 @@ CONFIG = (  # embed_dim last: a cut that still parses sets every other key
 )
 
 
+# the values each float32 payload entry is set to, by name
+FLOATS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "3e38": 3e38, "-3e38": -3e38}
+
+
 def emb1_fields(data, start):
-    """Offsets of the u32 rows and cols of each EMB1 block from ``start`` to the end of ``data``."""
-    fields = []
+    """Offsets of each EMB1 block's u32 rows and cols, and of its float32 entries.
+
+    The blocks run from ``start`` to the end of ``data``.
+    """
+    fields, floats = [], []
     while start < len(data) and data[start : start + 4] == b"EMB1":
         rows, cols = struct.unpack_from("<II", data, start + 4)
         fields += [start + 4, start + 8]
+        floats += range(start + 12, start + 12 + 4 * rows * cols, 4)
         start += 12 + 4 * rows * cols
-    return fields
+    return fields, floats
 
 
 def mgn1_fields(data):
-    """Offsets of MGN1's u32 class count and of each class id's u32 length."""
+    """Offsets of MGN1's u32 class count and each class id's u32 length, and of its float32 entries."""
     (count,) = struct.unpack_from("<I", data, 4)
     fields, at = [4], 10
     for _ in range(count):
         fields.append(at)
         at += 4 + struct.unpack_from("<I", data, at)[0]
-    return fields
+    return fields, list(range(at, len(data), 4))
 
 
-def mutations(data, fields):
-    """name -> bytes: ``data`` cut at every offset, with a trailing byte, and each u32 field set."""
+def mutations(data, fields, floats):
+    """name -> bytes: ``data`` cut at every offset, with a trailing byte, each u32 field set,
+    and each float32 entry set to each of FLOATS."""
     out = {"valid": data, "trailing_00": data + b"\x00", "trailing_ff": data + b"\xff"}
     out.update({f"cut_{n}": data[:n] for n in range(len(data))})
     for at in fields:
         for value in (0, 1, 0xFFFFFFFF):
             out[f"u32_{at}_{value:x}"] = data[:at] + struct.pack("<I", value) + data[at + 4 :]
+    for at in floats:
+        for name, value in FLOATS.items():
+            out[f"f32_{at}_{name}"] = data[:at] + struct.pack("<f", value) + data[at + 4 :]
     return out
 
 
-# kind of file -> (its name among the valid files, the offsets of its u32 header fields)
+# kind of file -> (its name among the valid files, the offsets of its u32 header
+# fields and of its float32 payload entries)
 KINDS = {
     "features": ("feats.emb", lambda data: emb1_fields(data, 0)),
-    "labels": ("labels.lbl", lambda data: [4, 8]),
+    "labels": ("labels.lbl", lambda data: ([4, 8], [])),
     "margins": ("margins.mgn", mgn1_fields),
     "ckpt": ("model.ckpt", lambda data: emb1_fields(data, 4)),
-    "ids": ("ids.txt", lambda data: []),
-    "config": ("train.cfg", lambda data: []),
+    "ids": ("ids.txt", lambda data: ([], [])),
+    "config": ("train.cfg", lambda data: ([], [])),
 }
 
 
@@ -163,10 +181,10 @@ def commands(root, kind):
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_no_mutation_crashes_a_loader_or_the_cli(inputs, tmp_path, kind):
     loaders, argvs = commands(inputs, kind)
-    valid, header_fields = KINDS[kind]
+    valid, layout = KINDS[kind]
     data = (inputs / valid).read_bytes()
     files = {}
-    for name, mutated in mutations(data, header_fields(data)).items():
+    for name, mutated in mutations(data, *layout(data)).items():
         path = tmp_path / f"{name}{Path(valid).suffix}"
         path.write_bytes(mutated)
         files[name] = str(path)
@@ -174,7 +192,8 @@ def test_no_mutation_crashes_a_loader_or_the_cli(inputs, tmp_path, kind):
     spec.write_text(json.dumps({"files": files, "loaders": loaders, "commands": argvs}))
     code, out, err = run_capped(RUNNER, [str(spec)])
     assert code == 0, err
-    report = json.loads(out)
+    out = json.loads(out)
+    report, refusals = out["report"], out["refusals"]
     assert set(report["valid"].values()) == {"loaded", 0}
     crashed = {
         f"{name} {target}": result
@@ -183,3 +202,16 @@ def test_no_mutation_crashes_a_loader_or_the_cli(inputs, tmp_path, kind):
         if result not in ("loaded", "refused", 0, 2, 3, 4)
     }
     assert crashed == {}
+    if kind == "ckpt":
+        differ = {
+            name: results
+            for name, results in report.items()
+            if results["load_checkpoint"] != results["load_head"]
+        }
+        differ.update(
+            (name, errors)
+            for name, errors in refusals.items()
+            if errors["load_checkpoint"] != errors["load_head"]
+            or files[name] not in errors["load_head"][1]
+        )
+        assert differ == {}

@@ -154,6 +154,13 @@ class TestBuild:
         with pytest.raises(ZeroNorm, match="class 'b'"):
             ClassTextEmbeddings(e, ["a", "b"])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embedding_names_class(self, value):
+        # refused before the zero-norm rule, and before any numpy warning
+        e = np.array([[1.0, 0.0], [0.0, 0.0], [value, 0.0]], np.float32)
+        with pytest.raises(NonFiniteData, match=r"^class 'c' has a NaN or Inf text embedding$"):
+            ClassTextEmbeddings(e, ["a", "b", "c"])
+
     def test_norm_check_makes_no_float64_copy(self):
         e = np.random.default_rng(0).standard_normal((1000, 128)).astype(np.float32)
         ids = [str(c) for c in range(1000)]

@@ -20,7 +20,7 @@ from marginfit.errors import (
     NonFiniteData,
     ZeroNorm,
 )
-from marginfit.evaluation import sign_codes
+from marginfit.evaluation import _decode_bits, sign_bits
 from marginfit.losses import (
     KIND_ADAPTIVE,
     KIND_LMCL,
@@ -396,7 +396,8 @@ class TestQuantizationPenalty:
         p = np.array([[0.0, 0.5, -0.5, 0.0], [-0.0, -1e-30, 1e-30, 0.7]])
         _, grad = trainer.quantization_penalty(p)
         code = p - grad / (2.0 * trainer.QUANT_WEIGHT / p.shape[0])
-        np.testing.assert_array_equal(code, sign_codes(p) / np.sqrt(p.shape[1]))
+        signs = _decode_bits(sign_bits(p))[:, : p.shape[1]]
+        np.testing.assert_array_equal(code, signs / np.sqrt(p.shape[1]))
 
     def test_training_pulls_proxies_toward_codes(self, monkeypatch):
         bundle, cfg = small_bundle(), small_config(total_iters=200)
@@ -953,6 +954,31 @@ head_init_seed = 11
     def test_non_finite_or_negative_lr0_rejected(self, lr0):
         with pytest.raises(ConfigError):
             parse_train_config(f"embed_dim = 8\nlr0 = {lr0}\n")
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("embed_dim = 1", "embed_dim must be at least 2 (centring needs it)"),
+            ("embed_dim = 8\nmomentum = 1", "momentum must be in [0, 1), got 1.0"),
+            ("embed_dim = 8\nmomentum = -0.1", "momentum must be in [0, 1), got -0.1"),
+            ("embed_dim = 8\nwarmup_iters = -1", "iteration counts must be non-negative"),
+            ("embed_dim = 8\ntotal_iters = -1", "iteration counts must be non-negative"),
+            (
+                "embed_dim = 8\nwarmup_iters = 11\ntotal_iters = 10",
+                "warmup_iters must not exceed total_iters",
+            ),
+            ("embed_dim = 8\ndecay_gamma = 0", "decay_gamma must be in (0, 1], got 0.0"),
+            ("embed_dim = 8\ndecay_gamma = 1.5", "decay_gamma must be in (0, 1], got 1.5"),
+            ("embed_dim = 8\nlr0 0.1", "line 2: expected 'key = value', got 'lr0 0.1'"),
+        ],
+    )
+    def test_config_rule_refused_with_its_message(self, lines, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_train_config(lines + "\n")
+
+    def test_no_decay_span_keeps_lr_flat(self):
+        cfg = parse_train_config("embed_dim = 8\nwarmup_iters = 10\ntotal_iters = 10\n")
+        assert cfg.resolved_decay_gamma == 1.0
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
