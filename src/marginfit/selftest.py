@@ -92,10 +92,11 @@ def _check_margin_monotonicity():
         bumped[y, z] += 0.1
         bumped[z, y] += 0.1
         x64, p64 = x.astype(np.float64), bank.proxies.astype(np.float64)
+        pos = losses._positives(labels, bank.num_classes)
 
         def losses_at(d):
-            slope = losses._slope_rows(d, labels, cfg.tau, np.float64)
-            return losses._forward(x64, p64, labels, cfg.tau, cfg.margin, slope)[3]
+            slope = losses._slope_rows(d, labels, pos, cfg.tau, np.float64)
+            return losses._forward(x64, p64, pos, cfg.tau, cfg.margin, slope)[3]
 
         base, bump = losses_at(dmat), losses_at(bumped)
         affected = labels == y

@@ -8,9 +8,10 @@ given the three seeds (sampler, head init, proxy init) at a fixed BLAS
 thread count, which ``MF_THREADS`` sets before numpy is imported.
 
 Precision: training runs in float32, one ``_Step`` call per iteration.
-W, b, P and their velocities are float32 master arrays updated in place,
-the head is computed once per iteration and its intermediates feed the
-head backward, and the loss runs in buffers allocated once per run; the
+W, b and P are views of one float32 master buffer, which one momentum step
+over a velocity and a gradient buffer of its layout updates in place; the
+head is computed once per iteration and its intermediates feed the head
+backward, and the loss runs in buffers allocated once per run; the
 adaptive kind's slope rows are written into one of them each iteration
 from the margin array, which stays the run's only C x C array. Only
 the loss's B-length reductions (the softmax sums and the log) are
@@ -30,8 +31,8 @@ is held constant in the gradient (it is piecewise constant in ``p``), so the
 term adds ``(2 * QUANT_WEIGHT / C) * (p - s(p) / sqrt(D))`` to the proxy
 gradient before the momentum step. Embeddings gather around their class
 proxies, so proxies near the corners of the hypercube make sign-binarized
-embeddings keep the class structure for Hamming ranking. The streamed
-``loss`` value reports only the first term.
+embeddings keep the class structure for Hamming ranking. Only its gradient
+is computed (``quantization_gradient``); ``loss`` streams the first term.
 
 Checkpoint file ``CKP1``: magic | EMB1 block weight (F x D) | EMB1 block
 bias (1 x D) | EMB1 block proxies (C x D) | u64 iteration. One parser
@@ -182,13 +183,13 @@ def _head_core(feats, w, b):
         t -= np.add.reduce(t, axis=1, keepdims=True) / t.shape[1]
         tn = np.sqrt(np.add.reduce(t * t, axis=1, keepdims=True))
     ok = np.isfinite(tn) & (tn >= ZERO_NORM_THRESHOLD)
-    if not ok.all():
+    if not np.logical_and.reduce(ok, axis=None):
         bad = int(np.argmin(ok))
         raise ZeroNorm(f"row {bad} has norm {tn[bad, 0]:.3e} after centring", row=bad)
     return t, tn, t / tn
 
 
-def _head_backward(feats, t, tn, grad_out, grad_w=None):
+def _head_backward(feats, t, tn, grad_out, grad_w=None, grad_b=None):
     """Gradients in W and b from one ``_head_core`` call's t and row norms.
 
     ``grad_out`` is the loss gradient at the unit-norm output t / ||t||.
@@ -198,11 +199,11 @@ def _head_backward(feats, t, tn, grad_out, grad_w=None):
     radial = np.add.reduce(grad_out * t, axis=1, keepdims=True) / (tn * tn)
     grad_h = (grad_out - radial * t) / tn
     grad_h -= np.add.reduce(grad_h, axis=1, keepdims=True) / grad_h.shape[1]
-    return np.matmul(feats.T, grad_h, out=grad_w), np.add.reduce(grad_h, axis=0)
+    return np.matmul(feats.T, grad_h, out=grad_w), np.add.reduce(grad_h, axis=0, out=grad_b)
 
 
-def quantization_penalty(proxies: np.ndarray, out=None) -> tuple[float, np.ndarray]:
-    """QUANT_WEIGHT * mean_c ||p_c - s(p_c)/sqrt(D)||^2 and its gradient in p.
+def quantization_gradient(proxies: np.ndarray, out=None) -> np.ndarray:
+    """The gradient in p of QUANT_WEIGHT * mean_c ||p_c - s(p_c)/sqrt(D)||^2.
 
     ``s`` maps strictly positive entries to +1 and the rest, zeros included,
     to -1, as ``evaluation.sign_bits`` does. The gradient has the dtype of
@@ -215,9 +216,8 @@ def quantization_penalty(proxies: np.ndarray, out=None) -> tuple[float, np.ndarr
     diff *= 2.0 * unit
     diff -= unit
     np.subtract(proxies, diff, out=diff)
-    value = QUANT_WEIGHT * float(np.vdot(diff, diff)) / num_classes
     diff *= 2.0 * QUANT_WEIGHT / num_classes
-    return value, diff
+    return diff
 
 
 def lr_at(cfg: TrainConfig, t: int) -> float:
@@ -245,7 +245,7 @@ def _renormalize_rows(m) -> None:
     so a row already unit-norm at that precision divides by exactly 1.
     """
     norms = np.sqrt(np.einsum("ij,ij->i", m, m, dtype=np.float64))
-    if (norms < ZERO_NORM_THRESHOLD).any():
+    if np.logical_or.reduce(norms < ZERO_NORM_THRESHOLD):
         bad = int(np.argmin(norms))
         raise ZeroNorm(f"proxy row {bad} has norm {norms[bad]:.3e}")
     m /= norms.astype(m.dtype)[:, None]
@@ -274,46 +274,56 @@ def init(
     return head, ProxyBank(proxies, class_ids)
 
 
-class _Step:
-    """Training iterations in float32, over master arrays updated in place.
+def _views(flat, shapes) -> list[np.ndarray]:
+    """Consecutive views of the 1-D ``flat``, one per shape, in order."""
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    return [flat[end - math.prod(s) : end].reshape(s) for s, end in zip(shapes, ends)]
 
-    It owns W, b and P (the head's and the bank's arrays), their velocities
-    (zero at the start), the loss's slope (tau, or a (B, C) buffer that
-    ``_slope_rows`` fills with each batch's label rows of the adaptive
-    kind's margins, which it only reads) and every (B, C), (C, D) and
-    (F, D) buffer an iteration needs.
+
+class _Step:
+    """Training iterations in float32, over one master buffer updated in place.
+
+    It owns theta = [W | b | P] (its views become the head's and the bank's
+    arrays), one velocity (zero at the start) and one gradient buffer of
+    theta's layout, the loss's slope (tau, or a (B, C) buffer that
+    ``_slope_rows`` fills with each batch's label rows of the adaptive kind's
+    margins, which it only reads) and every other buffer an iteration needs.
     ``step(t, rows, labels)`` runs iteration t on the batch of ``features``
     rows ``rows``; it holds no batch state, so a step can run from any t.
     """
 
     def __init__(self, head, bank, cfg: TrainConfig, margins, features):
         self.cfg, self.features = cfg, features
-        self.w, self.b, self.p = head.weight, head.bias, bank.proxies
-        self.velocities = [np.zeros_like(a) for a in (self.w, self.b, self.p)]
-        self.tau, self.margin = cfg.loss.tau, cfg.loss.effective_margin
-        self.margins = margins
+        shapes = [head.weight.shape, head.bias.shape, bank.proxies.shape]
+        self.theta = np.empty(sum(math.prod(s) for s in shapes), np.float32)
+        self.w, self.b, self.p = _views(self.theta, shapes)
+        self.w[...], self.b[...], self.p[...] = head.weight, head.bias, bank.proxies
+        head.weight, head.bias, bank.proxies = self.w, self.b, self.p  # init's not held twice
+        self.velocity, self.grad = np.zeros_like(self.theta), np.empty_like(self.theta)
+        self.grad_w, self.grad_b, self.grad_q = _views(self.grad, shapes)
+        self.tau, self.margin, self.margins = cfg.loss.tau, cfg.loss.effective_margin, margins
         self.logits = np.empty((cfg.sampler.batch_size, self.p.shape[0]), np.float32)
+        self.offsets = np.arange(cfg.sampler.batch_size) * self.p.shape[0]
         self.slope = self.tau if margins is None else np.empty_like(self.logits)
         self.grad_x = np.empty((cfg.sampler.batch_size, self.p.shape[1]), np.float32)
-        self.grad_w = np.empty_like(self.w)
         self.grad_p = np.empty_like(self.p)
-        self.quant = np.empty_like(self.p)
 
     def gradients(self, feats, labels):
-        """Per-sample float64 losses and the gradients of the mean loss in W, b and P."""
+        """Per-sample float64 losses and the mean loss's gradients in W, b (in ``grad``) and P."""
+        pos = self.offsets + labels  # losses._positives, its offsets built once
         t, tn, emb = _head_core(feats, self.w, self.b)
         if self.margins is not None:
-            _slope_rows(self.margins, labels, self.tau, np.float32, out=self.slope)
+            _slope_rows(self.margins, labels, pos, self.tau, np.float32, out=self.slope)
         losses, grad_x, grad_p = _forward_backward(
-            emb, self.p, labels, self.tau, self.margin, self.slope, self.logits, self.grad_x, self.grad_p
+            emb, self.p, pos, self.tau, self.margin, self.slope, self.logits, self.grad_x, self.grad_p
         )
-        grad_w, grad_b = _head_backward(feats, t, tn, grad_x, self.grad_w)
+        grad_w, grad_b = _head_backward(feats, t, tn, grad_x, self.grad_w, self.grad_b)
         return losses, grad_w, grad_b, grad_p
 
     def __call__(self, t: int, rows, labels) -> tuple[float, float]:
         """Run iteration t (the batch, momentum, proxy renorm); returns (lr, mean loss)."""
         try:
-            losses, grad_w, grad_b, grad_p = self.gradients(self.features[rows], labels)
+            losses, _, _, grad_p = self.gradients(self.features.take(rows, axis=0), labels)
         except ZeroNorm as exc:  # name the bundle row, not its place in the batch
             raise ZeroNorm(
                 f"feature row {rows[exc.row]} cannot be normalized by the head"
@@ -323,11 +333,9 @@ class _Step:
         if not math.isfinite(mean_loss):
             raise DivergenceError(f"non-finite loss {mean_loss} at iteration {t}")
         lr = lr_at(self.cfg, t)
-        _, grad_q = quantization_penalty(self.p, out=self.quant)
-        grad_q += grad_p
-        grads = (grad_w, grad_b, grad_q)
-        for param, grad, velocity in zip((self.w, self.b, self.p), grads, self.velocities):
-            _momentum_step(param, grad, velocity, lr, self.cfg.momentum)
+        quantization_gradient(self.p, out=self.grad_q)
+        self.grad_q += grad_p
+        _momentum_step(self.theta, self.grad, self.velocity, lr, self.cfg.momentum)
         _renormalize_rows(self.p)
         return lr, mean_loss
 

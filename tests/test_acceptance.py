@@ -139,13 +139,14 @@ def test_criterion_3_margin_monotonicity():
         bumped[y, z] += 0.1
         bumped[z, y] += 0.1
 
+        pos = losses._positives(labels, 10)
         base = losses._forward(
-            x, p, labels, cfg.tau, cfg.margin,
-            losses._slope_rows(d, labels, cfg.tau, np.float64),
+            x, p, pos, cfg.tau, cfg.margin,
+            losses._slope_rows(d, labels, pos, cfg.tau, np.float64),
         )[3]
         bump = losses._forward(
-            x, p, labels, cfg.tau, cfg.margin,
-            losses._slope_rows(bumped, labels, cfg.tau, np.float64),
+            x, p, pos, cfg.tau, cfg.margin,
+            losses._slope_rows(bumped, labels, pos, cfg.tau, np.float64),
         )[3]
         affected = labels == y
         strict = affected & (x @ p[z] < 1.0 - 1e-6)
@@ -185,10 +186,11 @@ def test_criterion_4_end_to_end_head_gradient():
     _, gw, gb, _ = step.gradients(feats.astype(np.float32), labels)
 
     p64 = proxies.astype(np.float64)
+    pos = losses._positives(labels, classes)
 
     def f(wv, bv):
         emb = _head_core(feats, wv, bv)[2]
-        return float(losses._forward(emb, p64, labels, cfg.tau, 0.0, cfg.tau)[3].mean())
+        return float(losses._forward(emb, p64, pos, cfg.tau, 0.0, cfg.tau)[3].mean())
 
     h = 1e-3
     fd_w = np.zeros_like(w)

@@ -320,16 +320,17 @@ class TestProperties:
             bumped = dmat.copy()
             bumped[y, z] += 0.1
             bumped[z, y] += 0.1
+            pos = losses._positives(labels, bank.num_classes)
 
             base64 = losses._forward(
                 x.astype(np.float64), bank.proxies.astype(np.float64),
-                labels, cfg.tau, cfg.margin,
-                losses._slope_rows(dmat, labels, cfg.tau, np.float64),
+                pos, cfg.tau, cfg.margin,
+                losses._slope_rows(dmat, labels, pos, cfg.tau, np.float64),
             )[3]
             bump64 = losses._forward(
                 x.astype(np.float64), bank.proxies.astype(np.float64),
-                labels, cfg.tau, cfg.margin,
-                losses._slope_rows(bumped, labels, cfg.tau, np.float64),
+                pos, cfg.tau, cfg.margin,
+                losses._slope_rows(bumped, labels, pos, cfg.tau, np.float64),
             )[3]
 
             affected = labels == y
@@ -360,11 +361,12 @@ class TestSlopeTable:
             # oracle: tau * (1 - d[y_i, :]) in the table's dtype, then tau at (i, y_i)
             want = np.subtract(1.0, d[labels].astype(table_dtype)) * tau
             want[np.arange(labels.size), labels] = tau
-            got = losses._slope_rows(d, labels, tau, table_dtype)
+            got = losses._slope_rows(d, labels, losses._positives(labels, 9), tau, table_dtype)
             assert got.dtype == table_dtype
             assert got.tobytes() == want.tobytes()
             # a whole-table call holds the same rows at the labels
-            table = losses._slope_rows(d, np.arange(9), tau, table_dtype)
+            every = np.arange(9)
+            table = losses._slope_rows(d, every, losses._positives(every, 9), tau, table_dtype)
             assert table[labels].tobytes() == want.tobytes()
 
     def test_rows_into_a_buffer(self):
@@ -374,9 +376,10 @@ class TestSlopeTable:
         before = d.copy()
         labels = rng.integers(0, 9, 40)
         out = np.empty((40, 9), np.float32)
-        got = losses._slope_rows(d, labels, 20.0, np.float32, out=out)
+        pos = losses._positives(labels, 9)
+        got = losses._slope_rows(d, labels, pos, 20.0, np.float32, out=out)
         assert got is out
-        assert out.tobytes() == losses._slope_rows(d, labels, 20.0, np.float32).tobytes()
+        assert out.tobytes() == losses._slope_rows(d, labels, pos, 20.0, np.float32).tobytes()
         assert d.tobytes() == before.tobytes()
 
 
@@ -397,13 +400,14 @@ class TestGradients:
         p64 = bank.proxies.astype(np.float64)
         xs = x64 + 1e-3 * rng.standard_normal((6,) + x64.shape)
         ps = p64 + 1e-3 * rng.standard_normal((6,) + p64.shape)
-        for slope in (20.0, losses._slope_rows(dmat, labels, 20.0, np.float64)):
+        pos = losses._positives(labels, bank.num_classes)
+        for slope in (20.0, losses._slope_rows(dmat, labels, pos, 20.0, np.float64)):
             for stacked_x, stacked_p in [(xs, p64[None]), (x64[None], ps)]:
-                stacked = losses._forward(stacked_x, stacked_p, labels, 20.0, 0.4, slope)
+                stacked = losses._forward(stacked_x, stacked_p, pos, 20.0, 0.4, slope)
                 for i in range(6):
                     xi = stacked_x[min(i, stacked_x.shape[0] - 1)]
                     pi = stacked_p[min(i, stacked_p.shape[0] - 1)]
-                    single = losses._forward(xi, pi, labels, 20.0, 0.4, slope)
+                    single = losses._forward(xi, pi, pos, 20.0, 0.4, slope)
                     for got, want in zip(stacked, single):
                         np.testing.assert_array_equal(got[i], want)
 
@@ -416,12 +420,13 @@ class TestGradients:
 
         x64 = x.astype(np.float64)
         p64 = bank.proxies.astype(np.float64)
-        slope = losses._slope_rows(dmat, labels, cfg.tau, np.float64)
+        pos = losses._positives(labels, bank.num_classes)
+        slope = losses._slope_rows(dmat, labels, pos, cfg.tau, np.float64)
         h = 1e-3
 
         def f(xv, pv):
             return float(
-                losses._forward(xv, pv, labels, cfg.tau, cfg.margin, slope)[3].mean()
+                losses._forward(xv, pv, pos, cfg.tau, cfg.margin, slope)[3].mean()
             )
 
         fd_x = np.zeros_like(x64)
@@ -446,11 +451,11 @@ class TestGradients:
         rng = np.random.default_rng(5)
         x64 = unit_rows(rng, 3, 4).astype(np.float64)
         p64 = unit_rows(rng, 1, 4).astype(np.float64)
-        labels = np.zeros(3, dtype=np.int64)
+        pos = losses._positives(np.zeros(3, dtype=np.int64), 1)
         h = 1e-3
 
         def f(xv):
-            return float(losses._forward(xv, p64, labels, 20.0, 0.0, 20.0)[3].mean())
+            return float(losses._forward(xv, p64, pos, 20.0, 0.0, 20.0)[3].mean())
 
         for i in range(3):
             for j in range(4):

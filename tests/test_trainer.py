@@ -372,6 +372,14 @@ class TestBackwardHead:
         assert np.max(np.abs(gw)) <= 1e-5 and np.max(np.abs(gb)) <= 1e-5
 
 
+def quantization_term(p):
+    """The float64 oracle of the term in the trainer docstring:
+    QUANT_WEIGHT * mean_c ||p_c - s(p_c) / sqrt(D)||^2, s(p) = +1 where p > 0, else -1."""
+    p = np.asarray(p, np.float64)
+    code = np.where(p > 0.0, 1.0, -1.0) / np.sqrt(p.shape[1])
+    return trainer.QUANT_WEIGHT * float(np.sum((p - code) ** 2)) / p.shape[0]
+
+
 class TestQuantizationPenalty:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -380,21 +388,19 @@ class TestQuantizationPenalty:
         h = 1e-4
         # the sign code is piecewise constant; no step may cross a zero
         assert np.min(np.abs(p)) > h
-        _, grad = trainer.quantization_penalty(p)
+        grad = trainer.quantization_gradient(p)
         fd = np.zeros_like(p)
         for i in range(p.shape[0]):
             for j in range(p.shape[1]):
                 pp, pm = p.copy(), p.copy()
                 pp[i, j] += h
                 pm[i, j] -= h
-                fd[i, j] = (
-                    trainer.quantization_penalty(pp)[0] - trainer.quantization_penalty(pm)[0]
-                ) / (2 * h)
+                fd[i, j] = (quantization_term(pp) - quantization_term(pm)) / (2 * h)
         assert max_relative_error(grad, fd) <= 1e-4
 
     def test_target_code_maps_zeros_like_binarize(self):
         p = np.array([[0.0, 0.5, -0.5, 0.0], [-0.0, -1e-30, 1e-30, 0.7]])
-        _, grad = trainer.quantization_penalty(p)
+        grad = trainer.quantization_gradient(p)
         code = p - grad / (2.0 * trainer.QUANT_WEIGHT / p.shape[0])
         signs = _decode_bits(sign_bits(p))[:, : p.shape[1]]
         np.testing.assert_array_equal(code, signs / np.sqrt(p.shape[1]))
@@ -405,11 +411,7 @@ class TestQuantizationPenalty:
         monkeypatch.setattr(trainer, "QUANT_WEIGHT", 0.0)
         without_term = train(bundle, cfg).proxies.proxies
         monkeypatch.undo()
-
-        def penalty(p):
-            return trainer.quantization_penalty(p.astype(np.float64))[0]
-
-        assert penalty(with_term) < penalty(without_term)
+        assert quantization_term(with_term) < quantization_term(without_term)
 
 
 class TestInit:
@@ -672,31 +674,37 @@ class TestTrainLoop:
         assert ckpt.iteration == cfg.total_iters
 
     def test_call_runs_iteration_t_on_batch_t(self):
-        # oracle: one manual gradients + momentum/renorm update on batch 3,
-        # from zero velocities, so v = g and each parameter moves by lr * g
+        # oracle: manual gradients, then per-array momentum (v = m * v + g;
+        # p -= lr * v) and renorm, on batches 3, 4 and 5 in turn; from the
+        # second step on the velocities are nonzero
         bundle = small_bundle()
         text = np.random.default_rng(4).standard_normal((6, 5)).astype(np.float32)
         dmat = build_margin_matrix(ClassTextEmbeddings(text, bundle.class_ids)).d
         cfg = small_config(loss=LossConfig(kind=KIND_ADAPTIVE, sigma=20.0, margin=0.4))
 
         head, bank = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
-        batch = BalancedSampler(bundle, cfg.sampler).batches(3, 1)
-        rows, labels = batch.sample_indices[0], batch.labels[0]
         manual = trainer._Step(head, bank, cfg, dmat, bundle.features)
-        losses, gw, gb, gp = manual.gradients(bundle.features[rows], labels)
-        lr = lr_at(cfg, 3)
-        _, gq = trainer.quantization_penalty(bank.proxies)
-        gq += gp
-        for param, grad in ((head.weight, gw), (head.bias, gb), (bank.proxies, gq)):
-            param -= (cfg.momentum * np.zeros_like(grad) + grad) * lr
-        trainer._renormalize_rows(bank.proxies)
-
+        params = (head.weight, head.bias, bank.proxies)
+        velocities = [np.zeros_like(a) for a in params]
         fresh_head, fresh_bank = init(cfg, bundle.feature_dim, bundle.num_classes, bundle.class_ids)
         step = trainer._Step(fresh_head, fresh_bank, cfg, dmat, bundle.features)
-        assert step(3, rows, labels) == (lr, float(losses.mean()))
-        np.testing.assert_array_equal(fresh_head.weight, head.weight)
-        np.testing.assert_array_equal(fresh_head.bias, head.bias)
-        np.testing.assert_array_equal(fresh_bank.proxies, bank.proxies)
+        block = BalancedSampler(bundle, cfg.sampler).batches(3, 3)
+        for t, rows, labels in zip(range(3, 6), block.sample_indices, block.labels):
+            losses, gw, gb, gp = manual.gradients(bundle.features[rows], labels)
+            lr = lr_at(cfg, t)
+            gq = trainer.quantization_gradient(bank.proxies) + gp
+            for param, grad, velocity in zip(params, (gw, gb, gq), velocities):
+                velocity *= cfg.momentum
+                velocity += grad
+                param -= lr * velocity
+            trainer._renormalize_rows(bank.proxies)
+
+            assert step(t, rows, labels) == (lr, float(losses.mean()))
+            np.testing.assert_array_equal(fresh_head.weight, head.weight)
+            np.testing.assert_array_equal(fresh_head.bias, head.bias)
+            np.testing.assert_array_equal(fresh_bank.proxies, bank.proxies)
+            assert step.velocity.tobytes() == b"".join(v.tobytes() for v in velocities)
+        assert all(v.any() for v in velocities)
 
     def test_blocks_and_resume_match_single_iterations(self):
         # batch t is keyed by (seed, t) alone, so the block a batch comes from
@@ -719,11 +727,11 @@ class TestTrainLoop:
             for t in range(end):
                 if t in fresh_at:
                     params = [a.copy() for a in (step.w, step.b, step.p)]
-                    velocities = [v.copy() for v in step.velocities]
+                    velocity = step.velocity.copy()
                     head = EmbeddingHead(params[0], params[1])
                     bank = ProxyBank(params[2], bank.class_ids)
                     step = trainer._Step(head, bank, cfg, dmat, bundle.features)
-                    step.velocities = velocities
+                    step.velocity[...] = velocity
                 batch = sampler.batches(t, 1)
                 step(t, batch.sample_indices[0], batch.labels[0])
             return [a.tobytes() for a in (step.w, step.b, step.p)]
@@ -789,10 +797,11 @@ class TestTrainLoop:
         from marginfit import losses as losses_mod
 
         p64 = proxies32.astype(np.float64)
+        pos = losses_mod._positives(labels, classes)
 
         def f(wv):
             emb64 = trainer._head_core(feats, wv, b)[2]
-            per = losses_mod._forward(emb64, p64, labels, cfg.tau, 0.0, cfg.tau)[3]
+            per = losses_mod._forward(emb64, p64, pos, cfg.tau, 0.0, cfg.tau)[3]
             return float(per.mean())
 
         h = 1e-3
